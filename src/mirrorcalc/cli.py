@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fhsv)
 
     p = sub.add_parser("modular", help="Petersson norm of the discriminant")
-    p.add_argument("--delta-norm", action="store_true")
     p.add_argument("--tau", required=True, help='complex, e.g. "0.5+2i"')
     p.add_argument("--terms", type=int, default=200)
     p.set_defaults(fn=_cmd_modular)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple
 
 FLOAT_TOL = 1e-12
 

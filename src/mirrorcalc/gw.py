@@ -10,7 +10,7 @@ independent count of lines on a quintic (see schubert.count_lines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
@@ -93,13 +93,12 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
     total = ExactSeries.constant(NORMALIZATION, order, "q")
     log_acc = ExactSeries.zero(order, "q")
+    eta = eta_series(order).coeffs
     for d in range(1, min(order, table.max_degree) + 1):
         if not (table.n1[d] or table.n0[d]):
             continue
-        eta_d = ExactSeries(
-            [eta_series(order // d)[m // d] if m % d == 0 else 0
-             for m in range(order + 1)],
-            tag="q", order=order)
+        eta_d = ExactSeries([eta[m // d] if m % d == 0 else 0
+                             for m in range(order + 1)], tag="q", order=order)
         one_minus_qd = ExactSeries([1 if m == 0 else (-1 if m == d else 0)
                                     for m in range(order + 1)],
                                    tag="q", order=order)
@@ -144,11 +143,8 @@ def genus0_pipeline(chart: MirrorChart, order: int | None = None) -> GWTable:
         order = n
     if order > n:
         raise SeriesError("chart order too small for requested degree range")
-    x_q = chart.x_of_q.truncate(n)
-    y0_q = chart.y0.truncate(n).compose(x_q)
-    one_minus = ExactSeries([1, -3125], tag="x", order=n).compose(x_q)
-    u = chart.u_of_q.truncate(n)
-    K = (u ** 3) * 5 / (one_minus * y0_q ** 2)
+    K = (chart.u_of_q ** 3) * 5 / (chart.one_minus_3125x_of_q
+                                   * chart.y0_of_q ** 2)
 
     inst: Dict[int, int] = {}
     for m in range(1, order + 1):

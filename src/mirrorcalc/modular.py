@@ -16,33 +16,17 @@ from .series import ExactSeries, SeriesError
 
 
 def eta_series(order: int) -> ExactSeries:
-    """Truncated prod_{n=1}^{order} (1 - q^n)."""
+    """Truncated prod_{n>=1} (1 - q^n), from Euler's pentagonal-number
+    theorem: sum_k (-1)^k q^{k(3k-1)/2} over all integers k.
+    """
     if order < 0:
         raise SeriesError("order must be non-negative")
-    out = ExactSeries.one(order, "q")
-    for n in range(1, order + 1):
-        factor = ExactSeries([1 if m == 0 else (-1 if m == n else 0)
-                              for m in range(order + 1)], tag="q", order=order)
-        out = out * factor
-    return out
-
-
-def pentagonal_coefficients(order: int) -> ExactSeries:
-    """Euler's pentagonal-number expansion of the eta product,
-    sum_k (-1)^k q^{k(3k-1)/2} over all integers k.  Independent route
-    used to cross-check eta_series.
-    """
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     k = 0
-    while True:
-        hit = False
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
+    while k * (3 * k - 1) // 2 <= order:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if e <= order:
-                coeffs[e] += (-1) ** (kk % 2)
-                hit = True
-        if not hit:
-            break
+                coeffs[e] = (-1) ** k
         k += 1
     return ExactSeries(coeffs, tag="q", order=order)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .series import ExactSeries, SeriesError
@@ -24,9 +25,14 @@ def _a(n: int) -> int:
     return factorial(5 * n) // factorial(n) ** 5
 
 
-def _harmonic_gap(n: int) -> Fraction:
-    """sum_{j=n+1}^{5n} 1/j."""
-    return sum((Fraction(1, j) for j in range(n + 1, 5 * n + 1)), Fraction(0))
+def _harmonic_gaps(order: int) -> list[Fraction]:
+    """H_n = sum_{j=n+1}^{5n} 1/j for n = 0..order, each from the last:
+    H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
+    gaps = [Fraction(0)]
+    for n in range(1, order + 1):
+        gaps.append(gaps[-1] - Fraction(1, n)
+                    + sum(Fraction(1, j) for j in range(5 * n - 4, 5 * n + 1)))
+    return gaps
 
 
 def period_y0(order: int) -> ExactSeries:
@@ -45,7 +51,9 @@ class MirrorChart:
     """The paired coordinates x and q with the mirror map both ways.
 
     u_of_q is q d(log x)/dq, the unit series carrying every rational
-    multiple of log x through the q d/dq operator.
+    multiple of log x through the q d/dq operator.  The transport of
+    y0 and 1 - 3125 x into the q-chart is computed on first use and
+    shared by every reader of the chart.
     """
 
     order: int
@@ -60,6 +68,17 @@ class MirrorChart:
         if self.q_of_x.coeffs[0] or self.q_of_x.coeffs[1] != 1:
             raise SeriesError("q_of_x must be x + O(x^2)")
 
+    @cached_property
+    def y0_of_q(self) -> ExactSeries:
+        """y0(x(q)), at order - 1 like u_of_q."""
+        n = self.order - 1
+        return self.y0.truncate(n).compose(self.x_of_q.truncate(n))
+
+    @cached_property
+    def one_minus_3125x_of_q(self) -> ExactSeries:
+        """1 - 3125 x(q), at order - 1 like u_of_q."""
+        return 1 - self.x_of_q.truncate(self.order - 1) * 3125
+
 
 def mirror_map(order: int) -> MirrorChart:
     """Build the mirror map q(x) = x * exp((5/y0) * sum a_n H_n x^n)
@@ -69,13 +88,15 @@ def mirror_map(order: int) -> MirrorChart:
     if order < 1:
         raise SeriesError("mirror_map needs order >= 1")
     y0 = period_y0(order)
-    inner = ExactSeries([_a(n) * _harmonic_gap(n) for n in range(order + 1)],
+    gaps = _harmonic_gaps(order)
+    inner = ExactSeries([_a(n) * gaps[n] for n in range(order + 1)],
                         tag="x", order=order)
     q_of_x = ExactSeries.identity(order, "x") * (inner * 5 / y0).exp()
     x_of_q = q_of_x.reverse().retag("q")
-    # u = 1 + q d/dq log(x(q)/q); x(q)/q is a unit series of order-1.
+    # u = 1 + q d/dq log(x(q)/q) = 1 + q r'/r with the unit series
+    # r = x(q)/q of order-1.
     ratio = ExactSeries(x_of_q.coeffs[1:], tag="q", order=order - 1)
-    u = ratio.log().q_d_dq() + 1
+    u = ratio.q_d_dq() / ratio + 1
     return MirrorChart(order=order, y0=y0, q_of_x=q_of_x, x_of_q=x_of_q,
                        u_of_q=u)
 
@@ -108,13 +129,9 @@ def f1_log_derivative(chart: MirrorChart) -> F1LogDerivative:
     -(62/3) log y0(x(q)), -(1/6) log(1 - 3125 x(q)), and log u(q).
     Only rational power series are ever materialized.
     """
-    n = chart.order - 1  # u and the composed series live at order-1
-    x_q = chart.x_of_q.truncate(n)
-    y0_q = chart.y0.truncate(n).compose(x_q)
-    one_minus = ExactSeries([1, -3125], tag="x", order=n).compose(x_q)
-    u = chart.u_of_q.truncate(n)
-    honest = (y0_q.log() * Fraction(-62, 3)
-              - one_minus.log() / 6
+    u = chart.u_of_q
+    honest = (chart.y0_of_q.log() * Fraction(-62, 3)
+              - chart.one_minus_3125x_of_q.log() / 6
               + u.log())
     G = u * LOG_X_MULTIPLE + honest.q_d_dq()
     return F1LogDerivative(G=G)

@@ -5,12 +5,19 @@ variable tag ("x", "q", "psi-inv", ...).  Binary operations require
 matching tags and truncate to the minimum of the two orders; nothing
 ever extends precision silently.  All coefficients are
 ``fractions.Fraction``; no floating point enters anywhere.
+
+The coefficient arithmetic of products, quotients, exp, log,
+composition and reversion runs on Python ``int``: each operand is
+scaled to integers over one common denominator, and each result
+coefficient is reduced to a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -33,6 +40,38 @@ class CompositionError(SeriesError):
 
 def _frac(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over their least common
+    denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _solve(c: list[int], dc: int, w: list[int],
+           d: list[int]) -> list[Fraction]:
+    """The triangular recurrence
+    out[m] = (c[m]/dc + sum_{k=1}^{m} w[k] out[m-k]) / d[m], m = 0..len(c)-1,
+    for integers c, dc, w and nonzero integers d.
+
+    The solved out[j] are kept as integers over their running least
+    common denominator, so each inner sum runs on int and each out[m]
+    is reduced once.  Integral results keep that denominator at 1.
+    """
+    out: list[Fraction] = []
+    nums: list[int] = []          # out[j] * den, oldest first
+    den = 1
+    for m in range(len(c)):
+        s = sum(map(mul, w[1:m + 1], reversed(nums)))
+        f = Fraction(c[m] * den + dc * s, dc * den * d[m])
+        out.append(f)
+        if den % f.denominator:
+            g = f.denominator // gcd(den, f.denominator)
+            nums = [v * g for v in nums]
+            den *= g
+        nums.append(f.numerator * (den // f.denominator))
+    return out
 
 
 class ExactSeries:
@@ -154,16 +193,11 @@ class ExactSeries:
             return NotImplemented
         self._check_tag(other)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        a, b = self.coeffs, other.coeffs
-        for i in range(n + 1):
-            if not a[i]:
-                continue
-            ai = a[i]
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return ExactSeries(out, tag=self.tag, order=n)
+        a, da = _scaled(self.coeffs[:n + 1])
+        b, db = _scaled(other.coeffs[:n + 1])
+        den = da * db
+        return ExactSeries([Fraction(sum(map(mul, a[:k + 1], b[k::-1])), den)
+                            for k in range(n + 1)], tag=self.tag, order=n)
 
     __rmul__ = __mul__
 
@@ -180,14 +214,12 @@ class ExactSeries:
         if not other.coeffs[0]:
             raise NonUnitError("divisor has zero constant term")
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        inv0 = 1 / b[0]
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            s = a[i]
-            for j in range(1, i + 1):
-                s -= b[j] * out[i - j]
-            out[i] = s * inv0
+        # out[m] = (a[m] - sum_{k>=1} b[k] out[m-k]) / b[0], with a = A/da
+        # and b = B/db: c = A db over da, w = -B, divisor B[0].
+        a, da = _scaled(self.coeffs[:n + 1])
+        b, db = _scaled(other.coeffs[:n + 1])
+        out = _solve([v * db for v in a], da, [-v for v in b],
+                     [b[0]] * (n + 1))
         return ExactSeries(out, tag=self.tag, order=n)
 
     def __pow__(self, k: int):
@@ -215,15 +247,9 @@ class ExactSeries:
         if self.coeffs[0]:
             raise NonUnitError("exp needs zero constant term")
         n = self.order
-        a = self.coeffs
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k]:
-                    s += k * a[k] * out[m - k]
-            out[m] = s / m
+        a, den = _scaled(self.coeffs)
+        out = _solve([1] + [0] * n, 1, [k * v for k, v in enumerate(a)],
+                     [1] + [m * den for m in range(1, n + 1)])
         return ExactSeries(out, tag=self.tag, order=n)
 
     def log(self) -> "ExactSeries":
@@ -255,39 +281,57 @@ class ExactSeries:
     def compose(self, inner: "ExactSeries") -> "ExactSeries":
         """Substitute ``inner`` (zero constant term) into this series.
 
-        The result lives in the inner series' variable.
+        The result lives in the inner series' variable.  Horner in the
+        inner variable: since ``inner`` starts at t^1, the partial sum
+        from coefficient k upward is needed only to order n - k, so the
+        whole substitution costs O(n^3) integer products.
         """
         if inner.coeffs[0]:
             raise CompositionError("inner series must have zero constant term")
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        result = ExactSeries.constant(self.coeffs[n], n, inner.tag)
-        for k in range(n - 1, -1, -1):  # Horner in the inner variable
-            result = result * inner_t.retag(inner.tag) + self.coeffs[k]
-        return result
+        c, dc = _scaled(self.coeffs[:n + 1])
+        x, dx = _scaled(inner.coeffs[:n + 1])
+        # acc holds the partial sum from coefficient k up, to order n - k,
+        # as numerators over dc * dx^(n-k).
+        acc = [c[n]]
+        scale = 1
+        for k in range(n - 1, -1, -1):
+            scale *= dx
+            acc = [c[k] * scale] + [sum(map(mul, x[1:j + 1], acc[j - 1::-1]))
+                                    for j in range(1, n - k + 1)]
+        den = dc * scale
+        return ExactSeries([Fraction(v, den) for v in acc],
+                           tag=inner.tag, order=n)
 
     def reverse(self) -> "ExactSeries":
-        """Compositional inverse of a series c1*t + O(t^2), c1 != 0.
+        """Compositional inverse of a series a1*t + O(t^2), a1 != 0.
 
-        Solves compose(self, b) = t triangularly for b, one coefficient
-        per degree; exact, so it agrees with Lagrange inversion.
+        Rescales to the monic h(s) = self(s/a1) = s + sum_{k>=2} H_k s^k / L
+        with integers H_k and L, and solves h(g(t)) = t for g degree by
+        degree; the inverse is g/a1.  Weighted homogeneity makes
+        G_m = g_m L^(m-1) and P_k[m] = [t^m] g^k L^(m-k) integers, and
+        the running power table P costs O(n^3) integer products.
         """
         if self.coeffs[0]:
             raise CompositionError("reversion needs zero constant term")
         if self.order < 1 or not self.coeffs[1]:
             raise CompositionError("reversion needs nonzero linear term")
         n = self.order
-        a = self.coeffs
-        inv_a1 = 1 / a[1]
-        b = [Fraction(0)] * (n + 1)
-        b[1] = inv_a1
-        # powers[k] holds (sum so far)^k truncated; rebuild incrementally.
+        a1 = self.coeffs[1]
+        H, L = _scaled([a / a1 ** k for k, a in enumerate(self.coeffs)])
+        HL = [0, 0] + [H[k] * L ** (k - 2) for k in range(2, n + 1)]
+        G = [0, 1]
+        P = [None, G] + [[0] * (n + 1) for _ in range(2, n + 1)]
         for m in range(2, n + 1):
-            partial = ExactSeries(b[: m] + [Fraction(0)], tag=self.tag, order=m)
-            comp = ExactSeries(a[: m + 1], tag=self.tag, order=m).compose(partial)
-            # coefficient of t^m must vanish except for the identity target
-            b[m] = -comp.coeffs[m] * inv_a1
-        return ExactSeries(b, tag=self.tag, order=n)
+            # [t^m] g^k = sum_{j>=1} g_j [t^(m-j)] g^(k-1); g_1 = 1
+            for k in range(2, m):
+                P[k][m] = sum(map(mul, G[1:m - k + 2],
+                                  P[k - 1][m - 1:k - 2:-1]))
+            P[m][m] = 1
+            G.append(-sum(HL[k] * P[k][m] for k in range(2, m + 1)))
+        out = [Fraction(G[m] * a1.denominator, L ** (m - 1) * a1.numerator)
+               for m in range(1, n + 1)]
+        return ExactSeries([0, *out], tag=self.tag, order=n)
 
     # -- serialization ----------------------------------------------------
 
@@ -303,7 +347,3 @@ class ExactSeries:
         return cls([Fraction(s) for s in d["coefficients"]],
                    tag=d["variable_tag"], order=int(d["order"]))
 
-
-def from_coeff_fn(fn, order: int, tag: str = "q") -> ExactSeries:
-    """Build a series from a coefficient function n -> scalar."""
-    return ExactSeries([fn(n) for n in range(order + 1)], tag=tag, order=order)

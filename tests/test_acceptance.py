@@ -106,6 +106,17 @@ def test_ac7_end_to_end_quintic():
         assert gw.eta_product_log_derivative(table, 10) == G
 
 
+def test_ac12_genus0_order_100():
+    with criterion("genus-0 instanton numbers n_1..n_7 from the order-100 "
+                   "pipeline, integral to degree 100", budget_seconds=10):
+        table = gw.genus0_pipeline(quintic.mirror_map(101), 100)
+        # Candelas, de la Ossa, Green, Parkes (1991)
+        assert [table.instanton_n0[d] for d in range(1, 8)] == [
+            2875, 609250, 317206375, 242467530000, 229305888887625,
+            248249742118022000, 295091050570845659250]
+        assert sorted(table.instanton_n0) == list(range(1, 101))
+
+
 def random_unimodular(rng: random.Random, n: int):
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):

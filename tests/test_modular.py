@@ -2,9 +2,17 @@ import math
 
 import pytest
 
-from mirrorcalc.modular import (eta_series, pentagonal_coefficients,
-                                delta_series, petersson_delta, fhsv_assemble)
+from mirrorcalc.modular import (eta_series, delta_series, petersson_delta,
+                                fhsv_assemble)
 from mirrorcalc.series import ExactSeries, SeriesError
+
+
+def eta_product(order):
+    """prod_{k=1}^{order} (1 - q^k), multiplied out factor by factor."""
+    out = ExactSeries.one(order, "q")
+    for k in range(1, order + 1):
+        out = out * ExactSeries([1] + [0] * (k - 1) + [-1], order=order)
+    return out
 
 
 class TestEta:
@@ -16,7 +24,9 @@ class TestEta:
                                             tag="q")
 
     def test_pentagonal_pattern(self):
-        assert eta_series(30) == pentagonal_coefficients(30)
+        oracle = eta_product(60)
+        for order in range(61):
+            assert eta_series(order) == oracle.truncate(order)
 
 
 class TestDelta:

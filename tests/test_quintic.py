@@ -61,6 +61,14 @@ class TestMirrorMap:
                        if c.denominator != 1]
         assert non_integer == []
 
+    def test_q_chart_transport(self):
+        chart = mirror_map(8)
+        x_q = chart.x_of_q.truncate(7)
+        assert chart.y0_of_q == chart.y0.truncate(7).compose(x_q)
+        assert chart.one_minus_3125x_of_q == ExactSeries(
+            [1, -3125], tag="x", order=7).compose(x_q)
+        assert chart.y0_of_q is chart.y0_of_q  # computed once per chart
+
     def test_order_precondition(self):
         with pytest.raises(SeriesError):
             mirror_map(0)
