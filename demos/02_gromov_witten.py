@@ -3,7 +3,8 @@
 Runs the Yukawa-coupling pipeline for the genus-zero numbers (checking
 n_1 = 2875 against an independent Schubert-calculus count of lines),
 builds the genus-one log-derivative G(q), and extracts the genus-one
-degrees from its Lambert expansion.
+instanton numbers from its Lambert expansion against the genus-zero
+instanton numbers.
 """
 
 from mirrorcalc import gw, quintic, schubert
@@ -24,10 +25,13 @@ G = quintic.f1_log_derivative(chart).G.truncate(ORDER)
 print("\nG(q) =", G)
 print("constant term:", G.coeffs[0], "(expected 50/12)")
 
-table = gw.extract_n1(G, dict(table0.n0))
-print("\ngenus-one degrees N_1(d):")
+# Genus-one Gopakumar-Vafa numbers (Bershadsky, Cecotti, Ooguri, Vafa 1993)
+BCOV = {1: 0, 2: 0, 3: 609250, 4: 3721431625, 5: 12129909700200}
+table = gw.extract_n1(G, table0.instanton_n0)
+print("\ngenus-one instanton numbers n1(d):")
 for d in range(1, ORDER + 1):
-    print(f"  N_1({d}) = {table.n1[d]}")
+    note = f"  (BCOV: {BCOV[d]})" if d in BCOV else ""
+    print(f"  n1({d}) = {table.n1[d]}{note}")
 
 print("\nround-trip reproduces G:",
       gw.eta_product_log_derivative(table, ORDER) == G)

@@ -10,7 +10,8 @@ from .series import (ExactSeries, SeriesError, TagMismatchError,
 from .quintic import (MirrorChart, F1LogDerivative, period_y0, mirror_map,
                       f1_log_derivative, picard_fuchs_check, DEFAULT_ORDER)
 from .gw import (GWTable, lambert_series, eta_product_log_derivative,
-                 extract_n1, genus0_pipeline, ExtractionError)
+                 extract_n1, extract_gv, instanton_numbers, genus0_pipeline,
+                 ExtractionError)
 from .schubert import count_lines
 from .deltacoeff import delta, delta_row, lemma512_check
 from .lattice import (CubicLattice, GramResult, PiScaled, l2_pairing,

@@ -89,9 +89,8 @@ def _cmd_extract_gw(args) -> dict:
         with open(args.n0_file) as fh:
             n0 = gw.n0_map_from_json_dict(json.load(fh))
     else:
-        n0 = dict(gw.genus0_pipeline(chart, args.order).n0)
-    table = gw.extract_n1(G, n0)
-    return gw.table_to_json_dict(table)
+        n0 = gw.genus0_pipeline(chart, args.order).n0
+    return gw.table_to_json_dict(gw.extract_gv(G, n0))
 
 
 def _cmd_delta(args) -> dict:
@@ -174,11 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(fn=_cmd_f1)
 
-    p = sub.add_parser("extract-gw", help="extract N1(d) from G(q)")
+    p = sub.add_parser("extract-gw",
+                       help="extract genus-one instanton numbers from G(q)")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--n0-file", default=None,
-                   help="JSON file with genus-0 invariants; default uses "
-                        "the built-in genus-0 pipeline")
+                   help="JSON file with genus-0 Gromov-Witten invariants; "
+                        "default uses the built-in genus-0 pipeline")
     p.set_defaults(fn=_cmd_extract_gw)
 
     p = sub.add_parser("delta", help="double-point coefficients delta(n,p)")

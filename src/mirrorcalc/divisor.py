@@ -106,13 +106,17 @@ class FamilyData:
         for pt, r in self.odp_points:
             if r < 1:
                 raise FamilyError("double-point index must be >= 1")
-        for name, pts in (("xi_divisor", self.xi_divisor),
-                          ("ramification", self.ramification),
-                          ("odp_points", self.odp_points)):
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if pts[i][0].same_as(pts[j][0]):
-                        raise FamilyError(f"duplicate point in {name}")
+        pts = [(name, pt) for name, pairs in (
+                   ("xi_divisor", self.xi_divisor),
+                   ("ramification", self.ramification),
+                   ("odp_points", self.odp_points)) for pt, _ in pairs]
+        for i, (name, pt) in enumerate(pts):
+            for other, pt2 in pts[i + 1:]:
+                if pt.same_as(pt2):
+                    raise FamilyError(
+                        f"duplicate point in {name}" if other == name else
+                        f"point lists {name} and {other} overlap; "
+                        "family data ill-posed")
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,7 +179,6 @@ def assemble_factor(data: FamilyData) -> WeightedDivisor:
     vector field to the power 12, under an outer 1/6 root.
     """
     w = 48 + data.chi
-    _check_disjoint(data)
     entries: List[Tuple[Point, Fraction]] = []
     for pt, r in data.odp_points:
         if not pt.is_infinity():
@@ -193,18 +196,6 @@ def assemble_factor(data: FamilyData) -> WeightedDivisor:
                            vector_field_power=Fraction(12),
                            overall_root=Fraction(1, 6),
                            infinity_exponent=inf_exp)
-
-
-def _check_disjoint(data: FamilyData):
-    lists = [pts for pts in (data.xi_divisor, data.ramification,
-                             data.odp_points)]
-    for a in range(len(lists)):
-        for b in range(a + 1, len(lists)):
-            for pt1, _ in lists[a]:
-                for pt2, _ in lists[b]:
-                    if pt1.same_as(pt2):
-                        raise FamilyError(
-                            "point lists overlap; family data ill-posed")
 
 
 def divisor_equal(a: WeightedDivisor, b: WeightedDivisor) -> bool:
@@ -280,16 +271,17 @@ def residue_balance_check(data: FamilyData,
 
 
 def family_from_json_dict(d: dict) -> FamilyData:
+    """Parse the family schema of FamilyData.to_json_dict; a missing key
+    or a value of the wrong type raises FamilyError."""
     def pairs(key, field_name):
-        out = []
-        for item in d.get(key, []):
-            pt = Point.from_json(item["point"])
-            out.append((pt, int(item[field_name])))
-        return tuple(out)
+        return tuple((Point.from_json(item["point"]), int(item[field_name]))
+                     for item in d.get(key, []))
 
-    return FamilyData(
-        chi=int(d["chi"]),
-        xi_divisor=pairs("xi_divisor", "multiplicity"),
-        ramification=pairs("ramification", "r"),
-        odp_points=pairs("odp_points", "r"),
-    )
+    try:
+        fields = dict(chi=int(d["chi"]),
+                      xi_divisor=pairs("xi_divisor", "multiplicity"),
+                      ramification=pairs("ramification", "r"),
+                      odp_points=pairs("odp_points", "r"))
+    except (KeyError, TypeError) as exc:
+        raise FamilyError(f"malformed family data: {exc!r}") from exc
+    return FamilyData(**fields)

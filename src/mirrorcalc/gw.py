@@ -28,8 +28,10 @@ class ExtractionError(SeriesError):
 class GWTable:
     """Degree-indexed genus-0 and genus-1 invariants, degrees 1..max_degree.
 
-    instanton_n0 holds integer genus-0 instanton numbers when the table
-    came from the genus-zero pipeline.
+    n0 holds genus-zero Gromov-Witten numbers N0(d); instanton_n0, when
+    present, the integer genus-zero Gopakumar-Vafa (instanton) numbers
+    n_d.  n1 holds what extract_n1 solved for: genus-one Gopakumar-Vafa
+    numbers when it was given the n_d, as in extract_gv.
     """
 
     max_degree: int
@@ -85,27 +87,21 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
     """q d/dq log of {q^{25/12} prod_d eta(q^d)^{N1(d)} (1-q^d)^{N0(d)/12}}^2
     with eta(q) = prod_n (1 - q^n) (no q^{1/24} prefactor).
 
-    Assembled through honest logarithms: the fractional power q^{25/12}
-    contributes the constant 2*(25/12); each log(1-q^j) is an exact
-    rational series.
+    The fractional power q^{25/12} contributes the constant 2*(25/12).
+    Each factor f(q^d) contributes d (q f'/f)(q^d), read by stride from
+    the logarithmic derivatives E of eta and U of 1 - q, built once
+    from the pentagonal eta series and one division each.
     """
     from .modular import eta_series
 
-    total = ExactSeries.constant(NORMALIZATION, order, "q")
-    log_acc = ExactSeries.zero(order, "q")
-    eta = eta_series(order).coeffs
+    E = eta_series(order).log_derivative().coeffs
+    U = ExactSeries([1, -1], tag="q", order=order).log_derivative().coeffs
+    out = [NORMALIZATION] + [Fraction(0)] * order
     for d in range(1, min(order, table.max_degree) + 1):
-        if not (table.n1[d] or table.n0[d]):
-            continue
-        eta_d = ExactSeries([eta[m // d] if m % d == 0 else 0
-                             for m in range(order + 1)], tag="q", order=order)
-        one_minus_qd = ExactSeries([1 if m == 0 else (-1 if m == d else 0)
-                                    for m in range(order + 1)],
-                                   tag="q", order=order)
-        log_acc = (log_acc
-                   + eta_d.log() * table.n1[d]
-                   + one_minus_qd.log() * (table.n0[d] / 12))
-    return total + log_acc.q_d_dq() * 2
+        a, b = 2 * d * table.n1[d], d * table.n0[d] / 6
+        for k in range(1, order // d + 1):
+            out[k * d] += a * E[k] + b * U[k]
+    return ExactSeries(out, tag="q", order=order)
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
@@ -128,15 +124,47 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
     return GWTable(max_degree=order, n0=n0_full, n1=n1)
 
 
+def _integral(values: Mapping[int, Fraction], what: str) -> Dict[int, int]:
+    for d, v in values.items():
+        if v.denominator != 1:
+            raise ExtractionError(f"{what} at degree {d} is not an integer: {v}")
+    return {d: v.numerator for d, v in values.items()}
+
+
+def instanton_numbers(n0: Mapping[int, Fraction],
+                      max_degree: int) -> Dict[int, int]:
+    """Genus-zero Gopakumar-Vafa numbers n_d, d = 1..max_degree, from
+    Gromov-Witten numbers N0(d) (absent degrees read 0), by inverting
+    the multicover rule: n_d = N0(d) - sum_{k|d, k>1} n_{d/k}/k^3.
+    A non-integral n_d raises ExtractionError.
+    """
+    inst: Dict[int, Fraction] = {}
+    for d in range(1, max_degree + 1):
+        inst[d] = Fraction(n0.get(d, 0)) - sum(
+            inst[d // k] / k ** 3 for k in range(2, d + 1) if d % k == 0)
+    return _integral(inst, "genus-zero instanton number")
+
+
+def extract_gv(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
+    """Genus-one Gopakumar-Vafa numbers n1 from G and the genus-zero
+    Gromov-Witten column n0, extracted against the instanton numbers
+    (the exponents of the eta-product).  A non-integral number in
+    either genus raises ExtractionError.
+    """
+    inst = instanton_numbers(n0, G.order)
+    n1 = _integral(extract_n1(G, inst).n1, "genus-one instanton number")
+    return GWTable.from_maps(n0, n1, max_degree=G.order, instanton_n0=inst)
+
+
 def genus0_pipeline(chart: MirrorChart, order: int | None = None) -> GWTable:
     """Standard genus-zero pipeline for the quintic.
 
     The normalized Yukawa coupling in the flat coordinate is
     K(q) = 5 u(q)^3 / ((1 - 3125 x(q)) y0(x(q))^2), with K(0) = 5 the
-    classical triple intersection.  Instanton numbers n_d come from
-    K = 5 + sum_d n_d d^3 q^d/(1-q^d), and the multicover rule
-    N0(d) = sum_{k|d} n_{d/k}/k^3 converts to GW invariants.
-    Integrality of every n_d is enforced.
+    classical triple intersection.  K = 5 + sum_d n_d d^3 q^d/(1-q^d),
+    so by the multicover rule N0(d) = sum_{k|d} n_{d/k}/k^3 the q^d
+    coefficient of K is d^3 N0(d); instanton_numbers recovers the n_d
+    and enforces their integrality.
     """
     n = chart.order - 1
     if order is None:
@@ -146,21 +174,9 @@ def genus0_pipeline(chart: MirrorChart, order: int | None = None) -> GWTable:
     K = (chart.u_of_q ** 3) * 5 / (chart.one_minus_3125x_of_q
                                    * chart.y0_of_q ** 2)
 
-    inst: Dict[int, int] = {}
-    for m in range(1, order + 1):
-        s = K.coeffs[m] - sum(inst[d] * d ** 3
-                              for d in range(1, m) if m % d == 0)
-        n_m = s / m ** 3
-        if n_m.denominator != 1:
-            raise ExtractionError(
-                f"instanton number at degree {m} is not an integer: {n_m}")
-        inst[m] = int(n_m)
-
-    n0 = {d: sum(Fraction(inst[d // k], k ** 3)
-                 for k in range(1, d + 1) if d % k == 0)
-          for d in range(1, order + 1)}
-    n1 = {d: Fraction(0) for d in range(1, order + 1)}
-    return GWTable(max_degree=order, n0=n0, n1=n1, instanton_n0=inst)
+    n0 = {d: K.coeffs[d] / d ** 3 for d in range(1, order + 1)}
+    return GWTable.from_maps(n0, {}, max_degree=order,
+                             instanton_n0=instanton_numbers(n0, order))
 
 
 def table_to_json_dict(table: GWTable) -> dict:

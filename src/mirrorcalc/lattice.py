@@ -203,6 +203,18 @@ def covolume(L: CubicLattice) -> GramResult:
                                         -3 * r))
 
 
+def _h_pairing(A: Sequence[Sequence], h: Sequence):
+    """(A h, h^T A h), exactly, for a square A and h of its size."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise LatticeError("A must be square")
+    if len(h) != n:
+        raise LatticeError(f"h has {len(h)} entries, A is {n}x{n}")
+    hf = [Fraction(x) for x in h]
+    Ah = [sum(Fraction(a) * x for a, x in zip(row, hf)) for row in A]
+    return Ah, sum(x * y for x, y in zip(hf, Ah))
+
+
 def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
                            h: Vector) -> bool:
     """True iff det(A - 2 (Ah)(h^T A)/(h^T A h)) = -det(A) exactly,
@@ -210,12 +222,10 @@ def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
     """
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
-    h = [Fraction(x) for x in h]
     det_a = bareiss_det(A)
     if not det_a:
         raise LatticeError("A must be invertible")
-    Ah = [sum(A[i][j] * h[j] for j in range(n)) for i in range(n)]
-    hAh = sum(h[i] * Ah[i] for i in range(n))
+    Ah, hAh = _h_pairing(A, h)
     if not hAh:
         raise LatticeError("h^T A h must be nonzero")
     B = [[A[i][j] - 2 * Ah[i] * Ah[j] / hAh for j in range(n)]
@@ -242,9 +252,7 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
         raise LatticeError("A must be symmetric")
     if bareiss_det(Af) != -(2 ** 10):
         raise LatticeError("det A must equal -2^10")
-    hf = [Fraction(x) for x in h]
-    Ah = [sum(Af[i][j] * hf[j] for j in range(10)) for i in range(10)]
-    hAh = sum(hf[i] * Ah[i] for i in range(10))
+    Ah, hAh = _h_pairing(Af, h)
     if hAh <= 0:
         raise LatticeError("h^T A h must be positive")
 
@@ -265,9 +273,7 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
 
 def fhsv_volume(A: Sequence[Sequence[int]], h: Sequence[int]) -> PiScaled:
     """Riemannian volume companion <H,H> / (2^5 pi^3)."""
-    hf = [Fraction(x) for x in h]
-    hAh = sum(hf[i] * sum(Fraction(A[i][j]) * hf[j] for j in range(len(h)))
-              for i in range(len(h)))
+    _, hAh = _h_pairing(A, h)
     if hAh <= 0:
         raise LatticeError("h^T A h must be positive")
     return PiScaled(hAh / 2 ** 5, -3)
@@ -278,9 +284,7 @@ def fhsv_constant_check(A: Sequence[Sequence[int]],
     """Vol^-3 * covolume^-1 * <H,H>^4, which is independent of h and
     equals 2^50 pi^42 exactly.
     """
-    hf = [Fraction(x) for x in h]
-    hAh = sum(hf[i] * sum(Fraction(A[i][j]) * hf[j] for j in range(len(h)))
-              for i in range(len(h)))
+    _, hAh = _h_pairing(A, h)
     vol = fhsv_volume(A, h)
     cov = fhsv_covolume(A, h).covolume
     return vol.inverse() ** 3 * cov.inverse() * PiScaled(hAh, 0) ** 4

@@ -93,17 +93,16 @@ def mirror_map(order: int) -> MirrorChart:
                         tag="x", order=order)
     q_of_x = ExactSeries.identity(order, "x") * (inner * 5 / y0).exp()
     x_of_q = q_of_x.reverse().retag("q")
-    # u = 1 + q d/dq log(x(q)/q) = 1 + q r'/r with the unit series
-    # r = x(q)/q of order-1.
-    ratio = ExactSeries(x_of_q.coeffs[1:], tag="q", order=order - 1)
-    u = ratio.q_d_dq() / ratio + 1
+    # u = 1 + q r'/r with the unit series r = x(q)/q of order - 1.
+    u = ExactSeries(x_of_q.coeffs[1:], tag="q",
+                    order=order - 1).log_derivative() + 1
     return MirrorChart(order=order, y0=y0, q_of_x=q_of_x, x_of_q=x_of_q,
                        u_of_q=u)
 
 
 @dataclass(frozen=True)
 class F1LogDerivative:
-    """The series G(q) = q d/dq of the log of the genus-one amplitude."""
+    """G(q) = -q d/dq F1, with F1 the log of the genus-one amplitude."""
 
     G: ExactSeries
 
@@ -116,24 +115,25 @@ class F1LogDerivative:
 #   (62/3)*log psi  -> -62/15 * log x   (log psi = -(1/5) log x + const)
 #   -(1/6)*log(psi^5 - 1) -> +1/6 * log x  (psi^5 - 1 = (1-3125x)/(3125x))
 #   log(q dpsi/dq) = log psi + log u + const -> -1/5 * log x
-# totalling -25/6.  The amplitude is multivalued; the branch is fixed so
-# that G has constant term +50/12, which flips this multiple to +25/6.
+# totalling -25/6, the constant term of q d/dq F1.  G = -q d/dq F1
+# negates all of it, so the log x multiple of G is +25/6 = 50/12.
 LOG_X_MULTIPLE = Fraction(25, 6)
 
 
 def f1_log_derivative(chart: MirrorChart) -> F1LogDerivative:
-    """G(q) = q d/dq log of (psi/y0)^(62/3) (psi^5-1)^(-1/6) q dpsi/dq,
+    """G(q) = -q d/dq log of (psi/y0)^(62/3) (psi^5-1)^(-1/6) q dpsi/dq,
     transported to the q-chart.
 
-    Split as LOG_X_MULTIPLE * u(q) plus q d/dq of honest unit series:
-    -(62/3) log y0(x(q)), -(1/6) log(1 - 3125 x(q)), and log u(q).
-    Only rational power series are ever materialized.
+    Split as LOG_X_MULTIPLE * u(q) minus the logarithmic derivatives
+    q f'/f of the unit series in the amplitude: y0(x(q))^(-62/3),
+    (1 - 3125 x(q))^(-1/6) and u(q).  Only rational power series are
+    ever materialized.
     """
     u = chart.u_of_q
-    honest = (chart.y0_of_q.log() * Fraction(-62, 3)
-              - chart.one_minus_3125x_of_q.log() / 6
-              + u.log())
-    G = u * LOG_X_MULTIPLE + honest.q_d_dq()
+    G = (u * LOG_X_MULTIPLE
+         + chart.y0_of_q.log_derivative() * Fraction(62, 3)
+         + chart.one_minus_3125x_of_q.log_derivative() / 6
+         - u.log_derivative())
     return F1LogDerivative(G=G)
 
 

@@ -156,9 +156,6 @@ class ExactSeries:
         """Reinterpret the formal variable.  Use sparingly."""
         return ExactSeries(self.coeffs, tag=tag, order=self.order)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -252,24 +249,23 @@ class ExactSeries:
                      [1] + [m * den for m in range(1, n + 1)])
         return ExactSeries(out, tag=self.tag, order=n)
 
+    def log_derivative(self) -> "ExactSeries":
+        """The logarithmic derivative t f'/f = (t d/dt) log f, by one
+        division; a zero constant term raises NonUnitError.
+        """
+        return self.q_d_dq() / self
+
     def log(self) -> "ExactSeries":
         """Formal logarithm; requires constant term 1.
 
-        Uses g' = a'/a integrated term by term.
+        The term-by-term integral of the logarithmic derivative D:
+        the t^m coefficient is D[m]/m.
         """
         if self.coeffs[0] != 1:
             raise NonUnitError("log needs constant term 1")
-        n = self.order
-        # a'/a as a series, then divide coefficient m-1 by m.
-        deriv = ExactSeries([k * c for k, c in enumerate(self.coeffs[1:], start=1)],
-                            tag=self.tag, order=n - 1) if n >= 1 else None
-        if deriv is None:
-            return ExactSeries.zero(0, self.tag)
-        ratio = deriv / self.truncate(n - 1)
-        out = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            out[m] = ratio.coeffs[m - 1] / m
-        return ExactSeries(out, tag=self.tag, order=n)
+        D = self.log_derivative().coeffs
+        return ExactSeries([0, *(D[m] / m for m in range(1, self.order + 1))],
+                           tag=self.tag, order=self.order)
 
     def q_d_dq(self) -> "ExactSeries":
         """The Euler operator t d/dt: c_n -> n*c_n."""

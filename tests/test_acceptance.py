@@ -101,8 +101,8 @@ def test_ac7_end_to_end_quintic():
                    "to order 10", budget_seconds=60):
         chart = quintic.mirror_map(11)
         G = quintic.f1_log_derivative(chart).G.truncate(10)
-        n0 = dict(gw.genus0_pipeline(chart, 10).n0)
-        table = gw.extract_n1(G, n0)
+        inst = gw.genus0_pipeline(chart, 10).instanton_n0
+        table = gw.extract_n1(G, inst)
         assert gw.eta_product_log_derivative(table, 10) == G
 
 
@@ -115,6 +115,24 @@ def test_ac12_genus0_order_100():
             2875, 609250, 317206375, 242467530000, 229305888887625,
             248249742118022000, 295091050570845659250]
         assert sorted(table.instanton_n0) == list(range(1, 101))
+
+
+def test_ac13_genus1_bcov():
+    with criterion("genus-one instanton numbers n1(1..5) from extract-gw "
+                   "at order 20 (BCOV), integral to degree 20",
+                   budget_seconds=5):
+        chart = quintic.mirror_map(21)
+        G = quintic.f1_log_derivative(chart).G.truncate(20)
+        table = gw.extract_gv(G, gw.genus0_pipeline(chart, 20).n0)
+        n1 = [table.n1[d] for d in range(1, 21)]
+        assert all(v.denominator == 1 for v in n1)
+        # Bershadsky, Cecotti, Ooguri, Vafa (1993); proved by Zinger
+        assert n1[:5] == [0, 0, 609250, 3721431625, 12129909700200]
+        # Regression values of this pipeline, not published anchors
+        assert n1[5:10] == [
+            31147299732677250, 71578406022880761750,
+            154990541752957846986500, 324064464310279585656399500,
+            662863774391414084612496876100]
 
 
 def random_unimodular(rng: random.Random, n: int):

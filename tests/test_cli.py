@@ -6,6 +6,7 @@ import json
 import pytest
 
 from mirrorcalc.cli import run
+from mirrorcalc.divisor import FamilyData
 from mirrorcalc.lattice import enriques_invariant_gram
 
 
@@ -70,7 +71,8 @@ class TestF1AndGW:
         payload = json.loads(out)
         assert payload["n0"]["1"] == "2875"
         assert payload["n0"]["2"] == "4876875/8"
-        assert payload["n1"]["1"] == "16375/6"
+        assert payload["n0"]["3"] == "8564575000/27"
+        assert [payload["n1"][d] for d in "123"] == ["0", "0", "609250"]
 
     def test_extract_gw_n0_file(self, capsys, tmp_path):
         path = tmp_path / "n0.json"
@@ -80,7 +82,9 @@ class TestF1AndGW:
                               "--n0-file", str(path))
         assert code == 0
         payload = json.loads(out)
-        assert payload["n1"]["1"] == "16375/6"
+        assert [payload["n1"][d] for d in "123"] == ["0", "0", "609250"]
+        assert [payload["n0"][d] for d in "123"] == [
+            "2875", "4876875/8", "8564575000/27"]
 
     def test_extract_gw_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "extract-gw", "--order", "2",
@@ -144,6 +148,15 @@ class TestLatticeCommands:
         assert code == 1
         assert err
 
+    def test_fhsv_h_length_mismatch(self, capsys, tmp_path):
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps(enriques_invariant_gram()))
+        code, out, err = invoke(capsys, "fhsv", "--gram", str(gram),
+                                "--h", "[1]")
+        assert code == 1
+        assert out == ""
+        assert "h has 1 entries" in err
+
 
 class TestModular:
     def test_norm_at_i(self, capsys):
@@ -165,7 +178,6 @@ class TestModular:
 
 class TestBcovFactor:
     def _family_file(self, tmp_path):
-        from mirrorcalc.divisor import FamilyData
         path = tmp_path / "family.json"
         path.write_text(json.dumps(FamilyData.quintic_mirror().to_json_dict()))
         return path
@@ -193,6 +205,16 @@ class TestBcovFactor:
                               "--eval-at", "1")
         assert code == 1
         assert err
+
+    def test_family_missing_chi(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        doc = FamilyData.quintic_mirror().to_json_dict()
+        del doc["chi"]
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(path))
+        assert code == 1
+        assert out == ""
+        assert "chi" in err
 
 
 class TestParser:

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
-                           extract_n1, genus0_pipeline, ExtractionError,
+                           extract_n1, extract_gv, genus0_pipeline,
+                           instanton_numbers, ExtractionError,
                            n0_map_from_json_dict, table_to_json_dict)
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
@@ -73,6 +74,12 @@ class TestExtract:
         with pytest.raises(ExtractionError):
             extract_n1(ExactSeries([1, 2], tag="q"), {})
 
+    def test_gv_integrality_enforced(self):
+        G = ExactSeries([F(25, 6), -4], tag="q")
+        assert extract_gv(G, {1: F(12)}).n1[1] == 1
+        with pytest.raises(ExtractionError):
+            extract_gv(G + ExactSeries([0, 1], tag="q"), {1: F(12)})
+
     @pytest.mark.parametrize("seed", range(8))
     def test_roundtrip_random(self, seed):
         rng = random.Random(100 + seed)
@@ -95,6 +102,8 @@ class TestGenus0:
         t = genus0_pipeline(chart)
         inst = t.instanton_n0
         assert t.n0[4] == (inst[4] + F(inst[2], 8) + F(inst[1], 64))
+        with pytest.raises(ExtractionError):
+            instanton_numbers({1: F(2875)}, 2)  # N0(2) = 0: n_2 = -2875/8
 
     def test_yukawa_normalization(self):
         # K(0) = 5: the degree-0 instanton term must vanish identically,
@@ -115,7 +124,7 @@ class TestEndToEnd:
     def test_quintic_g_roundtrip(self):
         chart = mirror_map(11)
         G = f1_log_derivative(chart).G
-        table = extract_n1(G, genus0_pipeline(chart).n0)
+        table = extract_n1(G, genus0_pipeline(chart).instanton_n0)
         assert eta_product_log_derivative(table, G.order) == G
         assert lambert_series(table, G.order) == G
 

@@ -83,6 +83,8 @@ class TestExpLog:
             S([1, 1]).exp()
         with pytest.raises(NonUnitError):
             S([2, 1]).log()
+        with pytest.raises(NonUnitError):
+            S([0, 1]).log_derivative()
 
 
 class TestReverseCompose:
@@ -167,6 +169,8 @@ def test_exp_log_roundtrip(a):
     a = a - a.coeffs[0]  # force zero constant term
     assert a.exp().log() == a
     assert (a + 1).log().exp() == a + 1
+    # q f'/f ignores a constant factor: 3 exp(a) gives q a'
+    assert (a.exp() * 3).log_derivative() == a.q_d_dq()
 
 
 @settings(max_examples=40, deadline=None)
