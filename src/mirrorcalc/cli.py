@@ -105,11 +105,16 @@ def _cmd_delta(args) -> dict:
 def _load_lattice(path: str) -> lattice.CubicLattice:
     with open(path) as fh:
         data = json.load(fh)
-    entries = {(int(i), int(j), int(k)): Fraction(v)
-               for i, j, k, v in data["cubic"]}
-    return lattice.CubicLattice.from_entries(
-        rank=int(data["rank"]), entries=entries,
-        kappa=[Fraction(v) for v in data["kappa"]])
+    try:
+        entries = {(int(i), int(j), int(k)): Fraction(v)
+                   for i, j, k, v in data["cubic"]}
+        return lattice.CubicLattice.from_entries(
+            rank=int(data["rank"]), entries=entries,
+            kappa=[Fraction(v) for v in data["kappa"]])
+    except KeyError as exc:
+        raise lattice.LatticeError(f"lattice file lacks the key {exc}")
+    except TypeError as exc:
+        raise lattice.LatticeError(f"malformed lattice file: {exc}")
 
 
 def _cmd_covolume(args) -> dict:

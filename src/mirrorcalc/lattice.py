@@ -5,13 +5,21 @@ specialization for the (K3 x elliptic curve)/Z2 family.
 Transcendental content lives in an integer power of pi carried
 symbolically next to a rational mantissa; the (2pi)^-3 normalization of
 the cubic form is absorbed into that exponent, so cubic tensors are
-rational.  Determinants use fraction-free Bareiss elimination.
+rational.
+
+The exact kernels run on Python ``int``: a rational matrix is scaled
+to integers over one common denominator once, determinants use
+fraction-free Bareiss elimination on that integer matrix, the L2 Gram
+matrix comes from one contraction of the cubic form with kappa, and a
+basis change contracts one tensor index at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 Vector = Sequence[Fraction]
@@ -44,18 +52,50 @@ class PiScaled:
         return f"{self.mantissa} * pi^{self.pi_exponent}"
 
 
+def _rational(x) -> int | Fraction:
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ValueError:
+            pass
+    raise LatticeError(f"entry {x!r} is not an int, a Fraction or a "
+                       "rational string")
+
+
+def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """(D*M, D) for a rational matrix M given as a list of equally long
+    rows, D the least common denominator of its entries.
+
+    Raises LatticeError for anything else: a non-list, a ragged
+    matrix, or an entry that is not an int, a Fraction or a rational
+    string.
+    """
+    if (not isinstance(rows, (list, tuple))
+            or not all(isinstance(row, (list, tuple)) for row in rows)):
+        raise LatticeError("expected a matrix given as a list of rows")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise LatticeError("matrix rows differ in length")
+    m = [[_rational(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in m], d
+
+
 def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Works over Fraction entries; intermediate entries stay controlled
-    (for integer input they are integers).
+    The entries are scaled to integers over one common denominator D,
+    every elimination step divides exactly on int, and the result is
+    det(D*M) / D^n.  The 0x0 determinant is 1.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    m, d = _integral(matrix)
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise LatticeError("matrix must be square")
-    m = [[Fraction(x) for x in row] for row in matrix]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -65,12 +105,13 @@ def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot, top = m[k][k], m[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row, f = m[i], m[i][k]
+            row[k + 1:] = [(x * pivot - f * y) // prev
+                           for x, y in zip(row[k + 1:], top)]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1] if n else 1, d ** n)
 
 
 @dataclass(frozen=True)
@@ -92,6 +133,9 @@ class CubicLattice:
         """Build from {(i,j,k): value} given on sorted index triples."""
         t = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
         for (i, j, k), v in entries.items():
+            if not all(0 <= x < rank for x in (i, j, k)):
+                raise LatticeError(f"index ({i}, {j}, {k}) is out of range "
+                                   f"for rank {rank}")
             v = Fraction(v)
             for (a, b, c) in {(i, j, k), (i, k, j), (j, i, k),
                               (j, k, i), (k, i, j), (k, j, i)}:
@@ -132,16 +176,21 @@ class CubicLattice:
         the same class, re-expressed via U^-1.
         """
         r = self.rank
-        t = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
-        cols = [[Fraction(U[i][j]) for i in range(r)] for j in range(r)]
-        for a in range(r):
-            for b in range(r):
-                for g in range(r):
-                    t[a][b][g] = self.c(cols[a], cols[b], cols[g])
+        t, d = _integral([row for plane in self.cubic for row in plane])
+        t = [t[i * r:(i + 1) * r] for i in range(r)]
+        u, du = _integral(U)
+        cols = list(zip(*u))
+        # Each pass contracts the last index with U and moves it to the
+        # front; after three passes t[a][b][g] = c(U e_a, U e_b, U e_g).
+        for _ in range(3):
+            t = [[[sum(map(mul, tij, col)) for tij in ti] for ti in t]
+                 for col in cols]
+        den = d * du ** 3
         kappa_new = _solve_linear(U, self.kappa)
         return CubicLattice(rank=r,
-                            cubic=tuple(tuple(tuple(row) for row in p)
-                                        for p in t),
+                            cubic=tuple(tuple(tuple(Fraction(x, den)
+                                                    for x in row)
+                                              for row in p) for p in t),
                             kappa=tuple(kappa_new))
 
 
@@ -192,45 +241,64 @@ def covolume(L: CubicLattice) -> GramResult:
 
     Each Gram entry carries the suppressed (2 pi)^-3 = 2^-3 pi^-3 scale,
     so the covolume of a rank-r lattice is det(gram) * (2 pi)^(-3r).
+    The cubic form is contracted with kappa once, giving the matrix
+    M[i][j] = c(e_i,e_j,k), the vector v[i] = c(e_i,k,k) and c(k,k,k);
+    then gram = 3/2 v v^T / c(k,k,k) - M.
     """
     r = L.rank
-    basis = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
-    gram = tuple(tuple(l2_pairing(L, basis[i], basis[j]) for j in range(r))
-                 for i in range(r))
+    k = L.kappa
+    M = [[sum(map(mul, row, k)) for row in p] for p in L.cubic]
+    v = [sum(map(mul, row, k)) for row in M]
+    ckkk = sum(map(mul, v, k))
+    gram = tuple(tuple(Fraction(3, 2) * vi * vj / ckkk - mij
+                       for vj, mij in zip(v, row))
+                 for vi, row in zip(v, M))
     det = bareiss_det(gram)
     return GramResult(gram=gram,
                       covolume=PiScaled(det * Fraction(1, 2 ** (3 * r)),
                                         -3 * r))
 
 
-def _h_pairing(A: Sequence[Sequence], h: Sequence):
-    """(A h, h^T A h), exactly, for a square A and h of its size."""
-    n = len(A)
-    if any(len(row) != n for row in A):
+def _int_pairing(A: Sequence[Sequence], h: Sequence):
+    """(A_i, D, c, a, s): a square rational A and an h of its size
+    scaled to integers, A_i = D A and h_i = c h, with a = A_i h_i and
+    s = h_i^T A_i h_i (so A h = a / (D c) and h^T A h = s / (D c^2)).
+    """
+    (Ai, d), ((hi,), c) = _integral(A), _integral([h])
+    n = len(Ai)
+    if any(len(row) != n for row in Ai):
         raise LatticeError("A must be square")
-    if len(h) != n:
-        raise LatticeError(f"h has {len(h)} entries, A is {n}x{n}")
-    hf = [Fraction(x) for x in h]
-    Ah = [sum(Fraction(a) * x for a, x in zip(row, hf)) for row in A]
-    return Ah, sum(x * y for x, y in zip(hf, Ah))
+    if len(hi) != n:
+        raise LatticeError(f"h has {len(hi)} entries, A is {n}x{n}")
+    a = [sum(map(mul, row, hi)) for row in Ai]
+    return Ai, d, c, a, sum(map(mul, hi, a))
+
+
+def _h_norm(A: Sequence[Sequence], h: Sequence) -> Fraction:
+    """h^T A h, exactly."""
+    _, d, c, _, s = _int_pairing(A, h)
+    return Fraction(s, d * c * c)
 
 
 def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
                            h: Vector) -> bool:
     """True iff det(A - 2 (Ah)(h^T A)/(h^T A h)) = -det(A) exactly,
     for symmetric invertible A and h with h^T A h != 0.
+
+    On A_i = D A, a = A_i h_i and s = h_i^T A_i h_i (see _int_pairing;
+    the update does not change when h is scaled), the updated matrix
+    times D s is the integer matrix s A_i - 2 a a^T, so the identity
+    reads det(s A_i - 2 a a^T) = -s^n det(A_i).
     """
-    n = len(A)
-    A = [[Fraction(x) for x in row] for row in A]
-    det_a = bareiss_det(A)
+    Ai, _, _, a, s = _int_pairing(A, h)
+    det_a = bareiss_det(Ai)
     if not det_a:
         raise LatticeError("A must be invertible")
-    Ah, hAh = _h_pairing(A, h)
-    if not hAh:
+    if not s:
         raise LatticeError("h^T A h must be nonzero")
-    B = [[A[i][j] - 2 * Ah[i] * Ah[j] / hAh for j in range(n)]
-         for i in range(n)]
-    return bareiss_det(B) == -det_a
+    B = [[s * x - 2 * ai * aj for x, aj in zip(row, a)]
+         for row, ai in zip(Ai, a)]
+    return bareiss_det(B) == -s ** len(Ai) * det_a
 
 
 def fhsv_covolume(A: Sequence[Sequence[int]],
@@ -244,22 +312,21 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
     block, zero mixed column, and (2 pi)^-3 <H,H>/4 in the corner.
     The determinant collapses to <H,H> / (2^35 pi^33).
     """
-    n = len(A)
-    if n != 10 or any(len(r) != 10 for r in A):
+    Ai, d, c, a, s = _int_pairing(A, h)
+    if len(Ai) != 10:
         raise LatticeError("A must be 10x10")
-    Af = [[Fraction(x) for x in row] for row in A]
-    if any(Af[i][j] != Af[j][i] for i in range(10) for j in range(10)):
+    if any(Ai[i][j] != Ai[j][i] for i in range(10) for j in range(10)):
         raise LatticeError("A must be symmetric")
-    if bareiss_det(Af) != -(2 ** 10):
+    if bareiss_det(A) != -(2 ** 10):
         raise LatticeError("det A must equal -2^10")
-    Ah, hAh = _h_pairing(Af, h)
-    if hAh <= 0:
+    if s <= 0:
         raise LatticeError("h^T A h must be positive")
+    hAh = Fraction(s, d * c * c)
 
-    gram = [[Ah[i] * Ah[j] / hAh - Af[i][j] / 2 for j in range(10)]
-            for i in range(10)]
-    for row in gram:
-        row.append(Fraction(0))
+    # <e_i,H><e_j,H>/<H,H> - <e_i,e_j>/2 = (2 a_i a_j - s A_i[i][j]) / (2 D s)
+    gram = [[Fraction(2 * ai * aj - s * x, 2 * d * s)
+             for x, aj in zip(row, a)] + [Fraction(0)]
+            for row, ai in zip(Ai, a)]
     gram.append([Fraction(0)] * 10 + [hAh / 4])
     det = bareiss_det(gram)
     result = GramResult(
@@ -273,7 +340,7 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
 
 def fhsv_volume(A: Sequence[Sequence[int]], h: Sequence[int]) -> PiScaled:
     """Riemannian volume companion <H,H> / (2^5 pi^3)."""
-    _, hAh = _h_pairing(A, h)
+    hAh = _h_norm(A, h)
     if hAh <= 0:
         raise LatticeError("h^T A h must be positive")
     return PiScaled(hAh / 2 ** 5, -3)
@@ -284,7 +351,7 @@ def fhsv_constant_check(A: Sequence[Sequence[int]],
     """Vol^-3 * covolume^-1 * <H,H>^4, which is independent of h and
     equals 2^50 pi^42 exactly.
     """
-    _, hAh = _h_pairing(A, h)
+    hAh = _h_norm(A, h)
     vol = fhsv_volume(A, h)
     cov = fhsv_covolume(A, h).covolume
     return vol.inverse() ** 3 * cov.inverse() * PiScaled(hAh, 0) ** 4

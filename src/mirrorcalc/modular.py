@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import ExactSeries, SeriesError
 
@@ -32,11 +31,23 @@ def eta_series(order: int) -> ExactSeries:
 
 
 def delta_series(order: int) -> ExactSeries:
-    """Truncated q * prod (1-q^n)^24."""
+    """Truncated q * prod (1-q^n)^24.
+
+    b = eta^24 comes from the power recurrence
+    m b_m = sum_{k=1}^{m} (25k - m) a_k b_{m-k} over the sparse
+    pentagonal coefficients a_k of eta; b is integral, so the division
+    by m is exact.
+    """
     if order < 1:
         raise SeriesError("delta_series needs order >= 1")
-    eta24 = eta_series(order - 1) ** 24
-    return ExactSeries([Fraction(0), *eta24.coeffs], tag="q", order=order)
+    n = order - 1
+    terms = [(k, int(a)) for k, a in enumerate(eta_series(n).coeffs)
+             if k and a]
+    b = [1]
+    for m in range(1, n + 1):
+        b.append(sum((25 * k - m) * a * b[m - k]
+                     for k, a in terms if k <= m) // m)
+    return ExactSeries([0, *b], tag="q", order=order)
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,36 @@ class TestLatticeCommands:
         assert out == ""
         assert "h has 1 entries" in err
 
+    @pytest.mark.parametrize("command, text, h", [
+        ("fhsv", json.dumps(enriques_invariant_gram()), "5"),
+        ("fhsv", json.dumps(enriques_invariant_gram()),
+         json.dumps([[1]] * 10)),
+        ("fhsv", "5", json.dumps([1] * 10)),
+        ("fhsv", json.dumps([[1.5] * 10] * 10), json.dumps([1] * 10)),
+        ("fhsv", json.dumps([[0] * 10] * 9 + [[0] * 9]), json.dumps([1] * 10)),
+        ("covolume", json.dumps({"rank": 1, "kappa": ["1"]}), None),
+        ("covolume", json.dumps([[0, 0, 0, "5"]]), None),
+        ("covolume", json.dumps({"rank": 1, "cubic": [[0, 0, 3, "5"]],
+                                 "kappa": ["1"]}), None),
+        ("covolume", json.dumps({"rank": 2, "cubic": [[-1, 0, 0, "5"]],
+                                 "kappa": ["1", "0"]}), None),
+    ], ids=["h-scalar", "h-nested", "gram-scalar", "gram-float",
+            "gram-ragged", "lattice-no-cubic", "lattice-array",
+            "lattice-index-too-large", "lattice-index-negative"])
+    def test_malformed_input_exits_1(self, capsys, tmp_path, command, text,
+                                     h):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        if command == "fhsv":
+            argv = ["fhsv", "--gram", str(path), "--h", h]
+        else:
+            argv = ["covolume", "--lattice", str(path)]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestModular:
     def test_norm_at_i(self, capsys):

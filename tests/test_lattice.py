@@ -1,7 +1,10 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det,
                                 l2_pairing, covolume, fhsv_covolume,
@@ -37,6 +40,53 @@ def random_unimodular(rng, n):
     return m
 
 
+rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw, max_n=5):
+    """Square rational matrices of size 0..max_n, some with zero pivots
+    forced at the first or second elimination step, some with a row
+    that is a multiple of another."""
+    n = draw(st.integers(0, max_n))
+    m = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    if n >= 2:
+        for i in range(draw(st.integers(0, n))):
+            m[i][0] = F(0)
+        if m[0][0] and draw(st.booleans()):
+            # leading 2x2 minor zero: the second pivot vanishes
+            m[1][1] = m[1][0] * m[0][1] / m[0][0]
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(rationals)
+            m[i] = [c * x for x in m[j]]
+    return m
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(
+            (m[i][perm[i]] for i in range(n)), start=F(1))
+    return total
+
+
+@st.composite
+def lattices(draw, min_rank=1, max_rank=5):
+    """Cubic lattices with rational entries and kappa, c(k,k,k) > 0."""
+    rank = draw(st.integers(min_rank, max_rank))
+    entries = {(i, j, k): draw(rationals) for i in range(rank)
+               for j in range(i, rank) for k in range(j, rank)}
+    kappa = [draw(rationals) for _ in range(rank)]
+    try:
+        return CubicLattice.from_entries(rank, entries, kappa)
+    except LatticeError:
+        assume(False)
+
+
 class TestBareiss:
     def test_known_det(self):
         assert bareiss_det([[1, 2], [3, 4]]) == -2
@@ -49,6 +99,26 @@ class TestBareiss:
 
     def test_pivot_swap(self):
         assert bareiss_det([[0, 1], [1, 0]]) == -1
+
+    def test_empty_matrix(self):
+        assert bareiss_det([]) == 1
+
+    def test_rational_strings(self):
+        assert bareiss_det([["1/2", 0], [0, "2/3"]]) == F(1, 3)
+
+    @pytest.mark.parametrize("bad", [
+        5, [1, 2], [[1, 2], [3]], [[1.5]], [["x"]], [[True]], [[None]],
+        [[1, 2], [3, 4], [5, 6]],
+    ])
+    def test_malformed_rejected(self, bad):
+        with pytest.raises(LatticeError):
+            bareiss_det(bad)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_leibniz(self, data):
+        m = data.draw(rational_matrices())
+        assert bareiss_det(m) == leibniz_det(m)
 
 
 class TestL2Pairing:
@@ -91,6 +161,12 @@ class TestL2Pairing:
 
 
 class TestCovolume:
+    @pytest.mark.parametrize("index", [(0, 0, 2), (-1, 0, 0)])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(LatticeError):
+            CubicLattice.from_entries(2, {index: F(5), (0, 0, 0): F(1)},
+                                      [1, 0])
+
     def test_rank_one(self):
         L = CubicLattice.from_entries(1, {(0, 0, 0): F(7)}, [1])
         res = covolume(L)
@@ -109,6 +185,49 @@ class TestCovolume:
         L = random_lattice(rng)
         U = random_unimodular(rng, L.rank)
         assert covolume(L.basis_change(U)).covolume == covolume(L).covolume
+
+
+class TestKernelsAgainstDefinitions:
+    @settings(max_examples=20, deadline=None)
+    @given(lattices(min_rank=2), st.randoms(use_true_random=False))
+    def test_basis_change(self, L, rng):
+        U = random_unimodular(rng, L.rank)
+        L2 = L.basis_change(U)
+        cols = [[U[i][j] for i in range(L.rank)] for j in range(L.rank)]
+        for a, b, g in itertools.product(range(L.rank), repeat=3):
+            assert L2.cubic[a][b][g] == L.c(cols[a], cols[b], cols[g])
+        # kappa is the same class: U kappa' = kappa
+        assert [sum(U[i][j] * L2.kappa[j] for j in range(L.rank))
+                for i in range(L.rank)] == list(L.kappa)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattices())
+    def test_covolume_gram_is_l2_pairing(self, L):
+        basis = [[int(i == j) for j in range(L.rank)] for i in range(L.rank)]
+        gram = covolume(L).gram
+        for i, j in itertools.product(range(L.rank), repeat=2):
+            assert gram[i][j] == l2_pairing(L, basis[i], basis[j])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["int", "fraction", "non-integral"]))
+    def test_rank1_update(self, data, kind):
+        n = data.draw(st.integers(1, 5))
+        A = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = data.draw(rationals)
+        ints = data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                  max_size=n))
+        if kind == "int":
+            h = ints
+        elif kind == "fraction":
+            h = [F(x) for x in ints]
+        else:
+            h = [F(x, data.draw(st.integers(2, 5))) for x in ints]
+            assume(any(x.denominator > 1 for x in h))
+        hAh = sum(h[i] * A[i][j] * h[j] for i in range(n) for j in range(n))
+        assume(bareiss_det(A) and hAh)
+        assert rank1_update_det_check(A, h)
 
 
 class TestFHSV:

@@ -47,6 +47,13 @@ class TestDelta:
         assert d.coeffs[1:] == eta24.coeffs
         assert d[0] == 0
 
+    def test_power_recurrence_matches_eta_power(self):
+        # oracle: q * eta^24 by repeated series multiplication
+        for order in range(1, 61):
+            eta24 = eta_series(order - 1) ** 24
+            assert delta_series(order) == ExactSeries(
+                [0, *eta24.coeffs], tag="q", order=order)
+
     def test_order_precondition(self):
         with pytest.raises(SeriesError):
             delta_series(0)
