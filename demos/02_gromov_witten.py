@@ -11,17 +11,17 @@ from mirrorcalc import gw, quintic, schubert
 
 ORDER = 6
 
-chart = quintic.mirror_map(ORDER + 1)
+chart = quintic.mirror_map(ORDER)
 
 print("Lines on a quintic threefold (Schubert count):",
       schubert.count_lines())
 
-table0 = gw.genus0_pipeline(chart, ORDER)
+table0 = gw.genus0_pipeline(chart)
 print("\ninstanton numbers n_d:")
 for d in range(1, ORDER + 1):
     print(f"  n_{d} = {table0.instanton_n0[d]}")
 
-G = quintic.f1_log_derivative(chart).G.truncate(ORDER)
+G = quintic.f1_log_derivative(chart)
 print("\nG(q) =", G)
 print("constant term:", G.coeffs[0], "(expected 50/12)")
 

@@ -7,8 +7,8 @@ moduli line.
 
 from .series import (ExactSeries, SeriesError, TagMismatchError,
                      NonUnitError, CompositionError)
-from .quintic import (MirrorChart, F1LogDerivative, period_y0, mirror_map,
-                      f1_log_derivative, picard_fuchs_check, DEFAULT_ORDER)
+from .quintic import (MirrorChart, period_y0, mirror_map, f1_log_derivative,
+                      picard_fuchs_check, DEFAULT_ORDER)
 from .gw import (GWTable, lambert_series, eta_product_log_derivative,
                  extract_n1, extract_gv, instanton_numbers, genus0_pipeline,
                  ExtractionError)

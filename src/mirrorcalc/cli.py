@@ -76,20 +76,18 @@ def _cmd_mirror_map(args) -> dict:
 
 
 def _cmd_f1(args) -> dict:
-    # G at order N needs a chart one order higher
-    chart = quintic.mirror_map(max(args.order + 1, 2))
-    G = quintic.f1_log_derivative(chart).G.truncate(args.order)
+    G = quintic.f1_log_derivative(quintic.mirror_map(args.order))
     return {"G": G.to_json_dict()}
 
 
 def _cmd_extract_gw(args) -> dict:
-    chart = quintic.mirror_map(max(args.order + 1, 2))
-    G = quintic.f1_log_derivative(chart).G.truncate(args.order)
+    chart = quintic.mirror_map(args.order)
+    G = quintic.f1_log_derivative(chart)
     if args.n0_file:
         with open(args.n0_file) as fh:
             n0 = gw.n0_map_from_json_dict(json.load(fh))
     else:
-        n0 = gw.genus0_pipeline(chart, args.order).n0
+        n0 = gw.genus0_pipeline(chart).n0
     return gw.table_to_json_dict(gw.extract_gv(G, n0))
 
 
@@ -113,7 +111,7 @@ def _load_lattice(path: str) -> lattice.CubicLattice:
             kappa=[Fraction(v) for v in data["kappa"]])
     except KeyError as exc:
         raise lattice.LatticeError(f"lattice file lacks the key {exc}")
-    except TypeError as exc:
+    except (TypeError, ZeroDivisionError) as exc:
         raise lattice.LatticeError(f"malformed lattice file: {exc}")
 
 

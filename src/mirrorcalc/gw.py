@@ -15,9 +15,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
 from .series import ExactSeries, SeriesError
-from .quintic import MirrorChart
-
-NORMALIZATION = Fraction(50, 12)
+from .quintic import LOG_X_MULTIPLE, MirrorChart
 
 
 class ExtractionError(SeriesError):
@@ -71,7 +69,7 @@ def lambert_series(table: GWTable, order: int) -> ExactSeries:
     Expanded coefficientwise: the q^m coefficient for m >= 1 is
     -2 sum_{d|m} d sigma_1(m/d) N1(d) - (1/6) sum_{d|m} d N0(d).
     """
-    coeffs = [NORMALIZATION] + [Fraction(0)] * order
+    coeffs = [LOG_X_MULTIPLE] + [Fraction(0)] * order
     for m in range(1, order + 1):
         s = Fraction(0)
         for d in range(1, min(m, table.max_degree) + 1):
@@ -96,7 +94,7 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
     E = eta_series(order).log_derivative().coeffs
     U = ExactSeries([1, -1], tag="q", order=order).log_derivative().coeffs
-    out = [NORMALIZATION] + [Fraction(0)] * order
+    out = [LOG_X_MULTIPLE] + [Fraction(0)] * order
     for d in range(1, min(order, table.max_degree) + 1):
         a, b = 2 * d * table.n1[d], d * table.n0[d] / 6
         for k in range(1, order // d + 1):
@@ -109,7 +107,7 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
     the genus-zero column.  Exact triangular solve; the q^m equation is
     linear in N1(m) with coefficient -2m.
     """
-    if G.coeffs[0] != NORMALIZATION:
+    if G.coeffs[0] != LOG_X_MULTIPLE:
         raise ExtractionError(
             f"constant term of G must be 50/12, got {G.coeffs[0]}")
     order = G.order
@@ -156,7 +154,7 @@ def extract_gv(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
     return GWTable.from_maps(n0, n1, max_degree=G.order, instanton_n0=inst)
 
 
-def genus0_pipeline(chart: MirrorChart, order: int | None = None) -> GWTable:
+def genus0_pipeline(chart: MirrorChart) -> GWTable:
     """Standard genus-zero pipeline for the quintic.
 
     The normalized Yukawa coupling in the flat coordinate is
@@ -164,19 +162,14 @@ def genus0_pipeline(chart: MirrorChart, order: int | None = None) -> GWTable:
     classical triple intersection.  K = 5 + sum_d n_d d^3 q^d/(1-q^d),
     so by the multicover rule N0(d) = sum_{k|d} n_{d/k}/k^3 the q^d
     coefficient of K is d^3 N0(d); instanton_numbers recovers the n_d
-    and enforces their integrality.
+    and enforces their integrality.  Covers degrees 1..chart.order.
     """
-    n = chart.order - 1
-    if order is None:
-        order = n
-    if order > n:
-        raise SeriesError("chart order too small for requested degree range")
     K = (chart.u_of_q ** 3) * 5 / (chart.one_minus_3125x_of_q
                                    * chart.y0_of_q ** 2)
-
-    n0 = {d: K.coeffs[d] / d ** 3 for d in range(1, order + 1)}
-    return GWTable.from_maps(n0, {}, max_degree=order,
-                             instanton_n0=instanton_numbers(n0, order))
+    n = chart.order
+    n0 = {d: K.coeffs[d] / d ** 3 for d in range(1, n + 1)}
+    return GWTable.from_maps(n0, {}, max_degree=n,
+                             instanton_n0=instanton_numbers(n0, n))
 
 
 def table_to_json_dict(table: GWTable) -> dict:
@@ -192,6 +185,16 @@ def table_to_json_dict(table: GWTable) -> dict:
 
 
 def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:
-    """Parse the {"n0": {"1": "2875", ...}} schema (n1 ignored if present)."""
-    src = d.get("n0", d)
-    return {int(k): Fraction(v) for k, v in src.items()}
+    """Parse the {"n0": {"1": "2875", ...}} schema (n1 ignored if present).
+    Anything but an object mapping integer degrees to ints or rational
+    strings (no bools, floats or nulls) raises ExtractionError.
+    """
+    src = d.get("n0", d) if isinstance(d, dict) else d
+    try:
+        if isinstance(src, dict) and all(type(v) in (int, str)
+                                         for v in src.values()):
+            return {int(k): Fraction(v) for k, v in src.items()}
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ExtractionError("n0 must be an object mapping each degree to an "
+                          "int or a rational string")

@@ -58,7 +58,7 @@ def _rational(x) -> int | Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise LatticeError(f"entry {x!r} is not an int, a Fraction or a "
                        "rational string")

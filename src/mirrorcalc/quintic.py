@@ -20,11 +20,6 @@ from .series import ExactSeries, SeriesError
 DEFAULT_ORDER = 30
 
 
-def _a(n: int) -> int:
-    """Coefficient (5n)!/(n!)^5 of the holomorphic period."""
-    return factorial(5 * n) // factorial(n) ** 5
-
-
 def _harmonic_gaps(order: int) -> list[Fraction]:
     """H_n = sum_{j=n+1}^{5n} 1/j for n = 0..order, each from the last:
     H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
@@ -43,17 +38,20 @@ def period_y0(order: int) -> ExactSeries:
     """
     if order < 0:
         raise SeriesError("order must be non-negative")
-    return ExactSeries([_a(n) for n in range(order + 1)], tag="x", order=order)
+    return ExactSeries([factorial(5 * n) // factorial(n) ** 5
+                        for n in range(order + 1)], tag="x", order=order)
 
 
 @dataclass(frozen=True)
 class MirrorChart:
     """The paired coordinates x and q with the mirror map both ways.
 
-    u_of_q is q d(log x)/dq, the unit series carrying every rational
-    multiple of log x through the q d/dq operator.  The transport of
-    y0 and 1 - 3125 x into the q-chart is computed on first use and
-    shared by every reader of the chart.
+    Every series ends at x^order or q^order.  u_of_q is q d(log x)/dq,
+    the unit series carrying every rational multiple of log x through
+    the q d/dq operator.  The transport of y0 and 1 - 3125 x into the
+    q-chart is computed on first use and shared by every reader of the
+    chart.  The series are integral (Lian-Yau, Krattenthaler-Rivoal),
+    and a chart with a non-integral coefficient is rejected.
     """
 
     order: int
@@ -67,48 +65,42 @@ class MirrorChart:
             raise SeriesError("y0 must be a unit series")
         if self.q_of_x.coeffs[0] or self.q_of_x.coeffs[1] != 1:
             raise SeriesError("q_of_x must be x + O(x^2)")
+        for name in ("y0", "q_of_x", "x_of_q", "u_of_q"):
+            if any(c.denominator != 1 for c in getattr(self, name).coeffs):
+                raise SeriesError(f"{name} must have integral coefficients")
 
     @cached_property
     def y0_of_q(self) -> ExactSeries:
-        """y0(x(q)), at order - 1 like u_of_q."""
-        n = self.order - 1
-        return self.y0.truncate(n).compose(self.x_of_q.truncate(n))
+        """y0(x(q))."""
+        return self.y0.compose(self.x_of_q)
 
     @cached_property
     def one_minus_3125x_of_q(self) -> ExactSeries:
-        """1 - 3125 x(q), at order - 1 like u_of_q."""
-        return 1 - self.x_of_q.truncate(self.order - 1) * 3125
+        """1 - 3125 x(q)."""
+        return 1 - self.x_of_q * 3125
 
 
 def mirror_map(order: int) -> MirrorChart:
     """Build the mirror map q(x) = x * exp((5/y0) * sum a_n H_n x^n)
     with H_n = sum_{j=n+1}^{5n} 1/j, together with its reversion and
-    the logarithmic velocity u(q).
+    the logarithmic velocity u(q), all to order.
     """
     if order < 1:
         raise SeriesError("mirror_map needs order >= 1")
-    y0 = period_y0(order)
-    gaps = _harmonic_gaps(order)
-    inner = ExactSeries([_a(n) * gaps[n] for n in range(order + 1)],
-                        tag="x", order=order)
-    q_of_x = ExactSeries.identity(order, "x") * (inner * 5 / y0).exp()
+    # u = 1 + q r'/r with r = x(q)/q: dividing by q costs one order, so
+    # the period, the exponent and the reversion run at order + 1 and
+    # the other series are cut back to order.
+    n = order + 1
+    y0 = period_y0(n)
+    inner = ExactSeries([a * h for a, h in zip(y0.coeffs, _harmonic_gaps(n))],
+                        tag="x", order=n)
+    q_of_x = ExactSeries.identity(n, "x") * (inner * 5 / y0).exp()
     x_of_q = q_of_x.reverse().retag("q")
-    # u = 1 + q r'/r with the unit series r = x(q)/q of order - 1.
     u = ExactSeries(x_of_q.coeffs[1:], tag="q",
-                    order=order - 1).log_derivative() + 1
-    return MirrorChart(order=order, y0=y0, q_of_x=q_of_x, x_of_q=x_of_q,
-                       u_of_q=u)
-
-
-@dataclass(frozen=True)
-class F1LogDerivative:
-    """G(q) = -q d/dq F1, with F1 the log of the genus-one amplitude."""
-
-    G: ExactSeries
-
-    def __post_init__(self):
-        if self.G.coeffs[0] != Fraction(50, 12):
-            raise SeriesError("G must have constant term 50/12")
+                    order=order).log_derivative() + 1
+    return MirrorChart(order=order, y0=y0.truncate(order),
+                       q_of_x=q_of_x.truncate(order),
+                       x_of_q=x_of_q.truncate(order), u_of_q=u)
 
 
 # Rational multiple of log x in the log of the genus-one amplitude:
@@ -116,25 +108,31 @@ class F1LogDerivative:
 #   -(1/6)*log(psi^5 - 1) -> +1/6 * log x  (psi^5 - 1 = (1-3125x)/(3125x))
 #   log(q dpsi/dq) = log psi + log u + const -> -1/5 * log x
 # totalling -25/6, the constant term of q d/dq F1.  G = -q d/dq F1
-# negates all of it, so the log x multiple of G is +25/6 = 50/12.
-LOG_X_MULTIPLE = Fraction(25, 6)
+# negates all of it, so the log x multiple of G is +25/6 = 50/12.  It
+# is also the constant term of G, since u(0) = 1 and every q f'/f
+# vanishes at q = 0.
+LOG_X_MULTIPLE = Fraction(50, 12)
 
 
-def f1_log_derivative(chart: MirrorChart) -> F1LogDerivative:
-    """G(q) = -q d/dq log of (psi/y0)^(62/3) (psi^5-1)^(-1/6) q dpsi/dq,
-    transported to the q-chart.
+def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
+    """G(q) = -q d/dq F1, with F1 the log of the genus-one amplitude
+    (psi/y0)^(62/3) (psi^5-1)^(-1/6) q dpsi/dq, transported to the
+    q-chart, to the chart's order.
 
     Split as LOG_X_MULTIPLE * u(q) minus the logarithmic derivatives
     q f'/f of the unit series in the amplitude: y0(x(q))^(-62/3),
     (1 - 3125 x(q))^(-1/6) and u(q).  Only rational power series are
-    ever materialized.
+    ever materialized.  A constant term other than 50/12 raises
+    SeriesError.
     """
     u = chart.u_of_q
     G = (u * LOG_X_MULTIPLE
          + chart.y0_of_q.log_derivative() * Fraction(62, 3)
          + chart.one_minus_3125x_of_q.log_derivative() / 6
          - u.log_derivative())
-    return F1LogDerivative(G=G)
+    if G[0] != LOG_X_MULTIPLE:
+        raise SeriesError(f"G must have constant term 50/12, not {G[0]}")
+    return G
 
 
 def picard_fuchs_check(y0: ExactSeries) -> bool:

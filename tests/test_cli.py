@@ -26,6 +26,22 @@ class TestMirrorMap:
         assert payload["q_of_x"]["variable_tag"] == "x"
         assert payload["y0"]["coefficients"][:2] == ["1", "120"]
 
+    def test_u_of_q_at_order(self, capsys):
+        code, out, _ = invoke(capsys, "mirror-map", "--order", "3")
+        assert code == 0
+        u = json.loads(out)["u_of_q"]
+        assert u["order"] == 3
+        assert len(u["coefficients"]) == 4
+
+    @pytest.mark.parametrize("command", ["mirror-map", "f1", "extract-gw"])
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_exits_1(self, capsys, command, order):
+        code, out, err = invoke(capsys, command, "--order", order)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = invoke(capsys, "mirror-map", "--order", "4")
         _, second, _ = invoke(capsys, "mirror-map", "--order", "4")
@@ -85,6 +101,23 @@ class TestF1AndGW:
         assert [payload["n1"][d] for d in "123"] == ["0", "0", "609250"]
         assert [payload["n0"][d] for d in "123"] == [
             "2875", "4876875/8", "8564575000/27"]
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", "5", '{"n0": [1]}', '{"n0": "2875"}', '{"1": [1]}',
+        '{"1": true}', '{"1": 2875.0}', '{"1": null}', '{"1": "two"}',
+        '{"1": "1/0"}', '{"one": "2875"}',
+    ], ids=["array", "scalar", "n0-array", "n0-string", "value-array",
+            "value-bool", "value-float", "value-null", "value-word",
+            "value-zero-denominator", "degree-word"])
+    def test_extract_gw_malformed_n0_file(self, capsys, tmp_path, text):
+        path = tmp_path / "n0.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "extract-gw", "--order", "3",
+                                "--n0-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "n0" in err
+        assert "Traceback" not in err
 
     def test_extract_gw_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "extract-gw", "--order", "2",
@@ -186,6 +219,18 @@ class TestLatticeCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command, text, h", [
+        ("fhsv", json.dumps([["1/0"] * 10] * 10), json.dumps([1] * 10)),
+        ("fhsv", json.dumps(enriques_invariant_gram()),
+         json.dumps(["1/0"] * 10)),
+        ("covolume", json.dumps({"rank": 1, "cubic": [[0, 0, 0, "1/0"]],
+                                 "kappa": ["1"]}), None),
+    ], ids=["gram", "h", "lattice"])
+    def test_zero_denominator_exits_1(self, capsys, tmp_path, command, text,
+                                      h):
+        self.test_malformed_input_exits_1(capsys, tmp_path, command, text, h)
 
 
 class TestModular:

@@ -110,7 +110,7 @@ class TestGenus0:
         # which the extraction loop enforces from degree 1 up.
         chart = mirror_map(3)
         t = genus0_pipeline(chart)
-        assert set(t.instanton_n0) == {1, 2}
+        assert set(t.instanton_n0) == {1, 2, 3}
 
     def test_stability_under_order_increase(self):
         low = genus0_pipeline(mirror_map(8))
@@ -123,7 +123,7 @@ class TestGenus0:
 class TestEndToEnd:
     def test_quintic_g_roundtrip(self):
         chart = mirror_map(11)
-        G = f1_log_derivative(chart).G
+        G = f1_log_derivative(chart)
         table = extract_n1(G, genus0_pipeline(chart).instanton_n0)
         assert eta_product_log_derivative(table, G.order) == G
         assert lambert_series(table, G.order) == G

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -63,21 +64,43 @@ class TestMirrorMap:
 
     def test_q_chart_transport(self):
         chart = mirror_map(8)
-        x_q = chart.x_of_q.truncate(7)
-        assert chart.y0_of_q == chart.y0.truncate(7).compose(x_q)
+        x_q = chart.x_of_q
+        assert chart.y0_of_q == chart.y0.compose(x_q)
         assert chart.one_minus_3125x_of_q == ExactSeries(
-            [1, -3125], tag="x", order=7).compose(x_q)
+            [1, -3125], tag="x", order=8).compose(x_q)
         assert chart.y0_of_q is chart.y0_of_q  # computed once per chart
 
     def test_order_precondition(self):
         with pytest.raises(SeriesError):
             mirror_map(0)
 
+    def test_every_series_at_chart_order(self):
+        chart = mirror_map(7)
+        series = (chart.y0, chart.q_of_x, chart.x_of_q, chart.u_of_q,
+                  chart.y0_of_q, chart.one_minus_3125x_of_q)
+        assert [s.order for s in series] == [7] * 6
+
+    @pytest.mark.parametrize("name", ["y0", "q_of_x", "x_of_q", "u_of_q"])
+    def test_non_integral_coefficient_rejected(self, name):
+        chart = mirror_map(3)
+        s = getattr(chart, name)
+        coeffs = list(s.coeffs)
+        coeffs[2] += F(1, 2)
+        with pytest.raises(SeriesError, match="integral"):
+            replace(chart, **{name: ExactSeries(coeffs, tag=s.tag)})
+
 
 class TestF1:
     def test_constant_term(self):
-        G = f1_log_derivative(mirror_map(4)).G
+        G = f1_log_derivative(mirror_map(4))
         assert G[0] == F(50, 12)
+
+    def test_constant_term_checked(self):
+        # u(0) = 2 would make G(0) = 2 * 50/12 = 25/3
+        chart = mirror_map(4)
+        bad = replace(chart, u_of_q=chart.u_of_q + 1)
+        with pytest.raises(SeriesError, match="50/12"):
+            f1_log_derivative(bad)
 
     def test_degenerate_limit_is_constant(self):
         # all instanton corrections off: u = 1, y0 = 1, x(q) = q with
@@ -91,11 +114,11 @@ class TestF1:
         # self-consistency against the gw module round trip at degree 1
         from mirrorcalc.gw import genus0_pipeline, extract_n1, lambert_series
         chart = mirror_map(4)
-        G = f1_log_derivative(chart).G
+        G = f1_log_derivative(chart)
         table = extract_n1(G, genus0_pipeline(chart).instanton_n0)
         rebuilt = lambert_series(table, G.order)
         assert rebuilt[1] == G[1]
 
     def test_all_coefficients_rational(self):
-        G = f1_log_derivative(mirror_map(8)).G
+        G = f1_log_derivative(mirror_map(8))
         assert all(isinstance(c, F) for c in G.coeffs)
