@@ -13,13 +13,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import divisor, gw, lattice, modular, quintic
 from .deltacoeff import delta, delta_row
-from .series import SeriesError
 
 ENV_ORDER = "MIRRORCALC_ORDER"
 
@@ -42,7 +42,11 @@ def _default_order() -> int:
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    z = complex(text.replace(" ", "").replace("i", "j"))
+    # hypot, unlike abs, gives inf rather than raising when |z| overflows
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise ValueError(f"{text!r} has no finite modulus")
+    return z
 
 
 def _emit(payload: dict, fmt: str) -> str:
@@ -226,8 +230,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SeriesError, lattice.LatticeError, divisor.FamilyError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(_emit(payload, args.output))

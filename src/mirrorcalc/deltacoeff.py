@@ -27,6 +27,8 @@ def delta(n: int, p: int) -> Fraction:
 
 def delta_row(n: int) -> List[Fraction]:
     """All of delta(n, 0..n)."""
+    if n < 1:
+        raise ValueError(f"dimension n must be positive, got {n}")
     return [delta(n, p) for p in range(n + 1)]
 
 
@@ -38,13 +40,3 @@ def lemma512_check() -> bool:
     if any(row[p] + row[3 - p] != 1 for p in range(4)):
         return False
     return sum(p * row[p] for p in range(4)) == Fraction(19, 4)
-
-
-def complement_symmetry_holds(n: int) -> bool:
-    """Empirical report whether delta(n,p) + delta(n,n-p) = 1 for all p.
-
-    Stated only for n = 3 in the source identity; for other n this is
-    observation, not assertion.
-    """
-    row = delta_row(n)
-    return all(row[p] + row[n - p] == 1 for p in range(n + 1))

@@ -248,6 +248,8 @@ def green_potential(data: FamilyData, psi: complex) -> float:
             raise FamilyError(
                 f"psi hits a divisor point with local exponent {exp}")
         total += float(exp) * math.log(dist)
+    if not math.isfinite(total):
+        raise FamilyError(f"the Green potential at psi = {psi} is not finite")
     return total
 
 

@@ -53,10 +53,6 @@ class GWTable:
         return cls(max_degree=max_degree, n0=full_n0, n1=full_n1,
                    instanton_n0=instanton_n0)
 
-    @classmethod
-    def empty(cls, max_degree: int = 0) -> "GWTable":
-        return cls.from_maps({}, {}, max_degree=max_degree)
-
 
 def _sigma1(m: int) -> int:
     return sum(d for d in range(1, m + 1) if m % d == 0)

@@ -173,9 +173,18 @@ class CubicLattice:
 
     def basis_change(self, U: Sequence[Sequence[int]]) -> "CubicLattice":
         """Lattice in the new basis e'_j = sum_i U[i][j] e_i; kappa is
-        the same class, re-expressed via U^-1.
+        the same class, re-expressed via U^-1 by Cramer's rule.
         """
         r = self.rank
+        det_u = bareiss_det(U)
+        if not det_u:
+            raise LatticeError("singular basis-change matrix")
+        if len(U) != r:
+            raise LatticeError(f"U is {len(U)}x{len(U)}, the rank is {r}")
+        # kappa'_j = det(U with column j replaced by kappa) / det U
+        kappa_new = [bareiss_det([[*row[:j], k, *row[j + 1:]]
+                                  for row, k in zip(U, self.kappa)]) / det_u
+                     for j in range(r)]
         t, d = _integral([row for plane in self.cubic for row in plane])
         t = [t[i * r:(i + 1) * r] for i in range(r)]
         u, du = _integral(U)
@@ -186,31 +195,11 @@ class CubicLattice:
             t = [[[sum(map(mul, tij, col)) for tij in ti] for ti in t]
                  for col in cols]
         den = d * du ** 3
-        kappa_new = _solve_linear(U, self.kappa)
         return CubicLattice(rank=r,
                             cubic=tuple(tuple(tuple(Fraction(x, den)
                                                     for x in row)
                                               for row in p) for p in t),
                             kappa=tuple(kappa_new))
-
-
-def _solve_linear(U: Sequence[Sequence], rhs: Vector) -> List[Fraction]:
-    """Solve U x = rhs exactly by Gaussian elimination."""
-    n = len(rhs)
-    m = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise LatticeError("singular basis-change matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 @dataclass(frozen=True)

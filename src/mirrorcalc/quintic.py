@@ -95,7 +95,7 @@ def mirror_map(order: int) -> MirrorChart:
     inner = ExactSeries([a * h for a, h in zip(y0.coeffs, _harmonic_gaps(n))],
                         tag="x", order=n)
     q_of_x = ExactSeries.identity(n, "x") * (inner * 5 / y0).exp()
-    x_of_q = q_of_x.reverse().retag("q")
+    x_of_q = ExactSeries(q_of_x.reverse().coeffs, tag="q")
     u = ExactSeries(x_of_q.coeffs[1:], tag="q",
                     order=order).log_derivative() + 1
     return MirrorChart(order=order, y0=y0.truncate(order),

@@ -152,10 +152,6 @@ class ExactSeries:
             raise SeriesError("cannot extend truncation order")
         return ExactSeries(self.coeffs[: order + 1], tag=self.tag, order=order)
 
-    def retag(self, tag: str) -> "ExactSeries":
-        """Reinterpret the formal variable.  Use sparingly."""
-        return ExactSeries(self.coeffs, tag=tag, order=self.order)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):

@@ -147,6 +147,13 @@ class TestDelta:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("n", ["-2", "-1", "0"])
+    def test_table_below_one_exits_1(self, capsys, n):
+        code, out, err = invoke(capsys, "delta", "--table", n)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dimension n must be positive")
+
 
 class TestLatticeCommands:
     def test_covolume(self, capsys, tmp_path):
@@ -281,6 +288,18 @@ class TestBcovFactor:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("value", ["nan", "1e400", "-1e400i"])
+    def test_eval_at_near_non_finite_point(self, capsys, tmp_path, value):
+        path = tmp_path / "family.json"
+        doc = FamilyData.quintic_mirror().to_json_dict()
+        doc["xi_divisor"][0]["point"]["value"] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(path),
+                                "--eval-at", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err
+
     def test_family_missing_chi(self, capsys, tmp_path):
         path = tmp_path / "family.json"
         doc = FamilyData.quintic_mirror().to_json_dict()
@@ -290,6 +309,23 @@ class TestBcovFactor:
         assert code == 1
         assert out == ""
         assert "chi" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau", "nan+1i"), ("--tau", "1e400i"), ("--eval-at", "nan"),
+    ("--eval-at", "1e400"), ("--eval-at", "1.7e308+1.7e308i"),
+])
+def test_non_finite_complex_exits_1(capsys, tmp_path, flag, value):
+    if flag == "--tau":
+        argv = ["modular", "--tau", value]
+    else:
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(FamilyData.quintic_mirror().to_json_dict()))
+        argv = ["bcov-factor", "--family", str(path), "--eval-at", value]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 class TestParser:

@@ -3,8 +3,7 @@ from math import factorial
 
 import pytest
 
-from mirrorcalc.deltacoeff import (delta, delta_row, lemma512_check,
-                                   complement_symmetry_holds)
+from mirrorcalc.deltacoeff import delta, delta_row, lemma512_check
 
 
 def test_dimension_three_table():
@@ -42,10 +41,3 @@ def test_big_dimension_exact():
     # (n+2)! overflows 64-bit integers near n = 18; stays exact here
     v = delta(25, 0)
     assert v == F(1, factorial(27))
-
-
-def test_complement_symmetry_empirical_report():
-    # observed for small n; reported, not asserted as an identity
-    observed = {n: complement_symmetry_holds(n) for n in range(1, 9)}
-    assert observed[3] is True
-    assert isinstance(all(observed.values()), bool)

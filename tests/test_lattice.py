@@ -186,6 +186,16 @@ class TestCovolume:
         U = random_unimodular(rng, L.rank)
         assert covolume(L.basis_change(U)).covolume == covolume(L).covolume
 
+    @pytest.mark.parametrize("U, message", [
+        ([[1, 2, 0], [2, 4, 0], [0, 0, 1]], "singular"),
+        ([[1, 0, 0], [0, 1, 0]], "square"),
+        ([[1, 0], [0, 1]], "rank is 3"),
+    ], ids=["singular", "non-square", "wrong-size"])
+    def test_basis_change_rejects(self, U, message):
+        L = random_lattice(random.Random(5))
+        with pytest.raises(LatticeError, match=message):
+            L.basis_change(U)
+
 
 class TestKernelsAgainstDefinitions:
     @settings(max_examples=20, deadline=None)
