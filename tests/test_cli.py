@@ -257,6 +257,13 @@ class TestModular:
         code, _, _ = invoke(capsys, "modular")
         assert code == 2
 
+    @pytest.mark.parametrize("tau", ["nan+1i", "1e400i"])
+    def test_non_finite_tau_exits_1(self, capsys, tau):
+        code, out, err = invoke(capsys, "modular", "--tau", tau)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
 
 class TestBcovFactor:
     def _family_file(self, tmp_path):
@@ -288,6 +295,15 @@ class TestBcovFactor:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("psi", ["nan", "1e400", "1.7e308+1.7e308i"])
+    def test_non_finite_eval_at_exits_1(self, capsys, tmp_path, psi):
+        path = self._family_file(tmp_path)
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(path),
+                                "--eval-at", psi)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     @pytest.mark.parametrize("value", ["nan", "1e400", "-1e400i"])
     def test_eval_at_near_non_finite_point(self, capsys, tmp_path, value):
         path = tmp_path / "family.json"
@@ -309,23 +325,6 @@ class TestBcovFactor:
         assert code == 1
         assert out == ""
         assert "chi" in err
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--tau", "nan+1i"), ("--tau", "1e400i"), ("--eval-at", "nan"),
-    ("--eval-at", "1e400"), ("--eval-at", "1.7e308+1.7e308i"),
-])
-def test_non_finite_complex_exits_1(capsys, tmp_path, flag, value):
-    if flag == "--tau":
-        argv = ["modular", "--tau", value]
-    else:
-        path = tmp_path / "family.json"
-        path.write_text(json.dumps(FamilyData.quintic_mirror().to_json_dict()))
-        argv = ["bcov-factor", "--family", str(path), "--eval-at", value]
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "finite" in err
 
 
 class TestParser:
