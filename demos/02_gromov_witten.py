@@ -1,7 +1,8 @@
 """Genus-zero and genus-one invariants of the quintic.
 
 Runs the Yukawa-coupling pipeline for the genus-zero numbers (checking
-n_1 = 2875 against an independent Schubert-calculus count of lines),
+n_1 = 2875 against an independent count of lines by Bott's residue
+formula on the Grassmannian G(2,5)),
 builds the genus-one log-derivative G(q), and extracts the genus-one
 instanton numbers from its Lambert expansion against the genus-zero
 instanton numbers.
@@ -13,7 +14,7 @@ ORDER = 6
 
 chart = quintic.mirror_map(ORDER)
 
-print("Lines on a quintic threefold (Schubert count):",
+print("Lines on a quintic threefold (Bott count):",
       schubert.count_lines())
 
 table0 = gw.genus0_pipeline(chart)

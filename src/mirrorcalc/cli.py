@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import divisor, gw, lattice, modular, quintic
 from .deltacoeff import delta, delta_row
@@ -108,14 +107,12 @@ def _load_lattice(path: str) -> lattice.CubicLattice:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        entries = {(int(i), int(j), int(k)): Fraction(v)
-                   for i, j, k, v in data["cubic"]}
+        entries = {(i, j, k): v for i, j, k, v in data["cubic"]}
         return lattice.CubicLattice.from_entries(
-            rank=int(data["rank"]), entries=entries,
-            kappa=[Fraction(v) for v in data["kappa"]])
+            rank=data["rank"], entries=entries, kappa=data["kappa"])
     except KeyError as exc:
         raise lattice.LatticeError(f"lattice file lacks the key {exc}")
-    except (TypeError, ZeroDivisionError) as exc:
+    except TypeError as exc:
         raise lattice.LatticeError(f"malformed lattice file: {exc}")
 
 
@@ -125,8 +122,7 @@ def _cmd_covolume(args) -> dict:
     return {
         "rank": L.rank,
         "gram": [[str(v) for v in row] for row in res.gram],
-        "covolume": {"mantissa": str(res.covolume.mantissa),
-                     "pi_exponent": res.covolume.pi_exponent},
+        "covolume": res.covolume.to_json_dict(),
     }
 
 
@@ -134,16 +130,10 @@ def _cmd_fhsv(args) -> dict:
     with open(args.gram) as fh:
         A = json.load(fh)
     h = json.loads(args.h)
-    res = lattice.fhsv_covolume(A, h)
-    vol = lattice.fhsv_volume(A, h)
-    const = lattice.fhsv_constant_check(A, h)
     return {
-        "covolume": {"mantissa": str(res.covolume.mantissa),
-                     "pi_exponent": res.covolume.pi_exponent},
-        "volume": {"mantissa": str(vol.mantissa),
-                   "pi_exponent": vol.pi_exponent},
-        "constant_check": {"mantissa": str(const.mantissa),
-                           "pi_exponent": const.pi_exponent},
+        "covolume": lattice.fhsv_covolume(A, h).covolume.to_json_dict(),
+        "volume": lattice.fhsv_volume(A, h).to_json_dict(),
+        "constant_check": lattice.fhsv_constant_check(A, h).to_json_dict(),
     }
 
 

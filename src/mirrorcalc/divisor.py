@@ -24,6 +24,21 @@ class FamilyError(ValueError):
     pass
 
 
+def _json_int(x, what: str) -> int:
+    """x itself if it is an int (not a bool), else FamilyError."""
+    if type(x) is not int:
+        raise FamilyError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _distance(a: complex, b: complex) -> float:
+    """|a - b|, or inf where the modulus overflows float range."""
+    try:
+        return abs(a - b)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of the projective line: "inf", a root of unity
@@ -65,7 +80,7 @@ class Point:
             return self.kind == other.kind
         if self.kind == "zeta" and other.kind == "zeta":
             return (self.n, self.k) == (other.n, other.k)
-        return abs(self.to_complex() - other.to_complex()) <= FLOAT_TOL
+        return _distance(self.to_complex(), other.to_complex()) <= FLOAT_TOL
 
     def to_json(self):
         if self.kind == "inf":
@@ -81,9 +96,14 @@ class Point:
             return cls.infinity()
         if isinstance(obj, dict) and "root_of_unity" in obj:
             n, k = obj["root_of_unity"]
-            return cls.root_of_unity(int(n), int(k))
+            return cls.root_of_unity(_json_int(n, "root order"),
+                                     _json_int(k, "root index"))
         if isinstance(obj, dict) and "value" in obj:
-            return cls.of(complex(str(obj["value"]).replace("i", "j")))
+            z = complex(str(obj["value"]).replace("i", "j"))
+            if not math.isfinite(math.hypot(z.real, z.imag)):
+                raise FamilyError(f"point value {obj['value']!r} is not "
+                                  "finite")
+            return cls.of(z)
         raise FamilyError(f"unrecognized point: {obj!r}")
 
 
@@ -243,7 +263,7 @@ def green_potential(data: FamilyData, psi: complex) -> float:
     factor = assemble_factor(data)
     total = 0.0
     for pt, exp in factor.entries:
-        dist = abs(complex(psi) - pt.to_complex())
+        dist = _distance(complex(psi), pt.to_complex())
         if dist <= FLOAT_TOL:
             raise FamilyError(
                 f"psi hits a divisor point with local exponent {exp}")
@@ -276,11 +296,12 @@ def family_from_json_dict(d: dict) -> FamilyData:
     """Parse the family schema of FamilyData.to_json_dict; a missing key
     or a value of the wrong type raises FamilyError."""
     def pairs(key, field_name):
-        return tuple((Point.from_json(item["point"]), int(item[field_name]))
+        return tuple((Point.from_json(item["point"]),
+                      _json_int(item[field_name], field_name))
                      for item in d.get(key, []))
 
     try:
-        fields = dict(chi=int(d["chi"]),
+        fields = dict(chi=_json_int(d["chi"], "chi"),
                       xi_divisor=pairs("xi_divisor", "multiplicity"),
                       ramification=pairs("ramification", "r"),
                       odp_points=pairs("odp_points", "r"))

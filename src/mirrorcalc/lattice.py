@@ -51,6 +51,10 @@ class PiScaled:
     def __str__(self):
         return f"{self.mantissa} * pi^{self.pi_exponent}"
 
+    def to_json_dict(self) -> dict:
+        return {"mantissa": str(self.mantissa),
+                "pi_exponent": self.pi_exponent}
+
 
 def _rational(x) -> int | Fraction:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
@@ -130,19 +134,28 @@ class CubicLattice:
     def from_entries(cls, rank: int,
                      entries: Dict[Tuple[int, int, int], Fraction],
                      kappa: Sequence) -> "CubicLattice":
-        """Build from {(i,j,k): value} given on sorted index triples."""
+        """Build from {(i,j,k): value} given on sorted index triples.
+
+        The rank and the indices must be ints (not bools); the values
+        and kappa ints, Fractions or rational strings.
+        """
+        if type(rank) is not int:
+            raise LatticeError(f"rank {rank!r} is not an integer")
+        kappa = tuple(Fraction(_rational(v)) for v in kappa)
+        if len(kappa) != rank:  # before the rank^3 tensor is allocated
+            raise LatticeError("dimension mismatch")
         t = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
         for (i, j, k), v in entries.items():
-            if not all(0 <= x < rank for x in (i, j, k)):
-                raise LatticeError(f"index ({i}, {j}, {k}) is out of range "
-                                   f"for rank {rank}")
-            v = Fraction(v)
+            if not all(type(x) is int and 0 <= x < rank for x in (i, j, k)):
+                raise LatticeError(f"index ({i!r}, {j!r}, {k!r}) is not an "
+                                   f"integer triple in range for rank {rank}")
+            v = Fraction(_rational(v))
             for (a, b, c) in {(i, j, k), (i, k, j), (j, i, k),
                               (j, k, i), (k, i, j), (k, j, i)}:
                 t[a][b][c] = v
         return cls(rank=rank,
                    cubic=tuple(tuple(tuple(r) for r in p) for p in t),
-                   kappa=tuple(Fraction(v) for v in kappa))
+                   kappa=kappa)
 
     def __post_init__(self):
         r = self.rank
@@ -263,12 +276,6 @@ def _int_pairing(A: Sequence[Sequence], h: Sequence):
     return Ai, d, c, a, sum(map(mul, hi, a))
 
 
-def _h_norm(A: Sequence[Sequence], h: Sequence) -> Fraction:
-    """h^T A h, exactly."""
-    _, d, c, _, s = _int_pairing(A, h)
-    return Fraction(s, d * c * c)
-
-
 def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
                            h: Vector) -> bool:
     """True iff det(A - 2 (Ah)(h^T A)/(h^T A h)) = -det(A) exactly,
@@ -306,7 +313,7 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
         raise LatticeError("A must be 10x10")
     if any(Ai[i][j] != Ai[j][i] for i in range(10) for j in range(10)):
         raise LatticeError("A must be symmetric")
-    if bareiss_det(A) != -(2 ** 10):
+    if bareiss_det(Ai) != -(2 ** 10) * d ** 10:  # det(D A) = D^10 det A
         raise LatticeError("det A must equal -2^10")
     if s <= 0:
         raise LatticeError("h^T A h must be positive")
@@ -329,10 +336,10 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
 
 def fhsv_volume(A: Sequence[Sequence[int]], h: Sequence[int]) -> PiScaled:
     """Riemannian volume companion <H,H> / (2^5 pi^3)."""
-    hAh = _h_norm(A, h)
-    if hAh <= 0:
+    _, d, c, _, s = _int_pairing(A, h)
+    if s <= 0:
         raise LatticeError("h^T A h must be positive")
-    return PiScaled(hAh / 2 ** 5, -3)
+    return PiScaled(Fraction(s, d * c * c * 2 ** 5), -3)
 
 
 def fhsv_constant_check(A: Sequence[Sequence[int]],
@@ -340,10 +347,10 @@ def fhsv_constant_check(A: Sequence[Sequence[int]],
     """Vol^-3 * covolume^-1 * <H,H>^4, which is independent of h and
     equals 2^50 pi^42 exactly.
     """
-    hAh = _h_norm(A, h)
-    vol = fhsv_volume(A, h)
+    vol = fhsv_volume(A, h)  # <H,H> = 2^5 vol.mantissa
     cov = fhsv_covolume(A, h).covolume
-    return vol.inverse() ** 3 * cov.inverse() * PiScaled(hAh, 0) ** 4
+    return (vol.inverse() ** 3 * cov.inverse()
+            * PiScaled(2 ** 5 * vol.mantissa, 0) ** 4)
 
 
 def enriques_invariant_gram() -> List[List[int]]:

@@ -1,112 +1,36 @@
 """Independent anchor for the genus-zero pipeline: the number of lines
-on a generic quintic threefold, computed as the degree of the top Chern
-class of Sym^5 of the dual tautological bundle on the Grassmannian of
-lines in P^4.
+on a generic quintic threefold, the degree of c_6(Sym^5 S*) on the
+Grassmannian G(2,5) of lines in P^4 (S the tautological subbundle).
 
-Pure finite cohomology-ring computation: Schubert classes of G(2,5)
-are partitions inside a 2x3 box; multiplication by the two Chern
-classes of the rank-2 bundle is Pieri (add a box) and dual Pieri (add a
-column of two boxes).  Nothing here touches the mirror-map pipeline.
+Method: Bott's residue formula (Ellingsrud-Stromme, alg-geom/9411005).
+A torus acting on C^5 with distinct weights w fixes the ten coordinate
+lines <e_i, e_j>.  There c_6(Sym^5 S*) restricts to the product of the
+six weights -(a w_i + (5-a) w_j), a = 0..5, whose six signs cancel,
+and the Euler class of the tangent space Hom(S, Q) to the product of
+its weights w_k - w_l, l in {i, j}, k not in {i, j}, so
+
+    deg c_6(Sym^5 S*) = sum_{i<j} prod_a (a w_i + (5-a) w_j)
+                                  / prod_{l,k} (w_k - w_l),
+
+whatever the weights.  Nothing here touches the mirror-map pipeline.
 """
 
-from __future__ import annotations
-
-from typing import Dict, Tuple
-
-Partition = Tuple[int, int]       # (l1, l2) with 3 >= l1 >= l2 >= 0
-SchubertClass = Dict[Partition, int]
-
-_ROWS, _COLS = 2, 3
-TOP: Partition = (_COLS, _COLS)
+from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 
-def _mul_sigma1(cls_: SchubertClass) -> SchubertClass:
-    """Pieri: multiply by sigma_1 (first Chern class of S^dual)."""
-    out: SchubertClass = {}
-    for (l1, l2), c in cls_.items():
-        if l1 < _COLS:
-            out[(l1 + 1, l2)] = out.get((l1 + 1, l2), 0) + c
-        if l2 < l1:
-            out[(l1, l2 + 1)] = out.get((l1, l2 + 1), 0) + c
-    return out
-
-
-def _mul_sigma11(cls_: SchubertClass) -> SchubertClass:
-    """Dual Pieri: multiply by sigma_{1,1} (second Chern class of S^dual).
-
-    For two-row partitions a vertical strip of two boxes adds one box
-    to each row.
-    """
-    out: SchubertClass = {}
-    for (l1, l2), c in cls_.items():
-        if l1 < _COLS and l2 < l1 + 1:
-            out[(l1 + 1, l2 + 1)] = out.get((l1 + 1, l2 + 1), 0) + c
-    return out
-
-
-def _integrate(cls_: SchubertClass) -> int:
-    """Degree map: coefficient of the point class sigma_{3,3}."""
-    return cls_.get(TOP, 0)
-
-
-def _sym5_top_chern_in_e_basis() -> Dict[Tuple[int, int], int]:
-    """Expand c_6(Sym^5 of a rank-2 bundle) in the elementary symmetric
-    polynomials of its Chern roots a, b.
-
-    c_6 = prod_{i=0}^{5} ((5-i) a + i b); the product is expanded in
-    Z[a,b] and rewritten in e1 = a+b, e2 = ab by leading-term reduction.
-    Returns {(m, k): coeff} for e1^m e2^k.
-    """
-    # polynomials in Z[a,b] as {(i,j): coeff} for a^i b^j
-    poly = {(0, 0): 1}
-    for i in range(6):
-        factor = {(1, 0): 5 - i, (0, 1): i}
-        nxt: Dict[Tuple[int, int], int] = {}
-        for (p, q), c in poly.items():
-            for (r, s), d in factor.items():
-                key = (p + r, q + s)
-                nxt[key] = nxt.get(key, 0) + c * d
-        poly = nxt
-
-    def _e_monomial(m: int, k: int) -> Dict[Tuple[int, int], int]:
-        out = {(0, 0): 1}
-        for base in [(1, 0)] * m + [(1, 1)] * k:
-            nxt: Dict[Tuple[int, int], int] = {}
-            for (p, q), c in out.items():
-                if base == (1, 0):  # e1 = a + b
-                    for key in ((p + 1, q), (p, q + 1)):
-                        nxt[key] = nxt.get(key, 0) + c
-                else:               # e2 = ab
-                    key = (p + 1, q + 1)
-                    nxt[key] = nxt.get(key, 0) + c
-            out = nxt
-        return out
-
-    result: Dict[Tuple[int, int], int] = {}
-    work = dict(poly)
-    while any(work.values()):
-        (i, j) = max((ij for ij, c in work.items() if c),
-                     key=lambda ij: (ij[0], ij[1]))
-        if i < j:
-            raise ArithmeticError("polynomial is not symmetric")
-        c = work[(i, j)]
-        m, k = i - j, j
-        result[(m, k)] = result.get((m, k), 0) + c
-        for ij, d in _e_monomial(m, k).items():
-            work[ij] = work.get(ij, 0) - c * d
-    return result
+def _bott_sum(w) -> Fraction:
+    """The fixed-point sum above at five distinct integer weights w."""
+    return sum((Fraction(prod(a * w[i] + (5 - a) * w[j] for a in range(6)),
+                         prod(w[k] - w[l] for l in (i, j)
+                              for k in range(5) if k not in (i, j)))
+                for i, j in combinations(range(5), 2)), Fraction(0))
 
 
 def count_lines() -> int:
     """The number of lines on a generic quintic threefold in P^4."""
-    total = 0
-    for (m, k), coeff in _sym5_top_chern_in_e_basis().items():
-        if m + 2 * k != 6:
-            raise ArithmeticError("top Chern class is not of degree 6")
-        cls_: SchubertClass = {(0, 0): 1}
-        for _ in range(m):
-            cls_ = _mul_sigma1(cls_)
-        for _ in range(k):
-            cls_ = _mul_sigma11(cls_)
-        total += coeff * _integrate(cls_)
-    return total
+    total = _bott_sum((0, 1, 2, 3, 4))
+    if total.denominator != 1:
+        raise ArithmeticError(f"Bott sum {total} is not an integer")
+    return total.numerator

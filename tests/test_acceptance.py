@@ -88,7 +88,7 @@ def test_ac5_extraction_roundtrip():
 
 def test_ac6_genus0_anchor():
     with criterion("genus-0 anchor: instanton n_1 = 2875 = independent "
-                   "Schubert count", budget_seconds=30):
+                   "Bott count", budget_seconds=30):
         oracle = schubert.count_lines()
         assert oracle == 2875
         chart = quintic.mirror_map(6)

@@ -210,9 +210,19 @@ class TestLatticeCommands:
                                  "kappa": ["1"]}), None),
         ("covolume", json.dumps({"rank": 2, "cubic": [[-1, 0, 0, "5"]],
                                  "kappa": ["1", "0"]}), None),
+        ("covolume", json.dumps({"rank": 1.9, "cubic": [[0, 0, 0, "5"]],
+                                 "kappa": ["1"]}), None),
+        ("covolume", json.dumps({"rank": 1, "cubic": [[0.7, 0, 0, "5"]],
+                                 "kappa": ["1"]}), None),
+        ("covolume", json.dumps({"rank": 1, "cubic": [[0, 0, 0, 0.1]],
+                                 "kappa": ["1"]}), None),
+        ("covolume", json.dumps({"rank": 1, "cubic": [[0, 0, 0, True]],
+                                 "kappa": ["1"]}), None),
     ], ids=["h-scalar", "h-nested", "gram-scalar", "gram-float",
             "gram-ragged", "lattice-no-cubic", "lattice-array",
-            "lattice-index-too-large", "lattice-index-negative"])
+            "lattice-index-too-large", "lattice-index-negative",
+            "lattice-rank-float", "lattice-index-float",
+            "lattice-value-float", "lattice-value-bool"])
     def test_malformed_input_exits_1(self, capsys, tmp_path, command, text,
                                      h):
         path = tmp_path / "input.json"
@@ -315,6 +325,44 @@ class TestBcovFactor:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    def test_eval_at_modulus_overflow(self, capsys, tmp_path):
+        # psi and the point are finite, |psi - point| is beyond float range
+        path = tmp_path / "family.json"
+        doc = FamilyData.quintic_mirror().to_json_dict()
+        doc["xi_divisor"][0]["point"]["value"] = "-1e307-1e307i"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(path),
+                                "--eval-at", "1.2e308+1.2e308i")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err
+
+    @pytest.mark.parametrize("path, value", [
+        (("chi",), 200.9),
+        (("chi",), True),
+        (("chi",), "200"),
+        (("odp_points", 0, "r"), 1.7),
+        (("odp_points", 1, "point", "root_of_unity"), [5.9, 1.2]),
+        (("xi_divisor", 0, "multiplicity"), 1.0),
+        (("xi_divisor", 0, "point", "value"), "nan"),
+        (("xi_divisor", 0, "point", "value"), "1e400"),
+        (("xi_divisor", 0, "point", "value"), "1.7e308+1.7e308i"),
+    ], ids=["chi-float", "chi-bool", "chi-string", "r-float", "root-float",
+            "multiplicity-float", "value-nan", "value-inf",
+            "value-modulus-overflow"])
+    def test_malformed_family_exits_1(self, capsys, tmp_path, path, value):
+        doc = FamilyData.quintic_mirror().to_json_dict()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(family))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_family_missing_chi(self, capsys, tmp_path):
         path = tmp_path / "family.json"

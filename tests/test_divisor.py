@@ -34,6 +34,21 @@ class TestPoint:
                    Point.of(1.5 - 2j)):
             assert Point.from_json(pt.to_json()).same_as(pt)
 
+    def test_distance_beyond_float_range_is_not_same(self):
+        a, b = Point.of(6.5e307 + 6.5e307j), Point.of(-6.5e307 - 6.5e307j)
+        assert not a.same_as(b)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"root_of_unity": [5.0, 1]}, "root order"),
+        ({"root_of_unity": [5, True]}, "root index"),
+        ({"value": "nan+1i"}, "not finite"),
+        ({"value": "-1e400i"}, "not finite"),
+        ({"value": "1.7e308-1.7e308i"}, "not finite"),
+    ])
+    def test_from_json_rejects(self, obj, message):
+        with pytest.raises(FamilyError, match=message):
+            Point.from_json(obj)
+
 
 class TestAssemble:
     def test_quintic_mirror_exponents(self):

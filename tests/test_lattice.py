@@ -167,6 +167,28 @@ class TestCovolume:
             CubicLattice.from_entries(2, {index: F(5), (0, 0, 0): F(1)},
                                       [1, 0])
 
+    @pytest.mark.parametrize("rank, index, value, kappa", [
+        (2.0, (0, 0, 0), 1, [1, 0]),
+        (True, (0, 0, 0), 1, [1]),
+        (2, (0, 0.0, 1), 1, [1, 0]),
+        (2, (0, 0, False), 1, [1, 0]),
+        (2, (0, 0, 0), 0.5, [1, 0]),
+        (2, (0, 0, 0), True, [1, 0]),
+        (2, (0, 0, 0), 1, [1.0, 0]),
+        (2, (0, 0, 0), 1, ["1", "1/0"]),
+        (10 ** 6, (0, 0, 0), 1, [1]),
+    ], ids=["rank-float", "rank-bool", "index-float", "index-bool",
+            "value-float", "value-bool", "kappa-float", "kappa-1/0",
+            "rank-beyond-kappa"])
+    def test_malformed_input_rejected(self, rank, index, value, kappa):
+        # rank-beyond-kappa must fail before a rank^3 tensor is built
+        with pytest.raises(LatticeError):
+            CubicLattice.from_entries(rank, {index: value}, kappa)
+
+    def test_rational_strings_accepted(self):
+        assert (CubicLattice.from_entries(1, {(0, 0, 0): "7/2"}, ["2"])
+                == CubicLattice.from_entries(1, {(0, 0, 0): F(7, 2)}, [2]))
+
     def test_rank_one(self):
         L = CubicLattice.from_entries(1, {(0, 0, 0): F(7)}, [1])
         res = covolume(L)
@@ -260,6 +282,22 @@ class TestFHSV:
         expected = PiScaled(F(2 ** 50), 42)
         assert fhsv_constant_check(self.A, self.h) == expected
         assert fhsv_constant_check(self.A, [2, 3] + [0] * 8) == expected
+
+    def test_rational_gram(self):
+        # P^T A P for P = diag(1, 1, 1, 1/3, 3, 1, ...) has det A = -2^10
+        # and denominators 9; h lives on the first two coordinates
+        p = [1, 1, 1, F(1, 3), 3] + [1] * 5
+        A = [[x * p[i] * p[j] for j, x in enumerate(row)]
+             for i, row in enumerate(self.A)]
+        assert (fhsv_covolume(A, self.h).covolume
+                == fhsv_covolume(self.A, self.h).covolume)
+        halved = [[F(x, 2) for x in row] for row in self.A]
+        with pytest.raises(LatticeError, match="det A"):
+            fhsv_covolume(halved, self.h)
+
+    def test_pi_scaled_json(self):
+        assert (PiScaled(F(-3, 4), -33).to_json_dict()
+                == {"mantissa": "-3/4", "pi_exponent": -33})
 
     def test_wrong_determinant_rejected(self):
         bad = [row[:] for row in self.A]
