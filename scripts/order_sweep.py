@@ -1,0 +1,88 @@
+"""Time the BCOV pipeline stage by stage over a fixed sweep of orders.
+
+    python3 scripts/order_sweep.py
+
+Each order in ORDERS runs in a freshly spawned process on the ``src/``
+next to this script: ``mirror_map``, ``f1_log_derivative``,
+``genus0_pipeline`` and ``extract_gv``, as ``extract-gw`` runs them.
+Per order it records each stage's wall time, the largest bit length of
+a numerator or denominator in x(q) (``max_coeff_bits``, as the
+benchmark's traced runs define it) and the process's peak RSS.
+
+The run is appended to ``BENCH_order_sweep.json`` at the repository
+root, replacing an earlier run of the same source tree (keyed by the
+SHA-256 of ``src/mirrorcalc``), so the file keeps one record per
+version of the package, oldest first.
+"""
+
+import hashlib
+import json
+import multiprocessing
+import os
+import platform
+import resource
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))  # inherited by the spawned children
+OUT = ROOT / "BENCH_order_sweep.json"
+ORDERS = (10, 30, 50, 100, 200, 300)
+
+
+def measure(order: int) -> dict:
+    """Stage times in seconds, max_coeff_bits and peak RSS in MiB for
+    one pipeline run at ``order`` in this process."""
+    from mirrorcalc import gw, quintic
+
+    times = {}
+
+    def stage(name, fn, *args):
+        start = time.perf_counter()
+        result = fn(*args)
+        times[name] = round(time.perf_counter() - start, 6)
+        return result
+
+    chart = stage("mirror_map_s", quintic.mirror_map, order)
+    G = stage("f1_log_derivative_s", quintic.f1_log_derivative, chart)
+    n0 = stage("genus0_pipeline_s", gw.genus0_pipeline, chart).n0
+    stage("extract_gv_s", gw.extract_gv, G, n0)
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in chart.x_of_q.coeffs)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {**times, "max_coeff_bits": bits, "peak_rss_mib": round(rss, 2)}
+
+
+def _in_child(order: int) -> dict:
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(measure, (order,))
+
+
+def _src_sha256() -> str:
+    digest = hashlib.sha256()
+    for path in sorted((SRC / "mirrorcalc").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    run = {
+        "src_sha256": _src_sha256(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "orders": {},
+    }
+    for order in ORDERS:
+        run["orders"][str(order)] = _in_child(order)
+        print(order, run["orders"][str(order)], flush=True)
+    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
+    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
+    OUT.write_text(json.dumps({"orders": list(ORDERS), "runs": runs},
+                              indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,15 +10,14 @@ argument errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
 
-from . import divisor, gw, lattice, modular, quintic
-from .deltacoeff import delta, delta_row
+# Each handler imports the modules it runs, so a cold process loads
+# only what its subcommand needs.
 
 ENV_ORDER = "MIRRORCALC_ORDER"
 
@@ -28,6 +27,8 @@ class UsageError(Exception):
 
 
 def _default_order() -> int:
+    from . import quintic
+
     env = os.environ.get(ENV_ORDER)
     if env is not None:
         try:
@@ -51,6 +52,8 @@ def _parse_complex(text: str) -> complex:
 def _emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["key", "value"])
@@ -68,6 +71,8 @@ def _emit(payload: dict, fmt: str) -> str:
 
 
 def _cmd_mirror_map(args) -> dict:
+    from . import quintic
+
     chart = quintic.mirror_map(args.order)
     return {
         "order": chart.order,
@@ -79,11 +84,15 @@ def _cmd_mirror_map(args) -> dict:
 
 
 def _cmd_f1(args) -> dict:
+    from . import quintic
+
     G = quintic.f1_log_derivative(quintic.mirror_map(args.order))
     return {"G": G.to_json_dict()}
 
 
 def _cmd_extract_gw(args) -> dict:
+    from . import gw, quintic
+
     chart = quintic.mirror_map(args.order)
     G = quintic.f1_log_derivative(chart)
     if args.n0_file:
@@ -95,6 +104,8 @@ def _cmd_extract_gw(args) -> dict:
 
 
 def _cmd_delta(args) -> dict:
+    from .deltacoeff import delta, delta_row
+
     if args.table is not None:
         row = delta_row(args.table)
         return {"n": args.table, "row": [str(v) for v in row]}
@@ -104,10 +115,12 @@ def _cmd_delta(args) -> dict:
 
 
 def _load_lattice(path: str) -> lattice.CubicLattice:
+    from . import lattice
+
     with open(path) as fh:
         data = json.load(fh)
     try:
-        entries = {(i, j, k): v for i, j, k, v in data["cubic"]}
+        entries = [((i, j, k), v) for i, j, k, v in data["cubic"]]
         return lattice.CubicLattice.from_entries(
             rank=data["rank"], entries=entries, kappa=data["kappa"])
     except KeyError as exc:
@@ -117,6 +130,8 @@ def _load_lattice(path: str) -> lattice.CubicLattice:
 
 
 def _cmd_covolume(args) -> dict:
+    from . import lattice
+
     L = _load_lattice(args.lattice)
     res = lattice.covolume(L)
     return {
@@ -127,6 +142,8 @@ def _cmd_covolume(args) -> dict:
 
 
 def _cmd_fhsv(args) -> dict:
+    from . import lattice
+
     with open(args.gram) as fh:
         A = json.load(fh)
     h = json.loads(args.h)
@@ -138,12 +155,16 @@ def _cmd_fhsv(args) -> dict:
 
 
 def _cmd_modular(args) -> dict:
+    from . import modular
+
     tau = _parse_complex(args.tau)
     val = modular.petersson_delta(tau, args.terms)
     return val.to_json_dict()
 
 
 def _cmd_bcov_factor(args) -> dict:
+    from . import divisor
+
     with open(args.family) as fh:
         data = divisor.family_from_json_dict(json.load(fh))
     factor = divisor.assemble_factor(data)

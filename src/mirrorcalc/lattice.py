@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 Vector = Sequence[Fraction]
+Triple = Tuple[int, int, int]
 
 
 class LatticeError(ValueError):
@@ -132,23 +133,36 @@ class CubicLattice:
 
     @classmethod
     def from_entries(cls, rank: int,
-                     entries: Dict[Tuple[int, int, int], Fraction],
+                     entries: Mapping[Triple, Fraction] | Iterable[
+                         Tuple[Triple, Fraction]],
                      kappa: Sequence) -> "CubicLattice":
-        """Build from {(i,j,k): value} given on sorted index triples.
+        """Build from {(i,j,k): value}, or the same as ((i,j,k), value)
+        pairs, with each unordered triple given once in any index order.
 
-        The rank and the indices must be ints (not bools); the values
-        and kappa ints, Fractions or rational strings.
+        The rank and the indices must be ints (not bools); kappa a list
+        or tuple; the values and kappa's entries ints, Fractions or
+        rational strings.  A triple given twice, in the same or another
+        index order, raises LatticeError.
         """
         if type(rank) is not int:
             raise LatticeError(f"rank {rank!r} is not an integer")
+        if not isinstance(kappa, (list, tuple)):
+            raise LatticeError(f"kappa {kappa!r} is not a list")
         kappa = tuple(Fraction(_rational(v)) for v in kappa)
         if len(kappa) != rank:  # before the rank^3 tensor is allocated
             raise LatticeError("dimension mismatch")
         t = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
-        for (i, j, k), v in entries.items():
+        seen = set()
+        if isinstance(entries, Mapping):
+            entries = entries.items()
+        for (i, j, k), v in entries:
             if not all(type(x) is int and 0 <= x < rank for x in (i, j, k)):
                 raise LatticeError(f"index ({i!r}, {j!r}, {k!r}) is not an "
                                    f"integer triple in range for rank {rank}")
+            triple = tuple(sorted((i, j, k)))
+            if triple in seen:
+                raise LatticeError(f"index triple {triple} given twice")
+            seen.add(triple)
             v = Fraction(_rational(v))
             for (a, b, c) in {(i, j, k), (i, k, j), (j, i, k),
                               (j, k, i), (k, i, j), (k, j, i)}:

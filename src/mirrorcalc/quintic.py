@@ -48,10 +48,11 @@ class MirrorChart:
 
     Every series ends at x^order or q^order.  u_of_q is q d(log x)/dq,
     the unit series carrying every rational multiple of log x through
-    the q d/dq operator.  The transport of y0 and 1 - 3125 x into the
-    q-chart is computed on first use and shared by every reader of the
-    chart.  The series are integral (Lian-Yau, Krattenthaler-Rivoal),
-    and a chart with a non-integral coefficient is rejected.
+    the q d/dq operator.  y0_of_q is y0(x(q)), read by mirror_map from
+    the reversion's power table; 1 - 3125 x(q) is computed on first use.
+    Both are shared by every reader of the chart.  The series are
+    integral (Lian-Yau, Krattenthaler-Rivoal), and a chart with a
+    non-integral coefficient is rejected.
     """
 
     order: int
@@ -59,20 +60,16 @@ class MirrorChart:
     q_of_x: ExactSeries       # in x, = x + 770 x^2 + ...
     x_of_q: ExactSeries       # in q, compositional inverse
     u_of_q: ExactSeries       # in q, constant term 1
+    y0_of_q: ExactSeries      # in q, y0(x(q))
 
     def __post_init__(self):
         if self.y0.coeffs[0] != 1:
             raise SeriesError("y0 must be a unit series")
         if self.q_of_x.coeffs[0] or self.q_of_x.coeffs[1] != 1:
             raise SeriesError("q_of_x must be x + O(x^2)")
-        for name in ("y0", "q_of_x", "x_of_q", "u_of_q"):
+        for name in ("y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q"):
             if any(c.denominator != 1 for c in getattr(self, name).coeffs):
                 raise SeriesError(f"{name} must have integral coefficients")
-
-    @cached_property
-    def y0_of_q(self) -> ExactSeries:
-        """y0(x(q))."""
-        return self.y0.compose(self.x_of_q)
 
     @cached_property
     def one_minus_3125x_of_q(self) -> ExactSeries:
@@ -82,8 +79,9 @@ class MirrorChart:
 
 def mirror_map(order: int) -> MirrorChart:
     """Build the mirror map q(x) = x * exp((5/y0) * sum a_n H_n x^n)
-    with H_n = sum_{j=n+1}^{5n} 1/j, together with its reversion and
-    the logarithmic velocity u(q), all to order.
+    with H_n = sum_{j=n+1}^{5n} 1/j, together with its reversion x(q),
+    y0(x(q)) read from the same reversion, and the logarithmic velocity
+    u(q), all to order.
     """
     if order < 1:
         raise SeriesError("mirror_map needs order >= 1")
@@ -95,12 +93,13 @@ def mirror_map(order: int) -> MirrorChart:
     inner = ExactSeries([a * h for a, h in zip(y0.coeffs, _harmonic_gaps(n))],
                         tag="x", order=n)
     q_of_x = ExactSeries.identity(n, "x") * (inner * 5 / y0).exp()
-    x_of_q = ExactSeries(q_of_x.reverse().coeffs, tag="q")
+    y0 = y0.truncate(order)
+    x_of_q, y0_of_q = q_of_x.reverse(y0)
     u = ExactSeries(x_of_q.coeffs[1:], tag="q",
                     order=order).log_derivative() + 1
-    return MirrorChart(order=order, y0=y0.truncate(order),
-                       q_of_x=q_of_x.truncate(order),
-                       x_of_q=x_of_q.truncate(order), u_of_q=u)
+    return MirrorChart(order=order, y0=y0, q_of_x=q_of_x.truncate(order),
+                       x_of_q=ExactSeries(x_of_q.coeffs[:order + 1], tag="q"),
+                       u_of_q=u, y0_of_q=ExactSeries(y0_of_q.coeffs, tag="q"))
 
 
 # Rational multiple of log x in the log of the genus-one amplitude:

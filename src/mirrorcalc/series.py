@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Union
 
 Scalar = Union[int, str, Fraction]
@@ -295,14 +295,20 @@ class ExactSeries:
         return ExactSeries([Fraction(v, den) for v in acc],
                            tag=inner.tag, order=n)
 
-    def reverse(self) -> "ExactSeries":
-        """Compositional inverse of a series a1*t + O(t^2), a1 != 0.
+    def reverse(self, *outer: "ExactSeries"):
+        """Compositional inverse g of a series a1*t + O(t^2), a1 != 0.
 
         Rescales to the monic h(s) = self(s/a1) = s + sum_{k>=2} H_k s^k / L
         with integers H_k and L, and solves h(g(t)) = t for g degree by
         degree; the inverse is g/a1.  Weighted homogeneity makes
         G_m = g_m L^(m-1) and P_k[m] = [t^m] g^k L^(m-k) integers, and
         the running power table P costs O(n^3) integer products.
+
+        Given series f_1, ..., f_r, returns the tuple
+        (inverse, f_1(inverse), ..., f_r(inverse)), all tagged as this
+        series and each transport read from the same table in O(n^2):
+        [t^m] f(inverse) = sum_k f_k P_k[m] / (a1^k L^(m-k)).
+        The table is dropped on return.
         """
         if self.coeffs[0]:
             raise CompositionError("reversion needs zero constant term")
@@ -321,9 +327,28 @@ class ExactSeries:
                                   P[k - 1][m - 1:k - 2:-1]))
             P[m][m] = 1
             G.append(-sum(HL[k] * P[k][m] for k in range(2, m + 1)))
-        out = [Fraction(G[m] * a1.denominator, L ** (m - 1) * a1.numerator)
-               for m in range(1, n + 1)]
-        return ExactSeries([0, *out], tag=self.tag, order=n)
+        p, r = a1.numerator, a1.denominator
+        inverse = ExactSeries([0, *(Fraction(G[m] * r, L ** (m - 1) * p)
+                                    for m in range(1, n + 1))],
+                              tag=self.tag, order=n)
+        if not outer:
+            return inverse
+
+        def transport(f: "ExactSeries") -> "ExactSeries":
+            # over the common denominator dc p^N L^m, the k-th term is
+            # c_k r^k L^k p^(N-k) P_k[m], a1 = p/r
+            N = min(f.order, n)
+            c, dc = _scaled(f.coeffs[:N + 1])
+            w = [v * (r * L) ** k * p ** (N - k) for k, v in enumerate(c)]
+            return ExactSeries(
+                [f.coeffs[0], *(Fraction(sum(map(mul, w[1:m + 1],
+                                                 map(itemgetter(m),
+                                                     P[1:m + 1]))),
+                                         dc * p ** N * L ** m)
+                                for m in range(1, N + 1))],
+                tag=self.tag, order=N)
+
+        return (inverse, *map(transport, outer))
 
     # -- serialization ----------------------------------------------------
 

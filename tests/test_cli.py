@@ -218,11 +218,21 @@ class TestLatticeCommands:
                                  "kappa": ["1"]}), None),
         ("covolume", json.dumps({"rank": 1, "cubic": [[0, 0, 0, True]],
                                  "kappa": ["1"]}), None),
+        ("covolume", json.dumps({"rank": 2, "cubic": [
+            [0, 0, 0, "6"], [0, 0, 1, "1"], [0, 0, 1, "1"]],
+            "kappa": ["1", "0"]}), None),
+        ("covolume", json.dumps({"rank": 2, "cubic": [
+            [0, 0, 0, "6"], [0, 0, 1, "1"], [1, 0, 0, "2"]],
+            "kappa": ["1", "0"]}), None),
+        ("covolume", json.dumps({"rank": 2, "cubic": [
+            [0, 0, 0, "6"], [0, 0, 1, "1"]], "kappa": "10"}), None),
     ], ids=["h-scalar", "h-nested", "gram-scalar", "gram-float",
             "gram-ragged", "lattice-no-cubic", "lattice-array",
             "lattice-index-too-large", "lattice-index-negative",
             "lattice-rank-float", "lattice-index-float",
-            "lattice-value-float", "lattice-value-bool"])
+            "lattice-value-float", "lattice-value-bool",
+            "lattice-repeated-triple", "lattice-permuted-triple",
+            "lattice-kappa-string"])
     def test_malformed_input_exits_1(self, capsys, tmp_path, command, text,
                                      h):
         path = tmp_path / "input.json"

@@ -129,3 +129,25 @@ def test_cli_ends_cleanly(invocation):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error:", "usage error:"))
+
+
+def _covolume_code(doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lattice.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            return run(["covolume", "--lattice", str(path)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 1), st.permutations(range(3)), json_values,
+       st.text(max_size=4))
+def test_lattice_repeat_or_string_kappa_exits_1(entry, order, value, kappa):
+    """A cubic triple given again in any index order, whatever its
+    value, or a kappa given as a string, is refused."""
+    repeated = copy.deepcopy(LATTICE)
+    triple = LATTICE["cubic"][entry][:3]
+    repeated["cubic"].append([triple[i] for i in order] + [value])
+    assert _covolume_code(repeated) == 1
+    assert _covolume_code(dict(LATTICE, kappa=kappa)) == 1

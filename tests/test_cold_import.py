@@ -1,6 +1,6 @@
 """``import mirrorcalc`` loads no submodule: the package namespace
-holds only ``__version__``, so a cold start pays only for the modules
-it imports."""
+holds only ``__version__``, and each CLI subcommand loads only the
+modules it runs, so a cold start pays only for what it uses."""
 
 import json
 import os
@@ -8,19 +8,86 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from mirrorcalc.divisor import FamilyData
+from mirrorcalc.lattice import enriques_invariant_gram
+
 ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = ("import json, sys, mirrorcalc; print(json.dumps([mirrorcalc.__file__, "
          "sorted(m for m in sys.modules if m.startswith('mirrorcalc.'))]))")
 
+# Runs the CLI on argv, then prints its exit code, the mirrorcalc
+# submodules it loaded and whether csv was loaded.
+RUN_PROBE = """\
+import contextlib, io, json, sys
+from mirrorcalc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m.removeprefix('mirrorcalc.') for m in
+                               sys.modules if m.startswith('mirrorcalc.')),
+                  'csv' in sys.modules]))
+"""
 
-def test_import_loads_no_submodule():
+
+def _python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    result = subprocess.run([sys.executable, *args], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    path, submodules = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_import_loads_no_submodule():
+    path, submodules = _python("-c", PROBE)
     assert Path(path).resolve().parent == ROOT / "src" / "mirrorcalc"
     assert submodules == []
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    files = {
+        "LATTICE": {"rank": 1, "cubic": [[0, 0, 0, "5"]], "kappa": ["1"]},
+        "GRAM": enriques_invariant_gram(),
+        "FAMILY": FamilyData.quintic_mirror().to_json_dict(),
+    }
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+SUBCOMMANDS = [
+    (["extract-gw", "--order", "3"], ["cli", "gw", "quintic", "series"]),
+    (["mirror-map", "--order", "3"], ["cli", "quintic", "series"]),
+    (["f1", "--order", "3"], ["cli", "quintic", "series"]),
+    (["delta", "--table", "3"], ["cli", "deltacoeff"]),
+    (["covolume", "--lattice", "LATTICE"], ["cli", "lattice"]),
+    (["fhsv", "--gram", "GRAM", "--h", "[1,1,0,0,0,0,0,0,0,0]"],
+     ["cli", "lattice"]),
+    (["modular", "--tau", "1i", "--terms", "20"],
+     ["cli", "modular", "series"]),
+    (["bcov-factor", "--family", "FAMILY"], ["cli", "divisor"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
+                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
+def test_subcommand_loads_only_its_modules(inputs, argv, modules):
+    code, loaded, csv_loaded = _python(
+        "-c", RUN_PROBE, *(inputs.get(a, a) for a in argv))
+    assert code == 0
+    assert loaded == modules
+    assert not csv_loaded
+
+
+def test_csv_loaded_only_for_csv_output():
+    code, loaded, csv_loaded = _python(
+        "-c", RUN_PROBE, "--output", "csv", "extract-gw", "--order", "3")
+    assert code == 0
+    assert loaded == ["cli", "gw", "quintic", "series"]
+    assert csv_loaded

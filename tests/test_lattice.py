@@ -177,13 +177,30 @@ class TestCovolume:
         (2, (0, 0, 0), 1, [1.0, 0]),
         (2, (0, 0, 0), 1, ["1", "1/0"]),
         (10 ** 6, (0, 0, 0), 1, [1]),
+        (2, (0, 0, 0), 1, "10"),
     ], ids=["rank-float", "rank-bool", "index-float", "index-bool",
             "value-float", "value-bool", "kappa-float", "kappa-1/0",
-            "rank-beyond-kappa"])
+            "rank-beyond-kappa", "kappa-string"])
     def test_malformed_input_rejected(self, rank, index, value, kappa):
         # rank-beyond-kappa must fail before a rank^3 tensor is built
         with pytest.raises(LatticeError):
             CubicLattice.from_entries(rank, {index: value}, kappa)
+
+    @pytest.mark.parametrize("repeat", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    def test_repeated_triple_rejected(self, repeat):
+        pairs = [((0, 0, 0), 6), ((0, 0, 1), 1), (repeat, 2)]
+        with pytest.raises(LatticeError, match="given twice"):
+            CubicLattice.from_entries(2, pairs, [1, 0])
+
+    def test_permuted_triple_in_mapping_rejected(self):
+        entries = {(0, 0, 0): 6, (0, 0, 1): 1, (1, 0, 0): 2}
+        with pytest.raises(LatticeError, match="given twice"):
+            CubicLattice.from_entries(2, entries, [1, 0])
+
+    def test_pairs_and_mapping_agree(self):
+        pairs = [((1, 0, 0), F(1)), ((0, 0, 0), "6")]
+        assert (CubicLattice.from_entries(2, pairs, ("1", "0"))
+                == CubicLattice.from_entries(2, dict(pairs), [1, 0]))
 
     def test_rational_strings_accepted(self):
         assert (CubicLattice.from_entries(1, {(0, 0, 0): "7/2"}, ["2"])

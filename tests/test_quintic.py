@@ -62,13 +62,13 @@ class TestMirrorMap:
                        if c.denominator != 1]
         assert non_integer == []
 
-    def test_q_chart_transport(self):
-        chart = mirror_map(8)
+    @pytest.mark.parametrize("order", [1, 2, 8, 41, 60])
+    def test_q_chart_transport(self, order):
+        chart = mirror_map(order)
         x_q = chart.x_of_q
         assert chart.y0_of_q == chart.y0.compose(x_q)
         assert chart.one_minus_3125x_of_q == ExactSeries(
-            [1, -3125], tag="x", order=8).compose(x_q)
-        assert chart.y0_of_q is chart.y0_of_q  # computed once per chart
+            [1, -3125], tag="x", order=order).compose(x_q)
 
     def test_order_precondition(self):
         with pytest.raises(SeriesError):
@@ -80,7 +80,8 @@ class TestMirrorMap:
                   chart.y0_of_q, chart.one_minus_3125x_of_q)
         assert [s.order for s in series] == [7] * 6
 
-    @pytest.mark.parametrize("name", ["y0", "q_of_x", "x_of_q", "u_of_q"])
+    @pytest.mark.parametrize("name", ["y0", "q_of_x", "x_of_q", "u_of_q",
+                                      "y0_of_q"])
     def test_non_integral_coefficient_rejected(self, name):
         chart = mirror_map(3)
         s = getattr(chart, name)

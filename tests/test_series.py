@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirrorcalc.series import (ExactSeries, TagMismatchError, NonUnitError,
                                CompositionError)
@@ -182,6 +182,19 @@ def test_compose_reverse_roundtrip(a, linear):
     ident = ExactSeries.identity(a.order)
     assert a.compose(a.reverse()) == ident
     assert a.reverse().compose(a) == ident
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_strategy(min_order=1, max_order=12),
+       rationals.filter(lambda c: c != 0),
+       st.lists(series_strategy(max_order=14), min_size=1, max_size=3))
+# a1 = 3/2 rescales to h = s + (8/9) s^2 + (8/9) s^3, so L = 9
+@example(S([0, 0, 2, 3]), F(3, 2), [S([F(1, 3), F(-5, 7), F(2, 9), 4, 1])])
+def test_reverse_transports_match_compose(a, linear, outer):
+    a = S([F(0), linear, *a.coeffs[2:]], order=a.order)
+    inverse, *transports = a.reverse(*outer)
+    assert inverse == a.reverse()
+    assert transports == [f.compose(inverse) for f in outer]
 
 
 def test_no_floats_anywhere():
