@@ -3,7 +3,8 @@ modular form.
 
 Computes the L2 Gram matrix of a small cubic lattice, the rank-11
 covolume of the Enriques-type example, and the Petersson norm of Delta
-with an explicit truncation error bound.
+and its logarithm, evaluated at the equivalent point of the fundamental
+domain with an explicit truncation error bound.
 """
 
 from fractions import Fraction as F
@@ -24,8 +25,12 @@ print("constant check:", lattice.fhsv_constant_check(A, h),
       "(expected 2^50 pi^42 =", str(2 ** 50) + " pi^42)")
 
 print("\nDelta = q * eta(q)^24 to order 12:", modular.delta_series(12))
-val = modular.petersson_delta(0.5 + 2j, terms=200)
+val = modular.petersson_delta(0.5 + 2j)
 print("Petersson norm at tau = 1/2 + 2i:", val.norm_sq,
       "+/-", val.error_bound)
-sval = modular.petersson_delta(-1 / (0.5 + 2j), terms=200)
+print("its logarithm:", val.log_norm_sq)
+sval = modular.petersson_delta(-1 / (0.5 + 2j))
 print("same at -1/tau (modular invariance):", sval.norm_sq)
+far = modular.petersson_delta(0.0001j)
+print(f"log-norm at tau = 0.0001i: {far.log_norm_sq} "
+      f"(norm_sq underflows to {far.norm_sq})")

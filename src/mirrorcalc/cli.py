@@ -49,6 +49,17 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
+def _load_json(what: str, path: str | None = None, text: str | None = None):
+    """JSON from the file ``path`` or ``text``; too deep is a ValueError."""
+    if path is not None:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def _emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -96,8 +107,7 @@ def _cmd_extract_gw(args) -> dict:
     chart = quintic.mirror_map(args.order)
     G = quintic.f1_log_derivative(chart)
     if args.n0_file:
-        with open(args.n0_file) as fh:
-            n0 = gw.n0_map_from_json_dict(json.load(fh))
+        n0 = gw.n0_map_from_json_dict(_load_json("--n0-file", args.n0_file))
     else:
         n0 = gw.genus0_pipeline(chart).n0
     return gw.table_to_json_dict(gw.extract_gv(G, n0))
@@ -117,8 +127,7 @@ def _cmd_delta(args) -> dict:
 def _load_lattice(path: str) -> lattice.CubicLattice:
     from . import lattice
 
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json("--lattice", path)
     try:
         entries = [((i, j, k), v) for i, j, k, v in data["cubic"]]
         return lattice.CubicLattice.from_entries(
@@ -144,9 +153,8 @@ def _cmd_covolume(args) -> dict:
 def _cmd_fhsv(args) -> dict:
     from . import lattice
 
-    with open(args.gram) as fh:
-        A = json.load(fh)
-    h = json.loads(args.h)
+    A = _load_json("--gram", args.gram)
+    h = _load_json("--h", text=args.h)
     return {
         "covolume": lattice.fhsv_covolume(A, h).covolume.to_json_dict(),
         "volume": lattice.fhsv_volume(A, h).to_json_dict(),
@@ -157,16 +165,13 @@ def _cmd_fhsv(args) -> dict:
 def _cmd_modular(args) -> dict:
     from . import modular
 
-    tau = _parse_complex(args.tau)
-    val = modular.petersson_delta(tau, args.terms)
-    return val.to_json_dict()
+    return modular.petersson_delta(_parse_complex(args.tau)).to_json_dict()
 
 
 def _cmd_bcov_factor(args) -> dict:
     from . import divisor
 
-    with open(args.family) as fh:
-        data = divisor.family_from_json_dict(json.load(fh))
+    data = divisor.family_from_json_dict(_load_json("--family", args.family))
     factor = divisor.assemble_factor(data)
     out = {"factor": factor.to_json_dict()}
     if args.eval_at:
@@ -217,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modular", help="Petersson norm of the discriminant")
     p.add_argument("--tau", required=True, help='complex, e.g. "0.5+2i"')
-    p.add_argument("--terms", type=int, default=200)
     p.set_defaults(fn=_cmd_modular)
 
     p = sub.add_parser("bcov-factor", help="assemble the divisor factor")

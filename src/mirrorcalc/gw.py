@@ -182,15 +182,16 @@ def table_to_json_dict(table: GWTable) -> dict:
 
 def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:
     """Parse the {"n0": {"1": "2875", ...}} schema (n1 ignored if present).
-    Anything but an object mapping integer degrees to ints or rational
-    strings (no bools, floats or nulls) raises ExtractionError.
+    Anything but an object mapping degrees str(d), d >= 1, to ints or
+    rational strings (no bools, floats or nulls) raises ExtractionError.
     """
     src = d.get("n0", d) if isinstance(d, dict) else d
     try:
-        if isinstance(src, dict) and all(type(v) in (int, str)
-                                         for v in src.values()):
+        if isinstance(src, dict) and all(
+                type(k) is str and k.isascii() and k.isdigit() and k[0] != "0"
+                and type(v) in (int, str) for k, v in src.items()):
             return {int(k): Fraction(v) for k, v in src.items()}
     except (ValueError, ZeroDivisionError):
         pass
-    raise ExtractionError("n0 must be an object mapping each degree to an "
-                          "int or a rational string")
+    raise ExtractionError('n0 must be an object mapping each degree ("1", '
+                          '"2", ...) to an int or a rational string')

@@ -2,6 +2,7 @@
 exit codes, environment defaults, and file inputs."""
 
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,8 @@ from mirrorcalc.cli import run
 from mirrorcalc.divisor import FamilyData
 from mirrorcalc.lattice import enriques_invariant_gram
 
+# JSON nested past the parser's recursion limit
+DEEP = "[" * 50000 + "]" * 50000
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -105,10 +108,17 @@ class TestF1AndGW:
     @pytest.mark.parametrize("text", [
         "[1, 2]", "5", '{"n0": [1]}', '{"n0": "2875"}', '{"1": [1]}',
         '{"1": true}', '{"1": 2875.0}', '{"1": null}', '{"1": "two"}',
-        '{"1": "1/0"}', '{"one": "2875"}',
+        '{"1": "1/0"}', '{"one": "2875"}', DEEP,
+        '{"n0": {"01": 5, "1": 2875}}',
+        '{"n0": {"1_0": 1, "1": 2875, "0": 9, "-3": 4}}',
+        '{" 1": 2875}', '{"+1": 2875}', '{"\u0661": 2875}', '{"0": 9}',
+        '{"-3": 4}', '{"": 1}',
     ], ids=["array", "scalar", "n0-array", "n0-string", "value-array",
             "value-bool", "value-float", "value-null", "value-word",
-            "value-zero-denominator", "degree-word"])
+            "value-zero-denominator", "degree-word", "deep-nesting",
+            "degree-leading-zero", "degree-underscore", "degree-space",
+            "degree-plus", "degree-arabic-indic", "degree-zero",
+            "degree-negative", "degree-empty"])
     def test_extract_gw_malformed_n0_file(self, capsys, tmp_path, text):
         path = tmp_path / "n0.json"
         path.write_text(text)
@@ -226,19 +236,27 @@ class TestLatticeCommands:
             "kappa": ["1", "0"]}), None),
         ("covolume", json.dumps({"rank": 2, "cubic": [
             [0, 0, 0, "6"], [0, 0, 1, "1"]], "kappa": "10"}), None),
+        ("fhsv", DEEP, json.dumps([1] * 10)),
+        ("fhsv", json.dumps(enriques_invariant_gram()),
+         "[" * 30000 + "]" * 30000),
+        ("covolume", DEEP, None),
+        ("bcov-factor", DEEP, None),
     ], ids=["h-scalar", "h-nested", "gram-scalar", "gram-float",
             "gram-ragged", "lattice-no-cubic", "lattice-array",
             "lattice-index-too-large", "lattice-index-negative",
             "lattice-rank-float", "lattice-index-float",
             "lattice-value-float", "lattice-value-bool",
             "lattice-repeated-triple", "lattice-permuted-triple",
-            "lattice-kappa-string"])
+            "lattice-kappa-string", "gram-deep", "h-deep", "lattice-deep",
+            "family-deep"])
     def test_malformed_input_exits_1(self, capsys, tmp_path, command, text,
                                      h):
         path = tmp_path / "input.json"
         path.write_text(text)
         if command == "fhsv":
             argv = ["fhsv", "--gram", str(path), "--h", h]
+        elif command == "bcov-factor":
+            argv = ["bcov-factor", "--family", str(path)]
         else:
             argv = ["covolume", "--lattice", str(path)]
         code, out, err = invoke(capsys, *argv)
@@ -262,11 +280,27 @@ class TestLatticeCommands:
 
 class TestModular:
     def test_norm_at_i(self, capsys):
-        code, out, _ = invoke(capsys, "modular", "--tau", "1i", "--terms", "80")
+        code, out, _ = invoke(capsys, "modular", "--tau", "1i")
         assert code == 0
         payload = json.loads(out)
         assert payload["norm_sq"] > 0
-        assert payload["error_bound"] < 1e-30
+        assert payload["norm_sq"] == math.exp(payload["log_norm_sq"])
+        assert payload["error_bound"] < 2.6e-20
+
+    @pytest.mark.parametrize("tau", ["0.0001i", "1e30i", "200i", "1e300+1i",
+                                     "0.61803398875+1e-300i"])
+    def test_far_tau_gives_finite_log_norm(self, capsys, tau):
+        code, out, _ = invoke(capsys, "modular", "--tau", tau)
+        assert code == 0
+        payload = json.loads(out, parse_constant=pytest.fail)  # strict JSON
+        assert math.isfinite(payload["log_norm_sq"])
+        assert payload["log_norm_sq"] < 0 <= payload["norm_sq"]
+
+    def test_reduced_tau_beyond_float_range_exits_1(self, capsys):
+        code, out, err = invoke(capsys, "modular", "--tau", "5e-324i")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "float range" in err
 
     def test_bad_tau(self, capsys):
         code, _, err = invoke(capsys, "modular", "--tau", "0.5-2i")

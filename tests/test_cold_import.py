@@ -69,8 +69,7 @@ SUBCOMMANDS = [
     (["covolume", "--lattice", "LATTICE"], ["cli", "lattice"]),
     (["fhsv", "--gram", "GRAM", "--h", "[1,1,0,0,0,0,0,0,0,0]"],
      ["cli", "lattice"]),
-    (["modular", "--tau", "1i", "--terms", "20"],
-     ["cli", "modular", "series"]),
+    (["modular", "--tau", "1i"], ["cli", "modular", "series"]),
     (["bcov-factor", "--family", "FAMILY"], ["cli", "divisor"]),
 ]
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +61,33 @@ class TestDelta:
             delta_series(0)
 
 
+def reference_log_norm_sq(tau):
+    """log((Im tau)^12 |Delta(tau)|^2), and its exp, by mpmath at 800
+    digits: the float parts (exact as mpf), reduced to the fundamental
+    domain, and the product continued until q^n is below the working
+    precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(800):
+        x, y = mpmath.mpf(tau.real), mpmath.mpf(tau.imag)
+        while True:
+            x -= mpmath.nint(x)
+            n = x * x + y * y
+            if n >= 1:
+                break
+            x, y = -x / n, y / n
+        q = mpmath.exp(2 * mpmath.pi * mpmath.mpc(-y, x))
+        log_prod, qn = 0, q
+        while abs(qn) > mpmath.mpf(10) ** -820:
+            log_prod += mpmath.log(abs(1 - qn))
+            qn *= q
+        log_norm_sq = 12 * mpmath.log(y) - 4 * mpmath.pi * y + 48 * log_prod
+        return float(log_norm_sq), float(mpmath.exp(log_norm_sq))
+
+
+ORACLE_POINTS = [1j, 0.5 + 2j, 0.3 + 0.02j, 0.5 + 0.01j, 1 / 3 + 1e-12j,
+                 0.61803398875 + 1e-300j, 0.0001j, 1e30j]
+
+
 class TestPetersson:
     def test_translation_invariance_exact(self):
         a = petersson_delta(0.3 + 1.1j)
@@ -67,23 +96,37 @@ class TestPetersson:
 
     @pytest.mark.parametrize("tau", [2j, 1 + 1j, 0.5 + 2j])
     def test_inversion_invariance(self, tau):
-        a = petersson_delta(tau, terms=300)
-        b = petersson_delta(-1 / tau, terms=300)
+        a = petersson_delta(tau)
+        b = petersson_delta(-1 / tau)
         assert abs(a.norm_sq - b.norm_sq) <= 1e-10 * a.norm_sq
 
-    def test_truncation_stability(self):
-        a = petersson_delta(1j, terms=50)
-        b = petersson_delta(1j, terms=100)
-        assert abs(a.norm_sq - b.norm_sq) <= 1e-12 * a.norm_sq
+    @pytest.mark.parametrize("tau", ORACLE_POINTS)
+    def test_against_mpmath(self, tau):
+        """log_norm_sq to 1e-13 relative, and norm_sq, where it is a
+        normal float, within its own error_bound plus 1e-13."""
+        ref, norm_ref = reference_log_norm_sq(tau)
+        got = petersson_delta(tau)
+        assert abs(got.log_norm_sq - ref) <= 1e-13 * abs(ref)
+        if got.norm_sq >= sys.float_info.min:
+            assert (abs(got.norm_sq - norm_ref)
+                    <= (got.error_bound + 1e-13) * norm_ref)
 
-    def test_tail_bound_honesty(self):
-        for tau in (0.5j, 1j, 0.2 + 0.6j):
-            prev = petersson_delta(tau, terms=20)
-            for terms in (40, 80, 160):
-                cur = petersson_delta(tau, terms=terms)
-                observed = abs(cur.norm_sq - prev.norm_sq) / cur.norm_sq
-                assert prev.error_bound >= observed
-                prev = cur
+    def test_closed_form_at_i(self):
+        # Delta(i) = Gamma(1/4)^24 / (2^24 pi^18)
+        want = (48 * math.lgamma(0.25) - 48 * math.log(2)
+                - 36 * math.log(math.pi))
+        assert math.isclose(petersson_delta(1j).log_norm_sq, want,
+                            rel_tol=1e-14)
+
+    @pytest.mark.parametrize("tau, n", [
+        (0.25 + 0.8j, 1), (0.375 + 0.02j, 1), (0.5j, 10 ** 16),
+        (0.01j, 10 ** 16), (1j, 1e300), (0.0001j, 1e300)])
+    def test_integer_translation_bit_identical(self, tau, n):
+        moved = tau + n
+        assert Fraction(moved.real) == Fraction(tau.real) + Fraction(n)
+        a, b = petersson_delta(tau), petersson_delta(moved)
+        assert ((a.norm_sq, a.log_norm_sq, a.error_bound)
+                == (b.norm_sq, b.log_norm_sq, b.error_bound))
 
     def test_domain_error(self):
         with pytest.raises(SeriesError):
