@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 
 # Each handler imports the modules it runs, so a cold process loads
@@ -34,9 +35,9 @@ def _default_order() -> int:
         try:
             v = int(env)
         except ValueError:
-            raise UsageError(f"invalid {ENV_ORDER}={env!r}")
+            raise UsageError(f"invalid {ENV_ORDER}={reprlib.repr(env)}")
         if v < 1:
-            raise UsageError(f"invalid {ENV_ORDER}={env!r}")
+            raise UsageError(f"invalid {ENV_ORDER}={reprlib.repr(env)}")
         return v
     return quintic.DEFAULT_ORDER
 
@@ -45,7 +46,7 @@ def _parse_complex(text: str) -> complex:
     z = complex(text.replace(" ", "").replace("i", "j"))
     # hypot, unlike abs, gives inf rather than raising when |z| overflows
     if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise ValueError(f"{text!r} has no finite modulus")
+        raise ValueError(f"{reprlib.repr(text)} has no finite modulus")
     return z
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -27,7 +28,7 @@ class FamilyError(ValueError):
 def _json_int(x, what: str) -> int:
     """x itself if it is an int (not a bool), else FamilyError."""
     if type(x) is not int:
-        raise FamilyError(f"{what} {x!r} is not an integer")
+        raise FamilyError(f"{what} {reprlib.repr(x)} is not an integer")
     return x
 
 
@@ -101,10 +102,10 @@ class Point:
         if isinstance(obj, dict) and "value" in obj:
             z = complex(str(obj["value"]).replace("i", "j"))
             if not math.isfinite(math.hypot(z.real, z.imag)):
-                raise FamilyError(f"point value {obj['value']!r} is not "
-                                  "finite")
+                raise FamilyError(f"point value {reprlib.repr(obj['value'])}"
+                                  " is not finite")
             return cls.of(z)
-        raise FamilyError(f"unrecognized point: {obj!r}")
+        raise FamilyError(f"unrecognized point: {reprlib.repr(obj)}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Gromov-Witten bookkeeping for the genus-one amplitude identity:
 Lambert-series assembly, the equivalent eta-product log-derivative,
-triangular extraction of the degree-d exponents N1(d), and the
-standard genus-zero pipeline producing N0(d).
+extraction of the degree-d exponents N1(d), and the standard
+genus-zero pipeline producing N0(d).  Each kernel is a Dirichlet
+convolution or its inverse, on int numerators over one common
+denominator, striding over the multiples of each degree.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -12,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Mapping, Optional
 
-from .series import ExactSeries, SeriesError
+from .series import ExactSeries, SeriesError, _scaled
 from .quintic import LOG_X_MULTIPLE, MirrorChart
 
 
 class ExtractionError(SeriesError):
-    """Raised when triangular extraction preconditions fail."""
+    """Raised when extraction preconditions fail."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,41 @@ class GWTable:
                    instanton_n0=instanton_n0)
 
 
-def _sigma1(m: int) -> int:
-    return sum(d for d in range(1, m + 1) if m % d == 0)
+def _dirichlet(f, g, n: int) -> list[int]:
+    """(f * g)(m) = sum_{dk=m} f(d) g(k), m = 1..n, for int lists
+    indexed from 1 (f may stop before n), one strided slice per d."""
+    h = [0] * (n + 1)
+    for d in range(1, min(n, len(f) - 1) + 1):
+        h[d::d] = map(add, h[d::d], [f[d] * v for v in g[1:n // d + 1]])
+    return h
+
+
+def _dirichlet_divide(c, f, n: int) -> list[int]:
+    """x with f * x = c at 1..n, for f(1) = 1 and c of length n + 1, by
+    the same sieve: x(d) is final once its proper divisors are spread."""
+    x = list(c)
+    for d in range(1, n // 2 + 1):
+        x[2 * d::d] = map(sub, x[2 * d::d], [x[d] * v for v in f[2:n // d + 1]])
+    return x
+
+
+def _sigma(n: int) -> list[int]:
+    """sigma_1(m), m = 1..n, as 1 * id."""
+    return _dirichlet([0] + [1] * n, range(n + 1), n)
+
+
+def _genus_one(table: GWTable, order: int, E, U, den: int) -> ExactSeries:
+    """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m)/den q^m for int
+    lists E, U, the columns scaled to ints over 6 lcm(denominators)."""
+    n = min(order, table.max_degree)
+    nums, lcd = _scaled([*(table.n0[d] for d in range(1, n + 1)),
+                         *(table.n1[d] for d in range(1, n + 1))])
+    A = [0, *(12 * d * v for d, v in enumerate(nums[n:], 1))]
+    B = [0, *(d * v for d, v in enumerate(nums[:n], 1))]
+    out = [Fraction(c, 6 * lcd * den) for c in map(
+        add, _dirichlet(A, E, order), _dirichlet(B, U, order))]
+    out[0] = LOG_X_MULTIPLE
+    return ExactSeries(out, tag="q", order=order)
 
 
 def lambert_series(table: GWTable, order: int) -> ExactSeries:
@@ -63,18 +99,10 @@ def lambert_series(table: GWTable, order: int) -> ExactSeries:
              - sum_d N0(d) 2d q^d / (12 (1-q^d)).
 
     Expanded coefficientwise: the q^m coefficient for m >= 1 is
-    -2 sum_{d|m} d sigma_1(m/d) N1(d) - (1/6) sum_{d|m} d N0(d).
+    -sum_{d|m} (2d sigma_1(m/d) N1(d) + d N0(d)/6).
     """
-    coeffs = [LOG_X_MULTIPLE] + [Fraction(0)] * order
-    for m in range(1, order + 1):
-        s = Fraction(0)
-        for d in range(1, min(m, table.max_degree) + 1):
-            if m % d:
-                continue
-            s += 2 * d * _sigma1(m // d) * table.n1[d]
-            s += Fraction(d, 6) * table.n0[d]
-        coeffs[m] = -s
-    return ExactSeries(coeffs, tag="q", order=order)
+    return _genus_one(table, order, [-v for v in _sigma(order)],
+                      [0] + [-1] * order, 1)
 
 
 def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
@@ -82,39 +110,36 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
     with eta(q) = prod_n (1 - q^n) (no q^{1/24} prefactor).
 
     The fractional power q^{25/12} contributes the constant 2*(25/12).
-    Each factor f(q^d) contributes d (q f'/f)(q^d), read by stride from
-    the logarithmic derivatives E of eta and U of 1 - q, built once
-    from the pentagonal eta series and one division each.
+    Each factor f(q^d) contributes d (q f'/f)(q^d), read from the
+    logarithmic derivatives E of eta and U of 1 - q, one division each.
+    E comes from the pentagonal eta series, never from sigma_1, so that
+    agreement with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
     """
     from .modular import eta_series
 
     E = eta_series(order).log_derivative().coeffs
     U = ExactSeries([1, -1], tag="q", order=order).log_derivative().coeffs
-    out = [LOG_X_MULTIPLE] + [Fraction(0)] * order
-    for d in range(1, min(order, table.max_degree) + 1):
-        a, b = 2 * d * table.n1[d], d * table.n0[d] / 6
-        for k in range(1, order // d + 1):
-            out[k * d] += a * E[k] + b * U[k]
-    return ExactSeries(out, tag="q", order=order)
+    EU, den = _scaled(E + U)
+    return _genus_one(table, order, EU[:order + 1], EU[order + 1:], den)
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
-    """Solve the Lambert form for N1(d) degree by degree, given G and
-    the genus-zero column.  Exact triangular solve; the q^m equation is
-    linear in N1(m) with coefficient -2m.
+    """Solve the Lambert form for N1(d), given G and the genus-zero
+    column.  With c_m = G_m + (1/6) sum_{d|m} d N0(d) it reads
+    -c/2 = (d N1) * sigma_1, solved by one Dirichlet division.
     """
     if G.coeffs[0] != LOG_X_MULTIPLE:
         raise ExtractionError(
             f"constant term of G must be 50/12, got {G.coeffs[0]}")
     order = G.order
     n0_full = {d: Fraction(n0.get(d, 0)) for d in range(1, order + 1)}
-    n1: Dict[int, Fraction] = {}
-    for m in range(1, order + 1):
-        s = G.coeffs[m] + Fraction(1, 6) * sum(
-            d * n0_full[d] for d in range(1, m + 1) if m % d == 0)
-        s += 2 * sum(d * _sigma1(m // d) * n1[d]
-                     for d in range(1, m) if m % d == 0)
-        n1[m] = -s / (2 * m)
+    nums, den = _scaled([*n0_full.values(), *G.coeffs[1:]])
+    # 6 den c_m = 6 den G_m + ((den d N0) * 1)(m)
+    c = map(add, [0, *(6 * v for v in nums[order:])], _dirichlet(
+        [0, *(d * v for d, v in enumerate(nums[:order], 1))],
+        [0] + [1] * order, order))
+    h = _dirichlet_divide(c, _sigma(order), order)
+    n1 = {m: Fraction(-h[m], 12 * den * m) for m in range(1, order + 1)}
     return GWTable(max_degree=order, n0=n0_full, n1=n1)
 
 
@@ -129,13 +154,15 @@ def instanton_numbers(n0: Mapping[int, Fraction],
                       max_degree: int) -> Dict[int, int]:
     """Genus-zero Gopakumar-Vafa numbers n_d, d = 1..max_degree, from
     Gromov-Witten numbers N0(d) (absent degrees read 0), by inverting
-    the multicover rule: n_d = N0(d) - sum_{k|d, k>1} n_{d/k}/k^3.
+    the multicover rule d^3 N0 = (d^3 n) * 1 by Moebius inversion, a
+    Dirichlet division by 1: d^3 n_d = sum_{k|d} mu(k) (d/k)^3 N0(d/k).
     A non-integral n_d raises ExtractionError.
     """
-    inst: Dict[int, Fraction] = {}
-    for d in range(1, max_degree + 1):
-        inst[d] = Fraction(n0.get(d, 0)) - sum(
-            inst[d // k] / k ** 3 for k in range(2, d + 1) if d % k == 0)
+    n = max_degree
+    nums, den = _scaled([Fraction(n0.get(d, 0)) for d in range(1, n + 1)])
+    h = _dirichlet_divide([0, *(d ** 3 * v for d, v in enumerate(nums, 1))],
+                          [0] + [1] * n, n)
+    inst = {d: Fraction(h[d], den * d ** 3) for d in range(1, n + 1)}
     return _integral(inst, "genus-zero instanton number")
 
 

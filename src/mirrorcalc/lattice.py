@@ -16,6 +16,7 @@ basis change contracts one tensor index at a time.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -65,8 +66,8 @@ def _rational(x) -> int | Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise LatticeError(f"entry {x!r} is not an int, a Fraction or a "
-                       "rational string")
+    raise LatticeError(f"entry {reprlib.repr(x)} is not an int, a "
+                       "Fraction or a rational string")
 
 
 def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
@@ -145,9 +146,9 @@ class CubicLattice:
         index order, raises LatticeError.
         """
         if type(rank) is not int:
-            raise LatticeError(f"rank {rank!r} is not an integer")
+            raise LatticeError(f"rank {reprlib.repr(rank)} is not an integer")
         if not isinstance(kappa, (list, tuple)):
-            raise LatticeError(f"kappa {kappa!r} is not a list")
+            raise LatticeError(f"kappa {reprlib.repr(kappa)} is not a list")
         kappa = tuple(Fraction(_rational(v)) for v in kappa)
         if len(kappa) != rank:  # before the rank^3 tensor is allocated
             raise LatticeError("dimension mismatch")
@@ -157,8 +158,8 @@ class CubicLattice:
             entries = entries.items()
         for (i, j, k), v in entries:
             if not all(type(x) is int and 0 <= x < rank for x in (i, j, k)):
-                raise LatticeError(f"index ({i!r}, {j!r}, {k!r}) is not an "
-                                   f"integer triple in range for rank {rank}")
+                raise LatticeError(f"index {reprlib.repr((i, j, k))} is not "
+                                   f"an integer triple in range for rank {rank}")
             triple = tuple(sorted((i, j, k)))
             if triple in seen:
                 raise LatticeError(f"index triple {triple} given twice")

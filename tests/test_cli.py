@@ -211,6 +211,8 @@ class TestLatticeCommands:
         ("fhsv", json.dumps(enriques_invariant_gram()), "5"),
         ("fhsv", json.dumps(enriques_invariant_gram()),
          json.dumps([[1]] * 10)),
+        ("fhsv", json.dumps(enriques_invariant_gram()),
+         json.dumps([[1] * 20000] + [1] * 9)),
         ("fhsv", "5", json.dumps([1] * 10)),
         ("fhsv", json.dumps([[1.5] * 10] * 10), json.dumps([1] * 10)),
         ("fhsv", json.dumps([[0] * 10] * 9 + [[0] * 9]), json.dumps([1] * 10)),
@@ -221,6 +223,9 @@ class TestLatticeCommands:
         ("covolume", json.dumps({"rank": 2, "cubic": [[-1, 0, 0, "5"]],
                                  "kappa": ["1", "0"]}), None),
         ("covolume", json.dumps({"rank": 1.9, "cubic": [[0, 0, 0, "5"]],
+                                 "kappa": ["1"]}), None),
+        ("covolume", json.dumps({"rank": [1] * 20000,
+                                 "cubic": [[0, 0, 0, "5"]],
                                  "kappa": ["1"]}), None),
         ("covolume", json.dumps({"rank": 1, "cubic": [[0.7, 0, 0, "5"]],
                                  "kappa": ["1"]}), None),
@@ -241,10 +246,11 @@ class TestLatticeCommands:
          "[" * 30000 + "]" * 30000),
         ("covolume", DEEP, None),
         ("bcov-factor", DEEP, None),
-    ], ids=["h-scalar", "h-nested", "gram-scalar", "gram-float",
-            "gram-ragged", "lattice-no-cubic", "lattice-array",
+    ], ids=["h-scalar", "h-nested", "h-long-entry", "gram-scalar",
+            "gram-float", "gram-ragged", "lattice-no-cubic", "lattice-array",
             "lattice-index-too-large", "lattice-index-negative",
-            "lattice-rank-float", "lattice-index-float",
+            "lattice-rank-float", "lattice-rank-long-list",
+            "lattice-index-float",
             "lattice-value-float", "lattice-value-bool",
             "lattice-repeated-triple", "lattice-permuted-triple",
             "lattice-kappa-string", "gram-deep", "h-deep", "lattice-deep",
@@ -264,6 +270,7 @@ class TestLatticeCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert len(err) < 1024  # an echoed value is cut short
 
 
     @pytest.mark.parametrize("command, text, h", [
@@ -311,12 +318,14 @@ class TestModular:
         code, _, _ = invoke(capsys, "modular")
         assert code == 2
 
-    @pytest.mark.parametrize("tau", ["nan+1i", "1e400i"])
+    @pytest.mark.parametrize("tau", ["nan+1i", "1e400i", "1" * 20000 + "i"],
+                             ids=["nan+1i", "1e400i", "long-digits"])
     def test_non_finite_tau_exits_1(self, capsys, tau):
         code, out, err = invoke(capsys, "modular", "--tau", tau)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+        assert len(err) < 1024  # the argument is cut short
 
 
 class TestBcovFactor:
@@ -386,13 +395,15 @@ class TestBcovFactor:
         (("chi",), 200.9),
         (("chi",), True),
         (("chi",), "200"),
+        (("chi",), [1] * 20000),
         (("odp_points", 0, "r"), 1.7),
         (("odp_points", 1, "point", "root_of_unity"), [5.9, 1.2]),
         (("xi_divisor", 0, "multiplicity"), 1.0),
         (("xi_divisor", 0, "point", "value"), "nan"),
         (("xi_divisor", 0, "point", "value"), "1e400"),
         (("xi_divisor", 0, "point", "value"), "1.7e308+1.7e308i"),
-    ], ids=["chi-float", "chi-bool", "chi-string", "r-float", "root-float",
+    ], ids=["chi-float", "chi-bool", "chi-string", "chi-long-list",
+            "r-float", "root-float",
             "multiplicity-float", "value-nan", "value-inf",
             "value-modulus-overflow"])
     def test_malformed_family_exits_1(self, capsys, tmp_path, path, value):
@@ -407,6 +418,8 @@ class TestBcovFactor:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert len(err) < 1024  # an echoed value is cut short
 
     def test_family_missing_chi(self, capsys, tmp_path):
         path = tmp_path / "family.json"

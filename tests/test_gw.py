@@ -2,11 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mirrorcalc import modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
                            extract_n1, extract_gv, genus0_pipeline,
                            instanton_numbers, ExtractionError,
-                           n0_map_from_json_dict, table_to_json_dict)
+                           n0_map_from_json_dict, table_to_json_dict,
+                           _dirichlet, _dirichlet_divide, _sigma)
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
 from mirrorcalc.series import ExactSeries
@@ -134,3 +137,190 @@ def test_json_schema_roundtrip():
     d = table_to_json_dict(t)
     assert d["n0"]["1"] == "2875"
     assert n0_map_from_json_dict(d) == {1: F(2875)}
+
+
+# -- the integer kernels against the per-term Fraction formulas ----------
+#
+# The reference functions below are the direct double loops over the
+# divisors of each degree, on Fraction, that the integer kernels in gw
+# replace.
+
+def sigma1(m):
+    return sum(d for d in range(1, m + 1) if m % d == 0)
+
+
+def reference_lambert(table, order):
+    coeffs = [F(50, 12)] + [F(0)] * order
+    for m in range(1, order + 1):
+        s = F(0)
+        for d in range(1, min(m, table.max_degree) + 1):
+            if m % d:
+                continue
+            s += 2 * d * sigma1(m // d) * table.n1[d]
+            s += F(d, 6) * table.n0[d]
+        coeffs[m] = -s
+    return ExactSeries(coeffs, tag="q", order=order)
+
+
+def reference_eta_product(table, order):
+    E = modular.eta_series(order).log_derivative().coeffs
+    U = ExactSeries([1, -1], tag="q", order=order).log_derivative().coeffs
+    out = [F(50, 12)] + [F(0)] * order
+    for d in range(1, min(order, table.max_degree) + 1):
+        a, b = 2 * d * table.n1[d], d * table.n0[d] / 6
+        for k in range(1, order // d + 1):
+            out[k * d] += a * E[k] + b * U[k]
+    return ExactSeries(out, tag="q", order=order)
+
+
+def reference_extract_n1(G, n0):
+    """The degree-by-degree triangular solve: the q^m equation of the
+    Lambert form is linear in N1(m) with coefficient -2m."""
+    n1 = {}
+    for m in range(1, G.order + 1):
+        s = G[m] + F(1, 6) * sum(d * F(n0.get(d, 0))
+                                 for d in range(1, m + 1) if m % d == 0)
+        s += 2 * sum(d * sigma1(m // d) * n1[d]
+                     for d in range(1, m) if m % d == 0)
+        n1[m] = -s / (2 * m)
+    return n1
+
+
+def reference_instanton(n0, max_degree):
+    """The multicover recursion n_d = N0(d) - sum_{k|d, k>1} n_{d/k}/k^3,
+    with the degree of the first non-integral n_d, or None."""
+    inst = {}
+    for d in range(1, max_degree + 1):
+        inst[d] = F(n0.get(d, 0)) - sum(
+            inst[d // k] / k ** 3 for k in range(2, d + 1) if d % k == 0)
+    bad = [d for d, v in inst.items() if v.denominator != 1]
+    return inst, (bad[0] if bad else None)
+
+
+LARGE_PRIMES = [7919, 65537, 999979, 999983]
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 10 ** 6),
+                         st.sampled_from(LARGE_PRIMES))
+rationals = st.builds(F, st.integers(-10 ** 6, 10 ** 6), denominators)
+
+
+@st.composite
+def tables_and_orders(draw):
+    """A random rational table and an order at, above or below its
+    max_degree; either column may be all zero."""
+    md = draw(st.integers(0, 14))
+
+    def column():
+        values = draw(st.one_of(st.just([F(0)] * md),
+                                st.lists(rationals, min_size=md, max_size=md)))
+        return dict(enumerate(values, 1))
+
+    table = GWTable.from_maps(column(), column(), max_degree=md)
+    return table, max(0, md + draw(st.integers(-4, 4)))
+
+
+class TestIntegerKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(tables_and_orders())
+    def test_lambert_matches_reference(self, case):
+        table, order = case
+        assert lambert_series(table, order) == reference_lambert(table, order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables_and_orders())
+    def test_eta_product_matches_reference(self, case):
+        table, order = case
+        assert (eta_product_log_derivative(table, order)
+                == reference_eta_product(table, order))
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables_and_orders())
+    def test_extract_recovers_n1(self, case):
+        table, order = case
+        got = extract_n1(lambert_series(table, order), table.n0)
+        assert got.max_degree == order
+        assert got.n1 == {d: table.n1.get(d, 0) for d in range(1, order + 1)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(rationals, max_size=16),
+           st.dictionaries(st.integers(1, 20), rationals))
+    def test_extract_matches_reference(self, tail, n0):
+        G = ExactSeries([F(50, 12), *tail], tag="q")
+        assert extract_n1(G, n0).n1 == reference_extract_n1(G, n0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=30))
+    def test_instanton_inverts_multicover_rule(self, inst):
+        want = dict(enumerate(inst, 1))
+        n0 = {d: sum(F(want[d // k], k ** 3)
+                     for k in range(1, d + 1) if d % k == 0) for d in want}
+        assert instanton_numbers(n0, len(inst)) == want
+        assert reference_instanton(n0, len(inst)) == (
+            {d: F(v) for d, v in want.items()}, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(1, 24), rationals),
+           st.integers(0, 24))
+    @example({1: F(2875)}, 2)
+    def test_instanton_matches_reference(self, n0, max_degree):
+        inst, bad = reference_instanton(n0, max_degree)
+        if bad is None:
+            assert instanton_numbers(n0, max_degree) == inst
+        else:
+            with pytest.raises(ExtractionError,
+                               match=f"at degree {bad} is not an integer: "
+                                     f"{inst[bad]}$"):
+                instanton_numbers(n0, max_degree)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 12, 60, 300])
+    def test_sigma_sieve(self, n):
+        sigma = _sigma(n)
+        assert sigma[1:] == [sigma1(m) for m in range(1, n + 1)]
+        delta = [int(m == 1) for m in range(n + 1)]
+        inverse = _dirichlet_divide(delta, sigma, n)
+        assert _dirichlet(sigma, inverse, n) == delta
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n))))
+    def test_dirichlet_divide_inverts_convolution(self, case):
+        f_tail, c_tail = case
+        n = len(c_tail)
+        f, c = [0, 1, *f_tail[1:]], [0, *c_tail]
+        assert _dirichlet(f, _dirichlet_divide(c, f, n), n) == c
+
+    def test_sigma_inverse_at_prime_powers(self):
+        inverse = _dirichlet_divide([0, 1] + [0] * 249, _sigma(250), 250)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert inverse[p] == -1 - p
+            assert inverse[p * p] == p
+            k = 3
+            while p ** k <= 250:
+                assert inverse[p ** k] == 0
+                k += 1
+
+    def test_moebius_sieve(self):
+        mu = _dirichlet_divide([0, 1] + [0] * 29, [0] + [1] * 30, 30)
+        assert mu[1:31] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1,
+                            1, 0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1,
+                            -1]
+
+
+def test_eta_product_reads_the_eta_series(monkeypatch):
+    """eta_product_log_derivative must take eta from modular.eta_series,
+    not from sigma_1: with a wrong eta series it must stop agreeing with
+    lambert_series, or that agreement would check nothing."""
+    t = random_table(random.Random(3))
+    right = eta_product_log_derivative(t, 10)
+    assert right == lambert_series(t, 10)
+    real = modular.eta_series
+
+    def wrong_eta_series(order):
+        coeffs = list(real(order).coeffs)
+        coeffs[3] += 1
+        return ExactSeries(coeffs, tag="q", order=order)
+
+    monkeypatch.setattr(modular, "eta_series", wrong_eta_series)
+    wrong = eta_product_log_derivative(t, 10)
+    assert wrong != right
+    assert wrong != lambert_series(t, 10)
