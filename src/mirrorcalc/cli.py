@@ -156,10 +156,11 @@ def _cmd_fhsv(args) -> dict:
 
     A = _load_json("--gram", args.gram)
     h = _load_json("--h", text=args.h)
+    cov, vol = lattice.fhsv_covolume(A, h).covolume, lattice.fhsv_volume(A, h)
     return {
-        "covolume": lattice.fhsv_covolume(A, h).covolume.to_json_dict(),
-        "volume": lattice.fhsv_volume(A, h).to_json_dict(),
-        "constant_check": lattice.fhsv_constant_check(A, h).to_json_dict(),
+        "covolume": cov.to_json_dict(),
+        "volume": vol.to_json_dict(),
+        "constant_check": lattice.fhsv_constant(vol, cov).to_json_dict(),
     }
 
 

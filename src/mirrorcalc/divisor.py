@@ -4,9 +4,9 @@ evaluation of the associated Green potential.
 
 Points on the line are exact where possible: roots of unity are stored
 symbolically as (order, index); other finite points are complex floats
-compared to 1e-12; infinity is first class but never carries a stored
-exponent (its exponent is forced by the degree balance and reported
-separately).
+compared to a relative 1e-12 (REL_TOL); infinity is first class but
+never carries a stored exponent (its exponent is forced by the degree
+balance and reported separately).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-FLOAT_TOL = 1e-12
+REL_TOL = 1e-12  # relative tolerance of _coincide
 
 
 class FamilyError(ValueError):
@@ -38,6 +38,14 @@ def _distance(a: complex, b: complex) -> float:
         return abs(a - b)
     except OverflowError:
         return math.inf
+
+
+def _coincide(a: complex, b: complex) -> bool:
+    """|a - b| <= REL_TOL * max(|a|, |b|): one test at every scale, so
+    points of modulus 1e-14 stay apart, a point at 1e14 is not split by
+    rounding, and only 0 itself coincides with 0."""
+    return _distance(a, b) <= REL_TOL * max(math.hypot(a.real, a.imag),
+                                            math.hypot(b.real, b.imag))
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,7 @@ class Point:
             return self.kind == other.kind
         if self.kind == "zeta" and other.kind == "zeta":
             return (self.n, self.k) == (other.n, other.k)
-        return _distance(self.to_complex(), other.to_complex()) <= FLOAT_TOL
+        return _coincide(self.to_complex(), other.to_complex())
 
     def to_json(self):
         if self.kind == "inf":
@@ -264,11 +272,10 @@ def green_potential(data: FamilyData, psi: complex) -> float:
     factor = assemble_factor(data)
     total = 0.0
     for pt, exp in factor.entries:
-        dist = _distance(complex(psi), pt.to_complex())
-        if dist <= FLOAT_TOL:
+        if _coincide(complex(psi), z := pt.to_complex()):
             raise FamilyError(
                 f"psi hits a divisor point with local exponent {exp}")
-        total += float(exp) * math.log(dist)
+        total += float(exp) * math.log(_distance(complex(psi), z))
     if not math.isfinite(total):
         raise FamilyError(f"the Green potential at psi = {psi} is not finite")
     return total

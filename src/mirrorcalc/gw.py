@@ -12,12 +12,12 @@ independent count of lines on a quintic (see schubert.count_lines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Mapping, Optional
 
-from .series import ExactSeries, SeriesError, _scaled
+from .series import (ExactSeries, SeriesError, _convolve, _scaled,
+                     _unit_divide)
 from .quintic import LOG_X_MULTIPLE, MirrorChart
 
 
@@ -25,7 +25,6 @@ class ExtractionError(SeriesError):
     """Raised when extraction preconditions fail."""
 
 
-@dataclass(frozen=True)
 class GWTable:
     """Degree-indexed genus-0 and genus-1 invariants, degrees 1..max_degree.
 
@@ -35,15 +34,16 @@ class GWTable:
     numbers when it was given the n_d, as in extract_gv.
     """
 
-    max_degree: int
-    n0: Mapping[int, Fraction]
-    n1: Mapping[int, Fraction]
-    instanton_n0: Optional[Mapping[int, int]] = None
-
-    def __post_init__(self):
-        for d in range(1, self.max_degree + 1):
-            if d not in self.n0 or d not in self.n1:
+    def __init__(self, max_degree: int, n0: Mapping[int, Fraction],
+                 n1: Mapping[int, Fraction], instanton_n0=None):
+        for d in range(1, max_degree + 1):
+            if d not in n0 or d not in n1:
                 raise ValueError(f"table missing degree {d}")
+        self.max_degree, self.n0, self.n1 = max_degree, n0, n1
+        self.instanton_n0 = instanton_n0
+
+    def __eq__(self, other):
+        return type(other) is GWTable and vars(self) == vars(other)
 
     @classmethod
     def from_maps(cls, n0: Mapping[int, Fraction], n1: Mapping[int, Fraction],
@@ -186,11 +186,15 @@ def genus0_pipeline(chart: MirrorChart) -> GWTable:
     so by the multicover rule N0(d) = sum_{k|d} n_{d/k}/k^3 the q^d
     coefficient of K is d^3 N0(d); instanton_numbers recovers the n_d
     and enforces their integrality.  Covers degrees 1..chart.order.
+    The chart is integral and each divisor has constant term 1, so K is
+    an integer series, computed by convolutions and one unit division.
     """
-    K = (chart.u_of_q ** 3) * 5 / (chart.one_minus_3125x_of_q
-                                   * chart.y0_of_q ** 2)
     n = chart.order
-    n0 = {d: K.coeffs[d] / d ** 3 for d in range(1, n + 1)}
+    u, w, y = ([c.numerator for c in s.coeffs] for s in (
+        chart.u_of_q, chart.one_minus_3125x_of_q, chart.y0_of_q))
+    K = _unit_divide([5 * v for v in _convolve(_convolve(u, u, n), u, n)],
+                     _convolve(w, _convolve(y, y, n), n))
+    n0 = {d: Fraction(K[d], d ** 3) for d in range(1, n + 1)}
     return GWTable.from_maps(n0, {}, max_degree=n,
                              instanton_n0=instanton_numbers(n0, n))
 

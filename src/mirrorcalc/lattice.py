@@ -357,15 +357,17 @@ def fhsv_volume(A: Sequence[Sequence[int]], h: Sequence[int]) -> PiScaled:
     return PiScaled(Fraction(s, d * c * c * 2 ** 5), -3)
 
 
+def fhsv_constant(volume: PiScaled, covolume: PiScaled) -> PiScaled:
+    """Vol^-3 * covolume^-1 * <H,H>^4 from the values of fhsv_volume and
+    fhsv_covolume, with <H,H> = 2^5 volume.mantissa."""
+    return (volume.inverse() ** 3 * covolume.inverse()
+            * PiScaled(2 ** 5 * volume.mantissa, 0) ** 4)
+
+
 def fhsv_constant_check(A: Sequence[Sequence[int]],
                         h: Sequence[int]) -> PiScaled:
-    """Vol^-3 * covolume^-1 * <H,H>^4, which is independent of h and
-    equals 2^50 pi^42 exactly.
-    """
-    vol = fhsv_volume(A, h)  # <H,H> = 2^5 vol.mantissa
-    cov = fhsv_covolume(A, h).covolume
-    return (vol.inverse() ** 3 * cov.inverse()
-            * PiScaled(2 ** 5 * vol.mantissa, 0) ** 4)
+    """fhsv_constant for A and h: independent of h, 2^50 pi^42 exactly."""
+    return fhsv_constant(fhsv_volume(A, h), fhsv_covolume(A, h).covolume)
 
 
 def enriques_invariant_gram() -> List[List[int]]:

@@ -5,28 +5,29 @@ Everything is computed in exact rational arithmetic in one of two
 charts: x = (5*psi)**-5 near psi = infinity, and the flat coordinate q.
 Fractional powers of psi never appear as series; they enter only as
 rational multiples of log x, which become rational multiples of the
-unit series u(q) = q d(log x)/dq after applying q d/dq.
+unit series u(q) = q d(log x)/dq after applying q d/dq.  The chart
+series are integral, so G is computed on int as the integer series 6 G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
-from .series import ExactSeries, SeriesError
+from .series import ExactSeries, SeriesError, _unit_divide
 
 DEFAULT_ORDER = 30
 
 
 def _harmonic_gaps(order: int) -> list[Fraction]:
-    """H_n = sum_{j=n+1}^{5n} 1/j for n = 0..order, each from the last:
+    """H_n = sum_{j=n+1}^{5n} 1/j, n = 0..order, on int over lcm(1..5 order):
     H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
-    gaps = [Fraction(0)]
+    D = lcm(*range(1, 5 * order + 1))
+    gaps, h = [Fraction(0)], 0
     for n in range(1, order + 1):
-        gaps.append(gaps[-1] - Fraction(1, n)
-                    + sum(Fraction(1, j) for j in range(5 * n - 4, 5 * n + 1)))
+        h += sum(D // j for j in range(5 * n - 4, 5 * n + 1)) - D // n
+        gaps.append(Fraction(h, D))
     return gaps
 
 
@@ -42,30 +43,25 @@ def period_y0(order: int) -> ExactSeries:
                         for n in range(order + 1)], tag="x", order=order)
 
 
-@dataclass(frozen=True)
 class MirrorChart:
     """The paired coordinates x and q with the mirror map both ways.
 
-    Every series ends at x^order or q^order.  u_of_q is q d(log x)/dq,
-    the unit series carrying every rational multiple of log x through
-    the q d/dq operator.  y0_of_q is y0(x(q)), read by mirror_map from
-    the reversion's power table; 1 - 3125 x(q) is computed on first use.
-    Both are shared by every reader of the chart.  The series are
-    integral (Lian-Yau, Krattenthaler-Rivoal), and a chart with a
-    non-integral coefficient is rejected.
+    Every series ends at x^order or q^order: y0 and q_of_x = x + ...
+    in x, their transports x_of_q (the inverse) and y0_of_q in q.
+    u_of_q is q d(log x)/dq, the unit series carrying every rational
+    multiple of log x through the q d/dq operator.  y0_of_q is read by
+    mirror_map from the reversion's power table; 1 - 3125 x(q) is
+    computed on first use.  The series are integral (Lian-Yau,
+    Krattenthaler-Rivoal) and a non-integral coefficient is rejected,
+    so readers compute on the integer numerators.
     """
 
-    order: int
-    y0: ExactSeries           # in x
-    q_of_x: ExactSeries       # in x, = x + 770 x^2 + ...
-    x_of_q: ExactSeries       # in q, compositional inverse
-    u_of_q: ExactSeries       # in q, constant term 1
-    y0_of_q: ExactSeries      # in q, y0(x(q))
-
-    def __post_init__(self):
-        if self.y0.coeffs[0] != 1:
+    def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
+        self.order, self.y0, self.q_of_x = order, y0, q_of_x
+        self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
+        if y0.coeffs[0] != 1:
             raise SeriesError("y0 must be a unit series")
-        if self.q_of_x.coeffs[0] or self.q_of_x.coeffs[1] != 1:
+        if q_of_x.coeffs[0] or q_of_x.coeffs[1] != 1:
             raise SeriesError("q_of_x must be x + O(x^2)")
         for name in ("y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q"):
             if any(c.denominator != 1 for c in getattr(self, name).coeffs):
@@ -119,19 +115,22 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     q-chart, to the chart's order.
 
     Split as LOG_X_MULTIPLE * u(q) minus the logarithmic derivatives
-    q f'/f of the unit series in the amplitude: y0(x(q))^(-62/3),
-    (1 - 3125 x(q))^(-1/6) and u(q).  Only rational power series are
-    ever materialized.  A constant term other than 50/12 raises
+    L(f) = q f'/f of the unit series in the amplitude: y0(x(q))^(-62/3),
+    (1 - 3125 x(q))^(-1/6) and u(q).  So, with 25 = 6 LOG_X_MULTIPLE,
+    6 G = 25 u + 124 L(y0(x(q))) + L(1 - 3125 x(q)) - 6 L(u), an integer
+    series computed on int.  G(0) = 25 u(0)/6 other than 50/12 raises
     SeriesError.
     """
-    u = chart.u_of_q
-    G = (u * LOG_X_MULTIPLE
-         + chart.y0_of_q.log_derivative() * Fraction(62, 3)
-         + chart.one_minus_3125x_of_q.log_derivative() / 6
-         - u.log_derivative())
-    if G[0] != LOG_X_MULTIPLE:
-        raise SeriesError(f"G must have constant term 50/12, not {G[0]}")
-    return G
+    def L(f):  # q f'/f on int
+        return _unit_divide([n * c for n, c in enumerate(f)], f)
+
+    u, y, w = ([c.numerator for c in s.coeffs] for s in (
+        chart.u_of_q, chart.y0_of_q, chart.one_minus_3125x_of_q))
+    if (G0 := Fraction(25 * u[0], 6)) != LOG_X_MULTIPLE:
+        raise SeriesError(f"G must have constant term 50/12, not {G0}")
+    G6 = (25 * a + 124 * b + c - 6 * d for a, b, c, d in
+          zip(u, L(y), L(w), L(u)))
+    return ExactSeries([Fraction(v, 6) for v in G6], tag="q")
 
 
 def picard_fuchs_check(y0: ExactSeries) -> bool:

@@ -74,6 +74,24 @@ def _solve(c: list[int], dc: int, w: list[int],
     return out
 
 
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """The product of two integer series, (a b)[k] = sum_j a[j] b[k-j],
+    k = 0..n."""
+    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n + 1)]
+
+
+def _unit_divide(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer series, to the length of a, on int:
+    out[m] = a[m] - sum_{k=1}^{m} b[k] out[m-k].  b[0] != 1 raises
+    NonUnitError."""
+    if b[0] != 1:
+        raise NonUnitError(f"divisor must have constant term 1, not {b[0]}")
+    out: list[int] = []
+    for m, v in enumerate(a):
+        out.append(v - sum(map(mul, b[1:m + 1], reversed(out))))
+    return out
+
+
 class ExactSeries:
     """A polynomial truncation of a formal power series over Q.
 
@@ -188,9 +206,8 @@ class ExactSeries:
         n = min(self.order, other.order)
         a, da = _scaled(self.coeffs[:n + 1])
         b, db = _scaled(other.coeffs[:n + 1])
-        den = da * db
-        return ExactSeries([Fraction(sum(map(mul, a[:k + 1], b[k::-1])), den)
-                            for k in range(n + 1)], tag=self.tag, order=n)
+        return ExactSeries([Fraction(v, da * db) for v in _convolve(a, b, n)],
+                           tag=self.tag, order=n)
 
     __rmul__ = __mul__
 

@@ -191,6 +191,21 @@ class TestLatticeCommands:
         assert payload["constant_check"]["mantissa"] == str(2 ** 50)
         assert payload["constant_check"]["pi_exponent"] == 42
 
+    def test_fhsv_computes_the_covolume_once(self, capsys, tmp_path,
+                                             monkeypatch):
+        # one rank-11 covolume: det A and the Gram determinant
+        from mirrorcalc import lattice
+        calls = []
+        det = lattice.bareiss_det
+        monkeypatch.setattr(lattice, "bareiss_det",
+                            lambda m: calls.append(len(m)) or det(m))
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps(enriques_invariant_gram()))
+        code, _, _ = invoke(capsys, "fhsv", "--gram", str(gram),
+                            "--h", json.dumps([1, 1] + [0] * 8))
+        assert code == 0
+        assert calls == [10, 11]
+
     def test_fhsv_bad_gram(self, capsys, tmp_path):
         gram = tmp_path / "gram.json"
         gram.write_text(json.dumps([[2]]))
@@ -357,6 +372,19 @@ class TestBcovFactor:
                               "--eval-at", "1")
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("psi, code", [("1e-13", 0), ("1e-300i", 0),
+                                           ("0", 1)])
+    def test_eval_at_near_zero(self, capsys, tmp_path, psi, code):
+        # distinct from the point 0 at any scale; only 0 itself hits it
+        path = self._family_file(tmp_path)
+        got, out, err = invoke(capsys, "bcov-factor", "--family", str(path),
+                               "--eval-at", psi)
+        assert got == code
+        if code:
+            assert "hits a divisor point" in err
+        else:
+            assert json.loads(out)["green_potential"] > 0
 
     @pytest.mark.parametrize("psi", ["nan", "1e400", "1.7e308+1.7e308i"])
     def test_non_finite_eval_at_exits_1(self, capsys, tmp_path, psi):

@@ -19,7 +19,8 @@ PROBE = ("import json, sys, mirrorcalc; print(json.dumps([mirrorcalc.__file__, "
          "sorted(m for m in sys.modules if m.startswith('mirrorcalc.'))]))")
 
 # Runs the CLI on argv, then prints its exit code, the mirrorcalc
-# submodules it loaded and whether csv was loaded.
+# submodules it loaded, whether csv was loaded and which of dataclasses
+# and inspect (an import chain through ast, dis and tokenize) are loaded.
 RUN_PROBE = """\
 import contextlib, io, json, sys
 from mirrorcalc import cli
@@ -27,8 +28,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
 print(json.dumps([code, sorted(m.removeprefix('mirrorcalc.') for m in
                                sys.modules if m.startswith('mirrorcalc.')),
-                  'csv' in sys.modules]))
+                  'csv' in sys.modules,
+                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))
 """
+
+# The series pipeline builds its records without dataclasses.
+NO_DATACLASSES = {"extract-gw", "mirror-map", "f1"}
 
 
 def _python(*args):
@@ -77,16 +82,19 @@ SUBCOMMANDS = [
 @pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
                          ids=[argv[0] for argv, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_its_modules(inputs, argv, modules):
-    code, loaded, csv_loaded = _python(
+    code, loaded, csv_loaded, heavy = _python(
         "-c", RUN_PROBE, *(inputs.get(a, a) for a in argv))
     assert code == 0
     assert loaded == modules
     assert not csv_loaded
+    if argv[0] in NO_DATACLASSES:
+        assert heavy == []
 
 
 def test_csv_loaded_only_for_csv_output():
-    code, loaded, csv_loaded = _python(
+    code, loaded, csv_loaded, heavy = _python(
         "-c", RUN_PROBE, "--output", "csv", "extract-gw", "--order", "3")
     assert code == 0
     assert loaded == ["cli", "gw", "quintic", "series"]
     assert csv_loaded
+    assert heavy == []

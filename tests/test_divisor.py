@@ -38,6 +38,15 @@ class TestPoint:
         a, b = Point.of(6.5e307 + 6.5e307j), Point.of(-6.5e307 - 6.5e307j)
         assert not a.same_as(b)
 
+    def test_tiny_distinct_points_stay_apart(self):
+        assert not Point.of(1e-14).same_as(Point.of(5e-14))
+        assert not Point.of(1e-14j).same_as(Point.of(0))
+        assert Point.of(1e-14).same_as(Point.of(1e-14 * (1 + 1e-15)))
+
+    def test_huge_point_is_not_split_by_rounding(self):
+        assert Point.of(1e14).same_as(Point.of(1e14 * (1 + 1e-15)))
+        assert not Point.of(1e14).same_as(Point.of(1.001e14))
+
     @pytest.mark.parametrize("obj, message", [
         ({"root_of_unity": [5.0, 1]}, "root order"),
         ({"root_of_unity": [5, True]}, "root index"),
@@ -128,6 +137,17 @@ class TestGreenPotential:
     def test_pole_reported(self):
         with pytest.raises(FamilyError):
             green_potential(FamilyData.quintic_mirror(), 1.0)
+
+    def test_psi_zero_hits_the_point_at_zero(self):
+        with pytest.raises(FamilyError, match="hits a divisor point"):
+            green_potential(FamilyData.quintic_mirror(), 0)
+
+    @pytest.mark.parametrize("psi", [1e-13, 1e-14j, 1e14, 1e14 + 1e14j])
+    def test_near_zero_and_far_points_evaluate(self, psi):
+        # -248 log|psi| + 2 log|psi^5 - 1|, the quintic's product form
+        want = -248 * math.log(abs(psi)) + 2 * math.log(abs(psi ** 5 - 1))
+        got = green_potential(FamilyData.quintic_mirror(), psi)
+        assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_product_form_oracle(self, seed):

@@ -91,7 +91,22 @@ class TestExtract:
         assert recovered.n1 == t.n1
 
 
+def yukawa_reference(chart):
+    """K = 5 u^3 / ((1 - 3125 x) y0^2) by ExactSeries * and / over Fraction."""
+    return (chart.u_of_q ** 3) * 5 / (chart.one_minus_3125x_of_q
+                                      * chart.y0_of_q ** 2)
+
+
 class TestGenus0:
+    @pytest.mark.parametrize("order", [1, 2, 5, 17, 41])
+    def test_matches_exact_series_reference(self, order):
+        chart = mirror_map(order)
+        K = yukawa_reference(chart)
+        n0 = {d: K[d] / d ** 3 for d in range(1, order + 1)}
+        t = genus0_pipeline(chart)
+        assert t.n0 == n0
+        assert t.instanton_n0 == instanton_numbers(n0, order)
+
     def test_line_count_anchor(self):
         chart = mirror_map(4)
         assert genus0_pipeline(chart).instanton_n0[1] == count_lines() == 2875

@@ -1,11 +1,53 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mirrorcalc.series import ExactSeries, SeriesError
-from mirrorcalc.quintic import (period_y0, mirror_map, f1_log_derivative,
-                                picard_fuchs_check)
+from mirrorcalc.series import ExactSeries, NonUnitError, SeriesError
+from mirrorcalc.quintic import (MirrorChart, period_y0, mirror_map,
+                                f1_log_derivative, picard_fuchs_check,
+                                _harmonic_gaps)
+
+FIELDS = ("order", "y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q")
+
+
+def replace(chart, **changes):
+    """A new MirrorChart from chart's fields with those in changes swapped."""
+    return MirrorChart(**{name: changes.get(name, getattr(chart, name))
+                          for name in FIELDS})
+
+
+def f1_reference(chart):
+    """G as a sum of ExactSeries log-derivatives over Fraction."""
+    u = chart.u_of_q
+    return (u * F(50, 12) + chart.y0_of_q.log_derivative() * F(62, 3)
+            + chart.one_minus_3125x_of_q.log_derivative() / 6
+            - u.log_derivative())
+
+
+@st.composite
+def integral_charts(draw):
+    """Charts with random integral series: y0, y0_of_q and u_of_q with
+    constant term 1, x_of_q and q_of_x starting at the linear term."""
+    n = draw(st.integers(1, 14))
+
+    def series(head, tag):
+        tail = draw(st.lists(st.integers(-2 ** 80, 2 ** 80),
+                             min_size=n + 1 - len(head),
+                             max_size=n + 1 - len(head)))
+        return ExactSeries([*head, *tail], tag=tag)
+
+    return MirrorChart(order=n, y0=series([1], "x"),
+                       q_of_x=series([0, 1], "x"), x_of_q=series([0], "q"),
+                       u_of_q=series([1], "q"), y0_of_q=series([1], "q"))
+
+
+class TestHarmonicGaps:
+    @pytest.mark.parametrize("order", [0, 1, 2, 41])
+    def test_matches_fraction_sum(self, order):
+        assert _harmonic_gaps(order) == [
+            sum((F(1, j) for j in range(n + 1, 5 * n + 1)), F(0))
+            for n in range(order + 1)]
 
 
 class TestPeriod:
@@ -119,6 +161,22 @@ class TestF1:
         table = extract_n1(G, genus0_pipeline(chart).instanton_n0)
         rebuilt = lambert_series(table, G.order)
         assert rebuilt[1] == G[1]
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 17, 41])
+    def test_matches_exact_series_reference(self, order):
+        chart = mirror_map(order)
+        assert f1_log_derivative(chart) == f1_reference(chart)
+
+    @settings(max_examples=40, deadline=None)
+    @given(integral_charts())
+    def test_random_integral_chart_matches_reference(self, chart):
+        assert f1_log_derivative(chart) == f1_reference(chart)
+
+    def test_y0_of_q_must_be_unit(self):
+        chart = mirror_map(4)
+        bad = replace(chart, y0_of_q=chart.y0_of_q * 2)
+        with pytest.raises(NonUnitError):
+            f1_log_derivative(bad)
 
     def test_all_coefficients_rational(self):
         G = f1_log_derivative(mirror_map(8))

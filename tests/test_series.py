@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mirrorcalc.series import (ExactSeries, TagMismatchError, NonUnitError,
-                               CompositionError)
+                               CompositionError, _convolve, _unit_divide)
 
 
 def S(coeffs, tag="q", order=None):
@@ -195,6 +195,39 @@ def test_reverse_transports_match_compose(a, linear, outer):
     inverse, *transports = a.reverse(*outer)
     assert inverse == a.reverse()
     assert transports == [f.compose(inverse) for f in outer]
+
+
+# Integer series for the int kernels: order 0 up to long series, with
+# coefficients far beyond machine words.
+big_ints = st.integers(-2 ** 300, 2 ** 300)
+int_series = st.lists(big_ints, min_size=1, max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series, int_series)
+@example([7], [-3])
+@example([2 ** 300] * 60, [-(2 ** 300)] * 60)
+def test_convolve_matches_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    got = _convolve(a, b, n)
+    assert got == [sum(a[j] * b[k - j] for j in range(k + 1))
+                   for k in range(n + 1)]
+    assert got == list((S(a) * S(b)).coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series, int_series)
+@example([5], [1])
+@example([2 ** 300] * 60, [1] + [-(2 ** 300)] * 59)
+def test_unit_divide_matches_div(a, b):
+    b = ([1, *b[1:]] + [0] * len(a))[:len(a)]
+    assert _unit_divide(a, b) == list((S(a) / S(b)).coeffs)
+
+
+@pytest.mark.parametrize("b", [[0, 1], [-1, 2], [2], [2 ** 70, 1]])
+def test_unit_divide_rejects_other_constant_terms(b):
+    with pytest.raises(NonUnitError):
+        _unit_divide([1, 1], b)
 
 
 def test_no_floats_anywhere():
