@@ -16,8 +16,8 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Mapping, Optional
 
-from .series import (ExactSeries, SeriesError, _convolve, _scaled,
-                     _unit_divide)
+from .series import (ExactSeries, SeriesError, _convolve, _log_derivative,
+                     _scaled, _unit_divide)
 from .quintic import LOG_X_MULTIPLE, MirrorChart
 
 
@@ -80,15 +80,15 @@ def _sigma(n: int) -> list[int]:
     return _dirichlet([0] + [1] * n, range(n + 1), n)
 
 
-def _genus_one(table: GWTable, order: int, E, U, den: int) -> ExactSeries:
-    """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m)/den q^m for int
+def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
+    """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for int
     lists E, U, the columns scaled to ints over 6 lcm(denominators)."""
     n = min(order, table.max_degree)
     nums, lcd = _scaled([*(table.n0[d] for d in range(1, n + 1)),
                          *(table.n1[d] for d in range(1, n + 1))])
     A = [0, *(12 * d * v for d, v in enumerate(nums[n:], 1))]
     B = [0, *(d * v for d, v in enumerate(nums[:n], 1))]
-    out = [Fraction(c, 6 * lcd * den) for c in map(
+    out = [Fraction(c, 6 * lcd) for c in map(
         add, _dirichlet(A, E, order), _dirichlet(B, U, order))]
     out[0] = LOG_X_MULTIPLE
     return ExactSeries(out, tag="q", order=order)
@@ -102,7 +102,7 @@ def lambert_series(table: GWTable, order: int) -> ExactSeries:
     -sum_{d|m} (2d sigma_1(m/d) N1(d) + d N0(d)/6).
     """
     return _genus_one(table, order, [-v for v in _sigma(order)],
-                      [0] + [-1] * order, 1)
+                      [0] + [-1] * order)
 
 
 def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
@@ -111,16 +111,15 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
     The fractional power q^{25/12} contributes the constant 2*(25/12).
     Each factor f(q^d) contributes d (q f'/f)(q^d), read from the
-    logarithmic derivatives E of eta and U of 1 - q, one division each.
-    E comes from the pentagonal eta series, never from sigma_1, so that
-    agreement with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
+    logarithmic derivatives E of eta and U of 1 - q, on int.  E comes
+    from the pentagonal eta series, never from sigma_1, so that agreement
+    with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
     """
     from .modular import eta_series
 
-    E = eta_series(order).log_derivative().coeffs
-    U = ExactSeries([1, -1], tag="q", order=order).log_derivative().coeffs
-    EU, den = _scaled(E + U)
-    return _genus_one(table, order, EU[:order + 1], EU[order + 1:], den)
+    E = _log_derivative([c.numerator for c in eta_series(order).coeffs])
+    U = _log_derivative([1, -1] + [0] * order)[:order + 1]
+    return _genus_one(table, order, E, U)
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:

@@ -7,11 +7,12 @@ symbolically next to a rational mantissa; the (2pi)^-3 normalization of
 the cubic form is absorbed into that exponent, so cubic tensors are
 rational.
 
-The exact kernels run on Python ``int``: a rational matrix is scaled
-to integers over one common denominator once, determinants use
-fraction-free Bareiss elimination on that integer matrix, the L2 Gram
-matrix comes from one contraction of the cubic form with kappa, and a
-basis change contracts one tensor index at a time.
+The exact kernels run on Python ``int``: each rational input is scaled
+to integers over one common denominator once, _det (fraction-free
+Bareiss elimination, Math. Comp. 22, 1968) is the only elimination
+kernel, the L2 Gram matrix comes from one integer contraction of the
+cubic form with kappa, and a basis change contracts one tensor index
+at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
@@ -83,41 +84,48 @@ def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
         raise LatticeError("expected a matrix given as a list of rows")
     if any(len(row) != len(rows[0]) for row in rows):
         raise LatticeError("matrix rows differ in length")
-    m = [[_rational(x) for x in row] for row in rows]
-    d = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row in m], d
+    m = [[(x if type(x) is int or type(x) is Fraction
+           else _rational(x)).as_integer_ratio() for x in row] for row in rows]
+    d = lcm(*(q for row in m for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in m], d
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free Bareiss
+    elimination, each step dividing exactly on int into a new, smaller
+    matrix, so m is left unchanged.  The 0x0 determinant is 1."""
+    sign = prev = 1
+    while len(m) > 1:
+        for i, (pivot, *top) in enumerate(m):
+            if pivot:
+                break
+        else:
+            return 0
+        if i % 2:  # moving row i to the top is i transpositions
+            sign = -sign
+        m = [[(x * pivot - f * y) // prev for x, y in zip(row, top)]
+             for f, *row in m[:i] + m[i + 1:]]
+        prev = pivot
+    return sign * m[0][0] if m else 1
 
 
 def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    The entries are scaled to integers over one common denominator D,
-    every elimination step divides exactly on int, and the result is
-    det(D*M) / D^n.  The 0x0 determinant is 1.
-    """
+    """Exact determinant _det(D*M) / D^n, D the least common
+    denominator of the entries of M.  The 0x0 determinant is 1."""
     m, d = _integral(matrix)
     n = len(m)
     if any(len(row) != n for row in m):
         raise LatticeError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot, top = m[k][k], m[k][k + 1:]
-        for i in range(k + 1, n):
-            row, f = m[i], m[i][k]
-            row[k + 1:] = [(x * pivot - f * y) // prev
-                           for x, y in zip(row[k + 1:], top)]
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1] if n else 1, d ** n)
+    return Fraction(_det(m), d ** n)
+
+
+def _integral_lattice(L: "CubicLattice") -> Tuple[list, int, List[int], int]:
+    """(t, d, k, dk): the cubic tensor of L as t/d, t[i][j] a list of
+    ints, and kappa as k/dk."""
+    r = L.rank
+    t, d = _integral([row for plane in L.cubic for row in plane])
+    (k,), dk = _integral([L.kappa])
+    return [t[i * r:(i + 1) * r] for i in range(r)], d, k, dk
 
 
 @dataclass(frozen=True)
@@ -204,18 +212,18 @@ class CubicLattice:
         the same class, re-expressed via U^-1 by Cramer's rule.
         """
         r = self.rank
-        det_u = bareiss_det(U)
+        u, du = _integral(U)
+        if len(u) != r or any(len(row) != r for row in u):
+            raise LatticeError(f"U must be square, {r}x{r}: the rank is {r}")
+        det_u = _det(u)
         if not det_u:
             raise LatticeError("singular basis-change matrix")
-        if len(U) != r:
-            raise LatticeError(f"U is {len(U)}x{len(U)}, the rank is {r}")
-        # kappa'_j = det(U with column j replaced by kappa) / det U
-        kappa_new = [bareiss_det([[*row[:j], k, *row[j + 1:]]
-                                  for row, k in zip(U, self.kappa)]) / det_u
-                     for j in range(r)]
-        t, d = _integral([row for plane in self.cubic for row in plane])
-        t = [t[i * r:(i + 1) * r] for i in range(r)]
-        u, du = _integral(U)
+        t, d, k, dk = _integral_lattice(self)
+        # kappa'_j = det(U with column j replaced by kappa) / det U, which
+        # on U = u/du and kappa = k/dk is det(u, column j := k) du / (det u dk)
+        kappa_new = [Fraction(_det([[*row[:j], kj, *row[j + 1:]]
+                                    for row, kj in zip(u, k)]) * du,
+                              det_u * dk) for j in range(r)]
         cols = list(zip(*u))
         # Each pass contracts the last index with U and moves it to the
         # front; after three passes t[a][b][g] = c(U e_a, U e_b, U e_g).
@@ -241,6 +249,16 @@ class GramResult:
     covolume: PiScaled
 
 
+def _gram_result(N: List[List[int]], dens: List[int]) -> GramResult:
+    """The Gram matrix whose row i is row i of the int matrix N over
+    dens[i], and its covolume det * (2 pi)^(-3r), r = len(N)."""
+    r = len(N)
+    det = Fraction(_det(N), prod(dens) * 8 ** r)
+    return GramResult(gram=tuple(tuple(Fraction(x, e) for x in row)
+                                 for row, e in zip(N, dens)),
+                      covolume=PiScaled(det, -3 * r))
+
+
 def l2_pairing(L: CubicLattice, a: Vector, b: Vector) -> Fraction:
     """<a,b> = (3/2) c(a,k,k) c(b,k,k)/c(k,k,k) - c(a,b,k), k = kappa.
 
@@ -260,20 +278,17 @@ def covolume(L: CubicLattice) -> GramResult:
     so the covolume of a rank-r lattice is det(gram) * (2 pi)^(-3r).
     The cubic form is contracted with kappa once, giving the matrix
     M[i][j] = c(e_i,e_j,k), the vector v[i] = c(e_i,k,k) and c(k,k,k);
-    then gram = 3/2 v v^T / c(k,k,k) - M.
+    then gram = 3/2 v v^T / c(k,k,k) - M.  On the tensor t/d and kappa
+    k/dk that is N / (2 c d dk), N = 3 v v^T - 2 c M, all on int.
     """
     r = L.rank
-    k = L.kappa
-    M = [[sum(map(mul, row, k)) for row in p] for p in L.cubic]
+    t, d, k, dk = _integral_lattice(L)
+    M = [[sum(map(mul, row, k)) for row in p] for p in t]
     v = [sum(map(mul, row, k)) for row in M]
-    ckkk = sum(map(mul, v, k))
-    gram = tuple(tuple(Fraction(3, 2) * vi * vj / ckkk - mij
-                       for vj, mij in zip(v, row))
-                 for vi, row in zip(v, M))
-    det = bareiss_det(gram)
-    return GramResult(gram=gram,
-                      covolume=PiScaled(det * Fraction(1, 2 ** (3 * r)),
-                                        -3 * r))
+    c = sum(map(mul, v, k))
+    N = [[3 * vi * vj - 2 * c * mij for vj, mij in zip(v, row)]
+         for vi, row in zip(v, M)]
+    return _gram_result(N, [2 * c * d * dk] * r)
 
 
 def _int_pairing(A: Sequence[Sequence], h: Sequence):
@@ -302,14 +317,14 @@ def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
     reads det(s A_i - 2 a a^T) = -s^n det(A_i).
     """
     Ai, _, _, a, s = _int_pairing(A, h)
-    det_a = bareiss_det(Ai)
+    det_a = _det(Ai)
     if not det_a:
         raise LatticeError("A must be invertible")
     if not s:
         raise LatticeError("h^T A h must be nonzero")
     B = [[s * x - 2 * ai * aj for x, aj in zip(row, a)]
          for row, ai in zip(Ai, a)]
-    return bareiss_det(B) == -s ** len(Ai) * det_a
+    return _det(B) == -s ** len(Ai) * det_a
 
 
 def fhsv_covolume(A: Sequence[Sequence[int]],
@@ -328,22 +343,16 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
         raise LatticeError("A must be 10x10")
     if any(Ai[i][j] != Ai[j][i] for i in range(10) for j in range(10)):
         raise LatticeError("A must be symmetric")
-    if bareiss_det(Ai) != -(2 ** 10) * d ** 10:  # det(D A) = D^10 det A
+    if _det(Ai) != -(2 ** 10) * d ** 10:  # det(D A) = D^10 det A
         raise LatticeError("det A must equal -2^10")
     if s <= 0:
         raise LatticeError("h^T A h must be positive")
-    hAh = Fraction(s, d * c * c)
-
-    # <e_i,H><e_j,H>/<H,H> - <e_i,e_j>/2 = (2 a_i a_j - s A_i[i][j]) / (2 D s)
-    gram = [[Fraction(2 * ai * aj - s * x, 2 * d * s)
-             for x, aj in zip(row, a)] + [Fraction(0)]
-            for row, ai in zip(Ai, a)]
-    gram.append([Fraction(0)] * 10 + [hAh / 4])
-    det = bareiss_det(gram)
-    result = GramResult(
-        gram=tuple(tuple(r) for r in gram),
-        covolume=PiScaled(det * Fraction(1, 2 ** 33), -33))
-    expected = PiScaled(hAh * Fraction(1, 2 ** 35), -33)
+    # Gram rows are N's over 2 D s (<e_i,H><e_j,H>/<H,H> - <e_i,e_j>/2 =
+    # (2 a_i a_j - s A_i[i][j]) / (2 D s)), the last over 4 D c^2 (<H,H>/4).
+    N = [[2 * ai * aj - s * x for x, aj in zip(row, a)] + [0]
+         for row, ai in zip(Ai, a)] + [[0] * 10 + [s]]
+    result = _gram_result(N, [2 * d * s] * 10 + [4 * d * c * c])
+    expected = PiScaled(Fraction(s, d * c * c * 2 ** 35), -33)
     if result.covolume != expected:
         raise LatticeError("covolume does not collapse to <H,H>/2^35 pi^33")
     return result

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 
-from .series import ExactSeries, SeriesError, _unit_divide
+from .series import ExactSeries, SeriesError, _log_derivative
 
 DEFAULT_ORDER = 30
 
@@ -81,9 +81,9 @@ def mirror_map(order: int) -> MirrorChart:
     """
     if order < 1:
         raise SeriesError("mirror_map needs order >= 1")
-    # u = 1 + q r'/r with r = x(q)/q: dividing by q costs one order, so
-    # the period, the exponent and the reversion run at order + 1 and
-    # the other series are cut back to order.
+    # u = 1 + q r'/r with r = x(q)/q, integral with r(0) = 1: dividing by
+    # q costs one order, so the period, the exponent and the reversion
+    # run at order + 1 and the other series are cut back to order.
     n = order + 1
     y0 = period_y0(n)
     inner = ExactSeries([a * h for a, h in zip(y0.coeffs, _harmonic_gaps(n))],
@@ -91,11 +91,12 @@ def mirror_map(order: int) -> MirrorChart:
     q_of_x = ExactSeries.identity(n, "x") * (inner * 5 / y0).exp()
     y0 = y0.truncate(order)
     x_of_q, y0_of_q = q_of_x.reverse(y0)
-    u = ExactSeries(x_of_q.coeffs[1:], tag="q",
-                    order=order).log_derivative() + 1
+    u = _log_derivative([c.numerator for c in x_of_q.coeffs[1:]])
+    u[0] += 1
     return MirrorChart(order=order, y0=y0, q_of_x=q_of_x.truncate(order),
                        x_of_q=ExactSeries(x_of_q.coeffs[:order + 1], tag="q"),
-                       u_of_q=u, y0_of_q=ExactSeries(y0_of_q.coeffs, tag="q"))
+                       u_of_q=ExactSeries(u, tag="q"),
+                       y0_of_q=ExactSeries(y0_of_q.coeffs, tag="q"))
 
 
 # Rational multiple of log x in the log of the genus-one amplitude:
@@ -121,9 +122,7 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     series computed on int.  G(0) = 25 u(0)/6 other than 50/12 raises
     SeriesError.
     """
-    def L(f):  # q f'/f on int
-        return _unit_divide([n * c for n, c in enumerate(f)], f)
-
+    L = _log_derivative
     u, y, w = ([c.numerator for c in s.coeffs] for s in (
         chart.u_of_q, chart.y0_of_q, chart.one_minus_3125x_of_q))
     if (G0 := Fraction(25 * u[0], 6)) != LOG_X_MULTIPLE:

@@ -92,6 +92,11 @@ def _unit_divide(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _log_derivative(f: list[int]) -> list[int]:
+    """t f'/f for an integer series f with f[0] = 1, on int."""
+    return _unit_divide([m * c for m, c in enumerate(f)], f)
+
+
 class ExactSeries:
     """A polynomial truncation of a formal power series over Q.
 

@@ -196,8 +196,8 @@ class TestLatticeCommands:
         # one rank-11 covolume: det A and the Gram determinant
         from mirrorcalc import lattice
         calls = []
-        det = lattice.bareiss_det
-        monkeypatch.setattr(lattice, "bareiss_det",
+        det = lattice._det
+        monkeypatch.setattr(lattice, "_det",
                             lambda m: calls.append(len(m)) or det(m))
         gram = tmp_path / "gram.json"
         gram.write_text(json.dumps(enriques_invariant_gram()))

@@ -61,6 +61,14 @@ class TestEtaProduct:
         t = random_table(rng)
         assert (eta_product_log_derivative(t, 10) == lambert_series(t, 10))
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_low_orders(self, order):
+        t = random_table(random.Random(4))
+        got = eta_product_log_derivative(t, order)
+        assert got.order == order
+        assert got == lambert_series(t, order)
+        assert got == reference_eta_product(t, order)
+
 
 class TestExtract:
     def test_trivial(self):

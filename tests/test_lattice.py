@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det,
+from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det, _det,
                                 l2_pairing, covolume, fhsv_covolume,
                                 fhsv_volume, fhsv_constant_check,
                                 rank1_update_det_check,
@@ -59,6 +59,26 @@ def rational_matrices(draw, max_n=5):
         if draw(st.booleans()):
             i, j = draw(st.permutations(range(n)))[:2]
             c = draw(rationals)
+            m[i] = [c * x for x in m[j]]
+    return m
+
+
+@st.composite
+def int_matrices(draw, max_n=6):
+    """Square int matrices of size 0..max_n, some with zero leading
+    entries (a pivot search past the top row), some with a vanishing
+    leading 2x2 minor (a zero second pivot), some singular."""
+    n = draw(st.integers(0, max_n))
+    m = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+    if n >= 2:
+        for i in range(draw(st.integers(0, n))):
+            m[i][0] = 0
+        if draw(st.booleans()):
+            c = draw(st.integers(-2, 2))
+            m[1][:2] = [c * m[0][0], c * m[0][1]]
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-2, 2))
             m[i] = [c * x for x in m[j]]
     return m
 
@@ -119,6 +139,31 @@ class TestBareiss:
     def test_matches_leibniz(self, data):
         m = data.draw(rational_matrices())
         assert bareiss_det(m) == leibniz_det(m)
+
+
+class TestDet:
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_matches_leibniz(self, m):
+        det = _det(m)
+        assert type(det) is int
+        assert det == leibniz_det(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(int_matrices())
+    def test_argument_unchanged(self, m):
+        before = [row[:] for row in m]
+        _det(m)
+        assert m == before
+
+    @pytest.mark.parametrize("m, det", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+        ([[1, 2, 3], [2, 4, 7], [0, 5, 1]], -5),
+    ], ids=["swap", "reversal", "cycle", "zero-second-pivot"])
+    def test_permutations_and_pivots(self, m, det):
+        assert _det(m) == det
 
 
 class TestL2Pairing:
@@ -256,6 +301,34 @@ class TestKernelsAgainstDefinitions:
         gram = covolume(L).gram
         for i, j in itertools.product(range(L.rank), repeat=2):
             assert gram[i][j] == l2_pairing(L, basis[i], basis[j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattices(max_rank=4))
+    def test_covolume_against_fraction_reference(self, L):
+        """The gram entry by entry from l2_pairing on Fraction, and its
+        determinant by Leibniz, times (2 pi)^(-3r)."""
+        r = L.rank
+        basis = [[F(int(i == j)) for j in range(r)] for i in range(r)]
+        gram = tuple(tuple(l2_pairing(L, a, b) for b in basis)
+                     for a in basis)
+        res = covolume(L)
+        assert res.gram == gram
+        assert res.covolume == PiScaled(leibniz_det(gram) / 2 ** (3 * r),
+                                        -3 * r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattices(max_rank=4), st.data())
+    def test_basis_change_kappa_by_cramer(self, L, data):
+        """kappa' = U^-1 kappa by Cramer's rule on Fraction, for rational
+        U: kappa'_j = det(U, column j := kappa) / det U."""
+        r = L.rank
+        U = [[data.draw(rationals) for _ in range(r)] for _ in range(r)]
+        det_u = leibniz_det(U)
+        assume(det_u)
+        cramer = tuple(leibniz_det([[*row[:j], k, *row[j + 1:]]
+                                    for row, k in zip(U, L.kappa)]) / det_u
+                       for j in range(r))
+        assert L.basis_change(U).kappa == cramer
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from(["int", "fraction", "non-integral"]))
