@@ -10,9 +10,9 @@ a numerator or denominator in x(q) (``max_coeff_bits``, as the
 benchmark's traced runs define it) and the process's peak RSS.
 
 The run is appended to ``BENCH_order_sweep.json`` at the repository
-root, replacing an earlier run of the same source tree (keyed by the
-SHA-256 of ``src/mirrorcalc``), so the file keeps one record per
-version of the package, oldest first.
+root with its UTC start time and the SHA-256 of ``src/mirrorcalc``.
+Every run is kept, oldest first, so repeated runs of one source tree
+show the machine's run-to-run spread.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ import platform
 import resource
 import sys
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +70,7 @@ def _src_sha256() -> str:
 
 def main() -> None:
     run = {
+        "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "src_sha256": _src_sha256(),
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -79,8 +81,7 @@ def main() -> None:
         run["orders"][str(order)] = _in_child(order)
         print(order, run["orders"][str(order)], flush=True)
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
-    OUT.write_text(json.dumps({"orders": list(ORDERS), "runs": runs},
+    OUT.write_text(json.dumps({"orders": list(ORDERS), "runs": runs + [run]},
                               indent=2) + "\n")
 
 

@@ -13,33 +13,15 @@ import argparse
 import io
 import json
 import math
-import os
 import reprlib
 import sys
 
 # Each handler imports the modules it runs, so a cold process loads
 # only what its subcommand needs.
 
-ENV_ORDER = "MIRRORCALC_ORDER"
-
 
 class UsageError(Exception):
-    """Bad flags or environment; maps to exit code 2."""
-
-
-def _default_order() -> int:
-    from . import quintic
-
-    env = os.environ.get(ENV_ORDER)
-    if env is not None:
-        try:
-            v = int(env)
-        except ValueError:
-            raise UsageError(f"invalid {ENV_ORDER}={reprlib.repr(env)}")
-        if v < 1:
-            raise UsageError(f"invalid {ENV_ORDER}={reprlib.repr(env)}")
-        return v
-    return quintic.DEFAULT_ORDER
+    """Bad flags; maps to exit code 2."""
 
 
 def _parse_complex(text: str) -> complex:
@@ -189,18 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "family and related lattices and modular forms.")
     parser.add_argument("--output", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the one series-order knob, shared by the three pipeline subcommands
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--order", type=int, default=30)
 
-    p = sub.add_parser("mirror-map", help="period, mirror map and inverse")
-    p.add_argument("--order", type=int, default=None)
+    p = sub.add_parser("mirror-map", parents=[order],
+                       help="period, mirror map and inverse")
     p.set_defaults(fn=_cmd_mirror_map)
 
-    p = sub.add_parser("f1", help="genus-one amplitude log-derivative G(q)")
-    p.add_argument("--order", type=int, default=None)
+    p = sub.add_parser("f1", parents=[order],
+                       help="genus-one amplitude log-derivative G(q)")
     p.set_defaults(fn=_cmd_f1)
 
-    p = sub.add_parser("extract-gw",
+    p = sub.add_parser("extract-gw", parents=[order],
                        help="extract genus-one instanton numbers from G(q)")
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--n0-file", default=None,
                    help="JSON file with genus-0 Gromov-Witten invariants; "
                         "default uses the built-in genus-0 pipeline")
@@ -241,8 +225,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "order", "absent") is None:
-            args.order = _default_order()
         payload = args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

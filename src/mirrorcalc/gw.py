@@ -31,14 +31,12 @@ class GWTable:
     n0 holds genus-zero Gromov-Witten numbers N0(d); instanton_n0, when
     present, the integer genus-zero Gopakumar-Vafa (instanton) numbers
     n_d.  n1 holds what extract_n1 solved for: genus-one Gopakumar-Vafa
-    numbers when it was given the n_d, as in extract_gv.
+    numbers when it was given the n_d, as in extract_gv.  from_maps and
+    extract_n1 fill every degree; the constructor trusts its arguments.
     """
 
     def __init__(self, max_degree: int, n0: Mapping[int, Fraction],
                  n1: Mapping[int, Fraction], instanton_n0=None):
-        for d in range(1, max_degree + 1):
-            if d not in n0 or d not in n1:
-                raise ValueError(f"table missing degree {d}")
         self.max_degree, self.n0, self.n1 = max_degree, n0, n1
         self.instanton_n0 = instanton_n0
 

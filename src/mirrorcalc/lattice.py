@@ -134,6 +134,8 @@ class CubicLattice:
     distinguished Kahler-type class kappa (coordinates in the basis).
 
     The cubic tensor is stored densely and must be totally symmetric.
+    Build a lattice with from_entries; the constructor trusts its
+    arguments.
     """
 
     rank: int
@@ -151,7 +153,7 @@ class CubicLattice:
         The rank and the indices must be ints (not bools); kappa a list
         or tuple; the values and kappa's entries ints, Fractions or
         rational strings.  A triple given twice, in the same or another
-        index order, raises LatticeError.
+        index order, or c(kappa,kappa,kappa) <= 0 raises LatticeError.
         """
         if type(rank) is not int:
             raise LatticeError(f"rank {reprlib.repr(rank)} is not an integer")
@@ -161,7 +163,7 @@ class CubicLattice:
         if len(kappa) != rank:  # before the rank^3 tensor is allocated
             raise LatticeError("dimension mismatch")
         t = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
-        seen = set()
+        seen, ckkk = set(), 0
         if isinstance(entries, Mapping):
             entries = entries.items()
         for (i, j, k), v in entries:
@@ -173,25 +175,16 @@ class CubicLattice:
                 raise LatticeError(f"index triple {triple} given twice")
             seen.add(triple)
             v = Fraction(_rational(v))
-            for (a, b, c) in {(i, j, k), (i, k, j), (j, i, k),
-                              (j, k, i), (k, i, j), (k, j, i)}:
+            perms = {(i, j, k), (i, k, j), (j, i, k),
+                     (j, k, i), (k, i, j), (k, j, i)}
+            for (a, b, c) in perms:
                 t[a][b][c] = v
+            ckkk += len(perms) * v * kappa[i] * kappa[j] * kappa[k]
+        if ckkk <= 0:
+            raise LatticeError("c(kappa,kappa,kappa) must be positive")
         return cls(rank=rank,
                    cubic=tuple(tuple(tuple(r) for r in p) for p in t),
                    kappa=kappa)
-
-    def __post_init__(self):
-        r = self.rank
-        if len(self.kappa) != r or len(self.cubic) != r:
-            raise LatticeError("dimension mismatch")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    v = self.cubic[i][j][k]
-                    if (v != self.cubic[j][i][k] or v != self.cubic[i][k][j]):
-                        raise LatticeError("cubic form is not symmetric")
-        if self.c(self.kappa, self.kappa, self.kappa) <= 0:
-            raise LatticeError("c(kappa,kappa,kappa) must be positive")
 
     def c(self, a: Vector, b: Vector, g: Vector) -> Fraction:
         """Trilinear evaluation of the cubic form."""
@@ -209,7 +202,8 @@ class CubicLattice:
 
     def basis_change(self, U: Sequence[Sequence[int]]) -> "CubicLattice":
         """Lattice in the new basis e'_j = sum_i U[i][j] e_i; kappa is
-        the same class, re-expressed via U^-1 by Cramer's rule.
+        the same class, re-expressed via U^-1 by Cramer's rule.  The
+        result is symmetric with the same c(kappa,kappa,kappa), unchecked.
         """
         r = self.rank
         u, du = _integral(U)

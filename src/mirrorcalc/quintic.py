@@ -17,8 +17,6 @@ from math import factorial, lcm
 
 from .series import ExactSeries, SeriesError, _log_derivative
 
-DEFAULT_ORDER = 30
-
 
 def _harmonic_gaps(order: int) -> list[Fraction]:
     """H_n = sum_{j=n+1}^{5n} 1/j, n = 0..order, on int over lcm(1..5 order):

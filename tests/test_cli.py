@@ -1,5 +1,5 @@
 """End-to-end tests of the command-line interface: output formats,
-exit codes, environment defaults, and file inputs."""
+exit codes, the default order, and file inputs."""
 
 import json
 import math
@@ -58,23 +58,17 @@ class TestMirrorMap:
         assert lines[0].split(",") == ["key", "value"]
         assert any(line.startswith("order,2") for line in lines)
 
-    def test_env_default_order(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, read", [
+        ("mirror-map", lambda p: p["order"]),
+        ("f1", lambda p: len(p["G"]["coefficients"]) - 1),
+        ("extract-gw", lambda p: p["max_degree"]),
+    ], ids=["mirror-map", "f1", "extract-gw"])
+    def test_default_order_is_30(self, capsys, monkeypatch, command, read):
+        # only --order sets the order; the environment is not read
         monkeypatch.setenv("MIRRORCALC_ORDER", "4")
-        code, out, _ = invoke(capsys, "mirror-map")
+        code, out, _ = invoke(capsys, command)
         assert code == 0
-        assert json.loads(out)["order"] == 4
-
-    def test_bad_env_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIRRORCALC_ORDER", "zero")
-        code, _, err = invoke(capsys, "mirror-map")
-        assert code == 2
-        assert "MIRRORCALC_ORDER" in err
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MIRRORCALC_ORDER", "7")
-        code, out, _ = invoke(capsys, "mirror-map", "--order", "3")
-        assert code == 0
-        assert json.loads(out)["order"] == 3
+        assert read(json.loads(out)) == 30
 
 
 class TestF1AndGW:

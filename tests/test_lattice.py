@@ -242,6 +242,20 @@ class TestCovolume:
         with pytest.raises(LatticeError, match="given twice"):
             CubicLattice.from_entries(2, entries, [1, 0])
 
+    @pytest.mark.parametrize("rank, entries, kappa", [
+        (1, {(0, 0, 0): 0}, [1]),
+        (1, {(0, 0, 0): 1}, [0]),
+        (1, {(0, 0, 0): -1}, [1]),
+        # 3 c_001 k0^2 k1 + c_111 k1^3 = -3 + 2: (0,0,1) has 3 index orders
+        (2, {(0, 0, 1): -1, (1, 1, 1): 2}, [1, 1]),
+        (2, {}, [1, 1]),
+    ], ids=["zero-value", "zero-kappa", "negative", "three-orders",
+            "no-entries"])
+    def test_nonpositive_kappa_cube_rejected(self, rank, entries, kappa):
+        with pytest.raises(LatticeError,
+                           match=r"c\(kappa,kappa,kappa\) must be positive"):
+            CubicLattice.from_entries(rank, entries, kappa)
+
     def test_pairs_and_mapping_agree(self):
         pairs = [((1, 0, 0), F(1)), ((0, 0, 0), "6")]
         assert (CubicLattice.from_entries(2, pairs, ("1", "0"))
@@ -279,6 +293,15 @@ class TestCovolume:
         L = random_lattice(random.Random(5))
         with pytest.raises(LatticeError, match=message):
             L.basis_change(U)
+
+    def test_basis_change_evaluates_no_cubic_form(self, monkeypatch):
+        L = random_lattice(random.Random(7), rank=4)
+        calls = []
+        c = CubicLattice.c
+        monkeypatch.setattr(CubicLattice, "c",
+                            lambda *args: calls.append(1) or c(*args))
+        L.basis_change(random_unimodular(random.Random(8), 4))
+        assert calls == []
 
 
 class TestKernelsAgainstDefinitions:
@@ -329,6 +352,39 @@ class TestKernelsAgainstDefinitions:
                                     for row, k in zip(U, L.kappa)]) / det_u
                        for j in range(r))
         assert L.basis_change(U).kappa == cramer
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_from_entries_kappa_cube_check(self, rank, data):
+        """from_entries accepts exactly when the dense sum over all
+        ordered triples, c(k,k,k) = sum t_ijk k_i k_j k_k, is positive."""
+        triples = [t for t in itertools.combinations_with_replacement(
+            range(rank), 3) if data.draw(st.booleans())]
+        entries = {t: data.draw(rationals) for t in triples}
+        kappa = [data.draw(rationals) for _ in range(rank)]
+        ckkk = sum(entries.get(tuple(sorted(t)), 0)
+                   * math.prod(kappa[i] for i in t)
+                   for t in itertools.product(range(rank), repeat=3))
+        if ckkk > 0:
+            L = CubicLattice.from_entries(rank, entries, kappa)
+            assert L.c(L.kappa, L.kappa, L.kappa) == ckkk
+        else:
+            with pytest.raises(LatticeError, match="must be positive"):
+                CubicLattice.from_entries(rank, entries, kappa)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattices(max_rank=4), st.data())
+    def test_basis_change_keeps_kappa_cube(self, L, data):
+        """The invariant that lets basis_change skip every check: the
+        result is symmetric and c(k',k',k') = c(k,k,k)."""
+        r = L.rank
+        U = [[data.draw(rationals) for _ in range(r)] for _ in range(r)]
+        assume(leibniz_det(U))
+        L2 = L.basis_change(U)
+        for a, b, g in itertools.product(range(r), repeat=3):
+            assert L2.cubic[a][b][g] == L2.cubic[b][a][g] == L2.cubic[a][g][b]
+        assert (L2.c(L2.kappa, L2.kappa, L2.kappa)
+                == L.c(L.kappa, L.kappa, L.kappa))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from(["int", "fraction", "non-integral"]))
@@ -384,6 +440,20 @@ class TestFHSV:
         halved = [[F(x, 2) for x in row] for row in self.A]
         with pytest.raises(LatticeError, match="det A"):
             fhsv_covolume(halved, self.h)
+
+    @pytest.mark.parametrize("h", [[1, 1] + [0] * 8,
+                                   [2, 3, 0, 1] + [0] * 6,
+                                   [3, 1] + [0] * 8])
+    def test_block_formula_is_the_general_covolume(self, h):
+        """The rank-11 lattice on the invariant lattice plus Z f, with
+        c(e_i, e_j, f) = A_ij / 2, every other triple 0, and kappa =
+        h + f: its L2 covolume from the definition is fhsv_covolume."""
+        entries = {(i, j, 10): F(self.A[i][j], 2)
+                   for i in range(10) for j in range(i, 10)}
+        general = covolume(CubicLattice.from_entries(11, entries, h + [1]))
+        block = fhsv_covolume(self.A, h)
+        assert general.gram == block.gram
+        assert general.covolume == block.covolume
 
     def test_pi_scaled_json(self):
         assert (PiScaled(F(-3, 4), -33).to_json_dict()

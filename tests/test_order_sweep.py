@@ -2,6 +2,8 @@
 one small order in process keeps it in step with the package."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "order_sweep.py"
@@ -16,3 +18,21 @@ def test_measure_small_order():
                            "genus0_pipeline_s", "max_coeff_bits",
                            "mirror_map_s", "peak_rss_mib"]
     assert row["max_coeff_bits"] > 0
+
+
+def test_every_run_is_kept(tmp_path, monkeypatch):
+    """Two runs of one source tree are two records, each timestamped."""
+    # the spawned child unpickles order_sweep.measure by importing it
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    spec = importlib.util.spec_from_file_location("order_sweep", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setitem(sys.modules, "order_sweep", module)
+    monkeypatch.setattr(module, "OUT", tmp_path / "sweep.json")
+    monkeypatch.setattr(module, "ORDERS", (2,))
+    module.main()
+    module.main()
+    runs = json.loads((tmp_path / "sweep.json").read_text())["runs"]
+    assert len(runs) == 2
+    assert runs[0]["src_sha256"] == runs[1]["src_sha256"]
+    assert all(list(r["orders"]) == ["2"] and r["utc"] for r in runs)
