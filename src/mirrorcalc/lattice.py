@@ -8,11 +8,11 @@ the cubic form is absorbed into that exponent, so cubic tensors are
 rational.
 
 The exact kernels run on Python ``int``: each rational input is scaled
-to integers over one common denominator once, _det (fraction-free
-Bareiss elimination, Math. Comp. 22, 1968) is the only elimination
-kernel, the L2 Gram matrix comes from one integer contraction of the
-cubic form with kappa, and a basis change contracts one tensor index
-at a time.
+to integers over one common denominator once, _det (two-step
+fraction-free Bareiss elimination, Math. Comp. 22, 1968: one exact
+division per entry per two pivots) is the only elimination kernel, the
+L2 Gram matrix comes from one integer contraction of the cubic form with
+kappa, and a basis change contracts one tensor index at a time.
 """
 
 from __future__ import annotations
@@ -91,22 +91,35 @@ def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square int matrix by fraction-free Bareiss
-    elimination, each step dividing exactly on int into a new, smaller
-    matrix, so m is left unchanged.  The 0x0 determinant is 1."""
+    """Determinant of a square int matrix by two-step fraction-free
+    Bareiss elimination.  Each pass takes pivot rows (a, b, y1..), a != 0,
+    and (c, d, y2..), c0 = (a d - b c) / prev != 0, and replaces each other
+    row (p, q, x..) by (x c0 + y1 e1 + y2 e2) / prev, e1 = (c q - d p) / prev,
+    e2 = (b p - a q) / prev: one exact division per entry per two pivots,
+    prev the last c0.  With no such (c, d) the first two columns are
+    proportional, so the determinant is 0 and no one-step pass is needed.
+    m is left unchanged; the 0x0 determinant is 1."""
     sign = prev = 1
     while len(m) > 1:
-        for i, (pivot, *top) in enumerate(m):
-            if pivot:
+        for i, (a, b, *y1) in enumerate(m):
+            if a:
                 break
         else:
             return 0
-        if i % 2:  # moving row i to the top is i transpositions
-            sign = -sign
-        m = [[(x * pivot - f * y) // prev for x, y in zip(row, top)]
-             for f, *row in m[:i] + m[i + 1:]]
-        prev = pivot
-    return sign * m[0][0] if m else 1
+        rest = m[:i] + m[i + 1:]
+        for j, (c, d, *y2) in enumerate(rest):
+            if c0 := a * d - b * c:
+                break
+        else:
+            return 0
+        sign *= (-1) ** (i + j)  # row i to the top, row j of rest second
+        c0 //= prev
+        m = [[(x * c0 + u * e1 + w * e2) // prev
+              for x, u, w in zip(row, y1, y2)]
+             for p, q, *row in rest[:j] + rest[j + 1:]
+             for e1, e2 in [((c * q - d * p) // prev, (b * p - a * q) // prev)]]
+        prev = c0
+    return sign * (m[0][0] if m else prev)
 
 
 def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

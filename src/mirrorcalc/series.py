@@ -271,7 +271,8 @@ class ExactSeries:
         """The logarithmic derivative t f'/f = (t d/dt) log f, by one
         division; a zero constant term raises NonUnitError.
         """
-        return self.q_d_dq() / self
+        return ExactSeries([n * c for n, c in enumerate(self.coeffs)],
+                           tag=self.tag, order=self.order) / self
 
     def log(self) -> "ExactSeries":
         """Formal logarithm; requires constant term 1.
@@ -283,11 +284,6 @@ class ExactSeries:
             raise NonUnitError("log needs constant term 1")
         D = self.log_derivative().coeffs
         return ExactSeries([0, *(D[m] / m for m in range(1, self.order + 1))],
-                           tag=self.tag, order=self.order)
-
-    def q_d_dq(self) -> "ExactSeries":
-        """The Euler operator t d/dt: c_n -> n*c_n."""
-        return ExactSeries([n * c for n, c in enumerate(self.coeffs)],
                            tag=self.tag, order=self.order)
 
     # -- composition ----------------------------------------------------

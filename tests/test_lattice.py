@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mirrorcalc import lattice
 from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det, _det,
                                 l2_pairing, covolume, fhsv_covolume,
                                 fhsv_volume, fhsv_constant_check,
@@ -65,22 +67,83 @@ def rational_matrices(draw, max_n=5):
 
 @st.composite
 def int_matrices(draw, max_n=6):
-    """Square int matrices of size 0..max_n, some with zero leading
-    entries (a pivot search past the top row), some with a vanishing
-    leading 2x2 minor (a zero second pivot), some singular."""
+    """Square int matrices of size 0..max_n, each shaped to send the
+    two-step kernel down one path: a first pivot below the top row (and
+    a second one above it), a zero leading 2x2 minor (the second pivot
+    row found below row 1), a zero column or a column that depends on
+    the ones before it (a pass with no pivot or no nonzero 2x2 minor,
+    at the pass that reaches it), or a row that is a multiple of
+    another."""
     n = draw(st.integers(0, max_n))
-    m = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
-    if n >= 2:
-        for i in range(draw(st.integers(0, n))):
+    m = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+         for _ in range(n)]
+    if n < 2:
+        return m
+    shape = draw(st.sampled_from(["pivot-below", "second-pivot-below",
+                                  "zero-column", "dependent-column",
+                                  "multiple-row"]))
+    if shape == "pivot-below":
+        for i in range(draw(st.integers(1, n - 1))):
             m[i][0] = 0
-        if draw(st.booleans()):
-            c = draw(st.integers(-2, 2))
-            m[1][:2] = [c * m[0][0], c * m[0][1]]
-        if draw(st.booleans()):
-            i, j = draw(st.permutations(range(n)))[:2]
-            c = draw(st.integers(-2, 2))
-            m[i] = [c * x for x in m[j]]
+    elif shape == "second-pivot-below":
+        c = draw(st.integers(-2, 2))
+        m[1][:2] = [c * m[0][0], c * m[0][1]]
+    elif shape == "zero-column":
+        k = draw(st.integers(0, n - 1))
+        for row in m:
+            row[k] = 0
+    elif shape == "dependent-column":
+        k = draw(st.integers(1, n - 1))
+        f = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        for row in m:
+            row[k] = sum(map(mul, f, row))
+    else:
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        m[i] = [c * x for x in m[j]]
     return m
+
+
+def gauss_det(m):
+    """Determinant by Gaussian elimination on Fraction, with the first
+    nonzero entry of each column as the pivot."""
+    m = [[F(x) for x in row] for row in m]
+    det = F(1)
+    for k in range(len(m)):
+        i = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if i is None:
+            return F(0)
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], m[k][k:])]
+    return det
+
+
+def spy_det(monkeypatch):
+    """Every matrix handed to lattice._det from now on, in call order."""
+    seen, det = [], lattice._det
+    monkeypatch.setattr(lattice, "_det",
+                        lambda m: seen.append([row[:] for row in m]) or det(m))
+    return seen
+
+
+def symmetric_rank1_input(rng, n):
+    """A symmetric n x n A with entries p/q, p in [-5, 5], q in [1, 3],
+    and h in [-4, 4]^n meeting the preconditions of
+    rank1_update_det_check."""
+    while True:
+        A = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = F(rng.randint(-5, 5), rng.randint(1, 3))
+        h = [rng.randint(-4, 4) for _ in range(n)]
+        hAh = sum(h[i] * A[i][j] * h[j] for i in range(n) for j in range(n))
+        if hAh and bareiss_det(A):
+            return A, h
 
 
 def leibniz_det(m):
@@ -149,6 +212,12 @@ class TestDet:
         assert type(det) is int
         assert det == leibniz_det(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrices(max_n=13))
+    def test_matches_fraction_gauss(self, m):
+        """Sizes up to 13, where Leibniz is too slow."""
+        assert _det(m) == gauss_det(m)
+
     @settings(max_examples=50, deadline=None)
     @given(int_matrices())
     def test_argument_unchanged(self, m):
@@ -161,9 +230,37 @@ class TestDet:
         ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
         ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
         ([[1, 2, 3], [2, 4, 7], [0, 5, 1]], -5),
-    ], ids=["swap", "reversal", "cycle", "zero-second-pivot"])
+        ([[0, 2, 1], [3, 1, 4], [1, 5, 9]], -32),
+        ([[1, 2, 3], [2, 4, 6], [3, 6, 1]], 0),
+        ([[1, 2, 0, 0], [0, 0, 1, 1], [3, 4, 2, 2], [5, 6, 3, 3]], 0),
+        ([[2, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0],
+          [0, 0, 1, 2, 1], [1, 0, 0, 1, 2]], 4),
+    ], ids=["swap", "reversal", "cycle", "zero-second-pivot",
+            "second-pivot-above", "proportional-columns",
+            "proportional-in-second-pass", "odd-size"])
     def test_permutations_and_pivots(self, m, det):
-        assert _det(m) == det
+        assert _det(m) == det == gauss_det(m)
+
+    @pytest.mark.parametrize("caller, args, sizes", [
+        (rank1_update_det_check,
+         lambda: symmetric_rank1_input(random.Random(1), 12), [12, 12]),
+        (fhsv_covolume,
+         lambda: (enriques_invariant_gram(), [1, 1] + [0] * 8), [10, 11]),
+        (fhsv_covolume,
+         lambda: (enriques_invariant_gram(), [2, 3, 0, 1] + [0] * 6),
+         [10, 11]),
+    ], ids=["rank1-update", "fhsv-h-1-1", "fhsv-h-2-3-0-1"])
+    def test_caller_matrices(self, monkeypatch, caller, args, sizes):
+        """The matrices the callers hand to _det: A_i and s A_i - 2 a a^T
+        of rank1_update_det_check, and the Enriques Gram (zero leading
+        diagonal) and 11x11 FHSV Gram (zero mixed column) of
+        fhsv_covolume."""
+        args = args()
+        seen = spy_det(monkeypatch)
+        caller(*args)
+        assert [len(m) for m in seen] == sizes
+        for m in seen:
+            assert _det(m) == gauss_det(m)
 
 
 class TestL2Pairing:
@@ -495,6 +592,15 @@ class TestRank1Update:
                 if hAh:
                     break
         assert rank1_update_det_check(A, h)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_two_determinants(self, monkeypatch, n):
+        """det(s A_i - 2 a a^T) is eliminated, not taken from the
+        determinant lemma that the check is there to confirm."""
+        A, h = symmetric_rank1_input(random.Random(n), n)
+        seen = spy_det(monkeypatch)
+        assert rank1_update_det_check(A, h)
+        assert [len(m) for m in seen] == [n, n]
 
     def test_preconditions(self):
         with pytest.raises(LatticeError):
