@@ -48,8 +48,8 @@ def measure(order: int) -> dict:
 
     chart = stage("mirror_map_s", quintic.mirror_map, order)
     G = stage("f1_log_derivative_s", quintic.f1_log_derivative, chart)
-    n0 = stage("genus0_pipeline_s", gw.genus0_pipeline, chart).n0
-    stage("extract_gv_s", gw.extract_gv, G, n0)
+    genus0 = stage("genus0_pipeline_s", gw.genus0_pipeline, chart)
+    stage("extract_gv_s", gw.extract_gv, G, genus0)
     bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                for c in chart.x_of_q.coeffs)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

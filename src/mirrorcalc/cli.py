@@ -90,10 +90,11 @@ def _cmd_extract_gw(args) -> dict:
     chart = quintic.mirror_map(args.order)
     G = quintic.f1_log_derivative(chart)
     if args.n0_file:
-        n0 = gw.n0_map_from_json_dict(_load_json("--n0-file", args.n0_file))
+        genus0 = gw.genus0_table(gw.n0_map_from_json_dict(
+            _load_json("--n0-file", args.n0_file)), chart.order)
     else:
-        n0 = gw.genus0_pipeline(chart).n0
-    return gw.table_to_json_dict(gw.extract_gv(G, n0))
+        genus0 = gw.genus0_pipeline(chart)
+    return gw.table_to_json_dict(gw.extract_gv(G, genus0))
 
 
 def _cmd_delta(args) -> dict:

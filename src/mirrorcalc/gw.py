@@ -2,8 +2,8 @@
 Lambert-series assembly, the equivalent eta-product log-derivative,
 extraction of the degree-d exponents N1(d), and the standard
 genus-zero pipeline producing N0(d).  Each kernel is a Dirichlet
-convolution or its inverse, on int numerators over one common
-denominator, striding over the multiples of each degree.
+convolution or its inverse on ints, a series' nums or a degree column
+over one denominator, striding over the multiples of each degree.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -16,8 +16,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Mapping, Optional
 
-from .series import (ExactSeries, SeriesError, _convolve, _log_derivative,
-                     _scaled, _unit_divide)
+from .series import ExactSeries, SeriesError, _scaled
 from .quintic import LOG_X_MULTIPLE, MirrorChart
 
 
@@ -86,10 +85,9 @@ def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
                          *(table.n1[d] for d in range(1, n + 1))])
     A = [0, *(12 * d * v for d, v in enumerate(nums[n:], 1))]
     B = [0, *(d * v for d, v in enumerate(nums[:n], 1))]
-    out = [Fraction(c, 6 * lcd) for c in map(
-        add, _dirichlet(A, E, order), _dirichlet(B, U, order))]
-    out[0] = LOG_X_MULTIPLE
-    return ExactSeries(out, tag="q", order=order)
+    out = list(map(add, _dirichlet(A, E, order), _dirichlet(B, U, order)))
+    out[0] = int(6 * LOG_X_MULTIPLE) * lcd      # 6 * 50/12 = 25
+    return ExactSeries.from_nums(out, 6 * lcd, "q")
 
 
 def lambert_series(table: GWTable, order: int) -> ExactSeries:
@@ -109,15 +107,15 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
     The fractional power q^{25/12} contributes the constant 2*(25/12).
     Each factor f(q^d) contributes d (q f'/f)(q^d), read from the
-    logarithmic derivatives E of eta and U of 1 - q, on int.  E comes
-    from the pentagonal eta series, never from sigma_1, so that agreement
-    with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
+    logarithmic derivatives E of eta and U of 1 - q, integral series.
+    E comes from the pentagonal eta series, never from sigma_1, so that
+    agreement with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
     """
     from .modular import eta_series
 
-    E = _log_derivative([c.numerator for c in eta_series(order).coeffs])
-    U = _log_derivative([1, -1] + [0] * order)[:order + 1]
-    return _genus_one(table, order, E, U)
+    E = eta_series(order).log_derivative()
+    U = ExactSeries.from_nums([1, -1] + [0] * order, 1, "q").log_derivative()
+    return _genus_one(table, order, E.nums, U.nums)
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
@@ -125,14 +123,16 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
     column.  With c_m = G_m + (1/6) sum_{d|m} d N0(d) it reads
     -c/2 = (d N1) * sigma_1, solved by one Dirichlet division.
     """
-    if G.coeffs[0] != LOG_X_MULTIPLE:
+    if G[0] != LOG_X_MULTIPLE:
         raise ExtractionError(
-            f"constant term of G must be 50/12, got {G.coeffs[0]}")
+            f"constant term of G must be 50/12, got {G[0]}")
     order = G.order
     n0_full = {d: Fraction(n0.get(d, 0)) for d in range(1, order + 1)}
-    nums, den = _scaled([*n0_full.values(), *G.coeffs[1:]])
+    # with 1/G.den among the entries, den is a multiple of G.den
+    nums, den = _scaled([*n0_full.values(), Fraction(1, G.den)])
+    k = den // G.den
     # 6 den c_m = 6 den G_m + ((den d N0) * 1)(m)
-    c = map(add, [0, *(6 * v for v in nums[order:])], _dirichlet(
+    c = map(add, [0, *(6 * k * v for v in G.nums[1:])], _dirichlet(
         [0, *(d * v for d, v in enumerate(nums[:order], 1))],
         [0] + [1] * order, order))
     h = _dirichlet_divide(c, _sigma(order), order)
@@ -163,15 +163,21 @@ def instanton_numbers(n0: Mapping[int, Fraction],
     return _integral(inst, "genus-zero instanton number")
 
 
-def extract_gv(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
-    """Genus-one Gopakumar-Vafa numbers n1 from G and the genus-zero
-    Gromov-Witten column n0, extracted against the instanton numbers
-    (the exponents of the eta-product).  A non-integral number in
-    either genus raises ExtractionError.
-    """
-    inst = instanton_numbers(n0, G.order)
+def genus0_table(n0: Mapping[int, Fraction], max_degree: int) -> GWTable:
+    """The genus-zero table of n0 at degrees 1..max_degree, n_d included."""
+    return GWTable.from_maps(n0, {}, max_degree=max_degree,
+                             instanton_n0=instanton_numbers(n0, max_degree))
+
+
+def extract_gv(G: ExactSeries, genus0: GWTable) -> GWTable:
+    """Genus-one Gopakumar-Vafa numbers n1 from G and the genus-zero table
+    at degrees 1..G.order (genus0_pipeline, genus0_table), extracted
+    against its instanton numbers, the exponents of the eta-product.
+    A non-integral n1 raises ExtractionError."""
+    inst = genus0.instanton_n0
     n1 = _integral(extract_n1(G, inst).n1, "genus-one instanton number")
-    return GWTable.from_maps(n0, n1, max_degree=G.order, instanton_n0=inst)
+    return GWTable.from_maps(genus0.n0, n1, max_degree=G.order,
+                             instanton_n0=inst)
 
 
 def genus0_pipeline(chart: MirrorChart) -> GWTable:
@@ -183,17 +189,15 @@ def genus0_pipeline(chart: MirrorChart) -> GWTable:
     so by the multicover rule N0(d) = sum_{k|d} n_{d/k}/k^3 the q^d
     coefficient of K is d^3 N0(d); instanton_numbers recovers the n_d
     and enforces their integrality.  Covers degrees 1..chart.order.
-    The chart is integral and each divisor has constant term 1, so K is
-    an integer series, computed by convolutions and one unit division.
+    K(0) other than 5 raises SeriesError.
     """
+    u, w, y = chart.u_of_q, chart.one_minus_3125x_of_q, chart.y0_of_q
+    K = u * u * u * 5 / (w * y * y)
+    if K[0] != 5:
+        raise SeriesError(f"K must have constant term 5, not {K[0]}")
     n = chart.order
-    u, w, y = ([c.numerator for c in s.coeffs] for s in (
-        chart.u_of_q, chart.one_minus_3125x_of_q, chart.y0_of_q))
-    K = _unit_divide([5 * v for v in _convolve(_convolve(u, u, n), u, n)],
-                     _convolve(w, _convolve(y, y, n), n))
-    n0 = {d: Fraction(K[d], d ** 3) for d in range(1, n + 1)}
-    return GWTable.from_maps(n0, {}, max_degree=n,
-                             instanton_n0=instanton_numbers(n0, n))
+    return genus0_table({d: Fraction(K.nums[d], K.den * d ** 3)
+                         for d in range(1, n + 1)}, n)
 
 
 def table_to_json_dict(table: GWTable) -> dict:

@@ -28,7 +28,7 @@ def eta_series(order: int) -> ExactSeries:
             if e <= order:
                 coeffs[e] = (-1) ** k
         k += 1
-    return ExactSeries(coeffs, tag="q", order=order)
+    return ExactSeries.from_nums(coeffs, 1, "q")
 
 
 def delta_series(order: int) -> ExactSeries:
@@ -42,13 +42,12 @@ def delta_series(order: int) -> ExactSeries:
     if order < 1:
         raise SeriesError("delta_series needs order >= 1")
     n = order - 1
-    terms = [(k, int(a)) for k, a in enumerate(eta_series(n).coeffs)
-             if k and a]
+    terms = [(k, a) for k, a in enumerate(eta_series(n).nums) if k and a]
     b = [1]
     for m in range(1, n + 1):
         b.append(sum((25 * k - m) * a * b[m - k]
                      for k, a in terms if k <= m) // m)
-    return ExactSeries([0, *b], tag="q", order=order)
+    return ExactSeries.from_nums([0, *b], 1, "q")
 
 
 # A reduced tau has Im tau >= sqrt(3)/2, so r = |q| <= exp(-pi sqrt 3): eight

@@ -6,7 +6,8 @@ charts: x = (5*psi)**-5 near psi = infinity, and the flat coordinate q.
 Fractional powers of psi never appear as series; they enter only as
 rational multiples of log x, which become rational multiples of the
 unit series u(q) = q d(log x)/dq after applying q d/dq.  The chart
-series are integral, so G is computed on int as the integer series 6 G.
+series are integral (den == 1), and G is a sum of their logarithmic
+derivatives in ExactSeries arithmetic.
 """
 
 from __future__ import annotations
@@ -14,19 +15,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
+from operator import mul
 
-from .series import ExactSeries, SeriesError, _log_derivative
+from .series import ExactSeries, NonUnitError, SeriesError
 
 
-def _harmonic_gaps(order: int) -> list[Fraction]:
-    """H_n = sum_{j=n+1}^{5n} 1/j, n = 0..order, on int over lcm(1..5 order):
-    H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
+def _harmonic_gaps(order: int) -> tuple[list[int], int]:
+    """H_n = sum_{j=n+1}^{5n} 1/j, n = 0..order, as int numerators over
+    D = lcm(1..5 order), and D: H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
     D = lcm(*range(1, 5 * order + 1))
-    gaps, h = [Fraction(0)], 0
+    gaps, h = [0], 0
     for n in range(1, order + 1):
         h += sum(D // j for j in range(5 * n - 4, 5 * n + 1)) - D // n
-        gaps.append(Fraction(h, D))
-    return gaps
+        gaps.append(h)
+    return gaps, D
 
 
 def period_y0(order: int) -> ExactSeries:
@@ -37,8 +39,8 @@ def period_y0(order: int) -> ExactSeries:
     """
     if order < 0:
         raise SeriesError("order must be non-negative")
-    return ExactSeries([factorial(5 * n) // factorial(n) ** 5
-                        for n in range(order + 1)], tag="x", order=order)
+    return ExactSeries.from_nums([factorial(5 * n) // factorial(n) ** 5
+                                  for n in range(order + 1)], 1, "x")
 
 
 class MirrorChart:
@@ -50,19 +52,19 @@ class MirrorChart:
     multiple of log x through the q d/dq operator.  y0_of_q is read by
     mirror_map from the reversion's power table; 1 - 3125 x(q) is
     computed on first use.  The series are integral (Lian-Yau,
-    Krattenthaler-Rivoal) and a non-integral coefficient is rejected,
-    so readers compute on the integer numerators.
+    Krattenthaler-Rivoal): a series with den != 1 is rejected, as are
+    y0(x(q)) without constant term 1 and x(q) with a constant term.
     """
 
     def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
         self.order, self.y0, self.q_of_x = order, y0, q_of_x
         self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
-        if y0.coeffs[0] != 1:
-            raise SeriesError("y0 must be a unit series")
-        if q_of_x.coeffs[0] or q_of_x.coeffs[1] != 1:
+        if any(s.nums[0] != s.den for s in (y0, y0_of_q)) or x_of_q.nums[0]:
+            raise NonUnitError("y0, y0_of_q need constant term 1, x_of_q none")
+        if q_of_x.nums[0] or q_of_x.nums[1] != q_of_x.den:
             raise SeriesError("q_of_x must be x + O(x^2)")
         for name in ("y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q"):
-            if any(c.denominator != 1 for c in getattr(self, name).coeffs):
+            if getattr(self, name).den != 1:
                 raise SeriesError(f"{name} must have integral coefficients")
 
     @cached_property
@@ -75,26 +77,23 @@ def mirror_map(order: int) -> MirrorChart:
     """Build the mirror map q(x) = x * exp((5/y0) * sum a_n H_n x^n)
     with H_n = sum_{j=n+1}^{5n} 1/j, together with its reversion x(q),
     y0(x(q)) read from the same reversion, and the logarithmic velocity
-    u(q), all to order.
+    u(q), all to order.  A period that fails picard_fuchs_check raises
+    SeriesError.
     """
     if order < 1:
         raise SeriesError("mirror_map needs order >= 1")
-    # u = 1 + q r'/r with r = x(q)/q, integral with r(0) = 1: dividing by
-    # q costs one order, so the period, the exponent and the reversion
-    # run at order + 1 and the other series are cut back to order.
-    n = order + 1
-    y0 = period_y0(n)
-    inner = ExactSeries([a * h for a, h in zip(y0.coeffs, _harmonic_gaps(n))],
-                        tag="x", order=n)
-    q_of_x = ExactSeries.identity(n, "x") * (inner * 5 / y0).exp()
-    y0 = y0.truncate(order)
-    x_of_q, y0_of_q = q_of_x.reverse(y0)
-    u = _log_derivative([c.numerator for c in x_of_q.coeffs[1:]])
-    u[0] += 1
-    return MirrorChart(order=order, y0=y0, q_of_x=q_of_x.truncate(order),
-                       x_of_q=ExactSeries(x_of_q.coeffs[:order + 1], tag="q"),
-                       u_of_q=ExactSeries(u, tag="q"),
-                       y0_of_q=ExactSeries(y0_of_q.coeffs, tag="q"))
+    y0 = period_y0(order)
+    if not picard_fuchs_check(y0):
+        raise SeriesError("the period y0 fails its Picard-Fuchs equation")
+    gaps, D = _harmonic_gaps(order)
+    inner = ExactSeries.from_nums(map(mul, y0.nums, gaps), y0.den * D, "x")
+    E = (inner * 5 / y0).exp()
+    q_of_x = ExactSeries.identity(order, "x") * E
+    x_of_q, y0_of_q, E_of_q = q_of_x.reverse(y0, E, tag="q")
+    # u = 1 + L(x(q)/q) with L(f) = q f'/f, and x(q)/q = 1/E(x(q)) since
+    # q = x E(x): so u = 1 - L(E(x(q))), with no order lost to the shift.
+    return MirrorChart(order=order, y0=y0, q_of_x=q_of_x, x_of_q=x_of_q,
+                       u_of_q=1 - E_of_q.log_derivative(), y0_of_q=y0_of_q)
 
 
 # Rational multiple of log x in the log of the genus-one amplitude:
@@ -116,18 +115,15 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     Split as LOG_X_MULTIPLE * u(q) minus the logarithmic derivatives
     L(f) = q f'/f of the unit series in the amplitude: y0(x(q))^(-62/3),
     (1 - 3125 x(q))^(-1/6) and u(q).  So, with 25 = 6 LOG_X_MULTIPLE,
-    6 G = 25 u + 124 L(y0(x(q))) + L(1 - 3125 x(q)) - 6 L(u), an integer
-    series computed on int.  G(0) = 25 u(0)/6 other than 50/12 raises
-    SeriesError.
+    G = (25 u + 124 L(y0(x(q))) + L(1 - 3125 x(q)) - 6 L(u)) / 6.
+    G(0) = 25 u(0)/6 other than 50/12 raises SeriesError.
     """
-    L = _log_derivative
-    u, y, w = ([c.numerator for c in s.coeffs] for s in (
-        chart.u_of_q, chart.y0_of_q, chart.one_minus_3125x_of_q))
-    if (G0 := Fraction(25 * u[0], 6)) != LOG_X_MULTIPLE:
-        raise SeriesError(f"G must have constant term 50/12, not {G0}")
-    G6 = (25 * a + 124 * b + c - 6 * d for a, b, c, d in
-          zip(u, L(y), L(w), L(u)))
-    return ExactSeries([Fraction(v, 6) for v in G6], tag="q")
+    L = ExactSeries.log_derivative
+    u, y, w = chart.u_of_q, chart.y0_of_q, chart.one_minus_3125x_of_q
+    G = (u * 25 + L(y) * 124 + L(w) - L(u) * 6) / 6
+    if G[0] != LOG_X_MULTIPLE:
+        raise SeriesError(f"G must have constant term 50/12, not {G[0]}")
+    return G
 
 
 def picard_fuchs_check(y0: ExactSeries) -> bool:
@@ -135,9 +131,10 @@ def picard_fuchs_check(y0: ExactSeries) -> bool:
     vanishes to truncation, theta = x d/dx.
 
     Equivalent coefficient recursion:
-    n^4 a_n = 5 (5n-1)(5n-2)(5n-3)(5n-4) a_{n-1}.
+    n^4 a_n = 5 (5n-1)(5n-2)(5n-3)(5n-4) a_{n-1}, homogeneous, so it is
+    checked on the numerators.
     """
-    a = y0.coeffs
+    a = y0.nums
     for n in range(1, y0.order + 1):
         lhs = n ** 4 * a[n]
         rhs = 5 * (5 * n - 1) * (5 * n - 2) * (5 * n - 3) * (5 * n - 4) * a[n - 1]

@@ -123,7 +123,7 @@ def test_ac13_genus1_bcov():
                    budget_seconds=5):
         chart = quintic.mirror_map(20)
         G = quintic.f1_log_derivative(chart)
-        table = gw.extract_gv(G, gw.genus0_pipeline(chart).n0)
+        table = gw.extract_gv(G, gw.genus0_pipeline(chart))
         n1 = [table.n1[d] for d in range(1, 21)]
         assert all(v.denominator == 1 for v in n1)
         # Bershadsky, Cecotti, Ooguri, Vafa (1993); proved by Zinger

@@ -123,6 +123,22 @@ class TestF1AndGW:
         assert err.startswith("error: ") and "n0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n0_file", [False, True])
+    def test_extract_gw_inverts_the_multicover_rule_once(
+            self, capsys, tmp_path, monkeypatch, n0_file):
+        from mirrorcalc import gw
+        calls = []
+        inverse = gw.instanton_numbers
+        monkeypatch.setattr(gw, "instanton_numbers", lambda n0, max_degree:
+                            calls.append(max_degree) or inverse(n0, max_degree))
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps({"n0": {"1": "2875", "2": "4876875/8",
+                                           "3": "8564575000/27"}}))
+        code, _, _ = invoke(capsys, "extract-gw", "--order", "3",
+                            *(["--n0-file", str(path)] if n0_file else []))
+        assert code == 0
+        assert calls == [3]
+
     def test_extract_gw_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "extract-gw", "--order", "2",
                               "--n0-file", str(tmp_path / "nope.json"))

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from mirrorcalc import modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
                            extract_n1, extract_gv, genus0_pipeline,
-                           instanton_numbers, ExtractionError,
+                           genus0_table, instanton_numbers, ExtractionError,
                            n0_map_from_json_dict, table_to_json_dict,
                            _dirichlet, _dirichlet_divide, _sigma)
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
-from mirrorcalc.series import ExactSeries
+from mirrorcalc.series import ExactSeries, SeriesError
 
 
 def random_table(rng, max_degree=6):
@@ -87,9 +87,10 @@ class TestExtract:
 
     def test_gv_integrality_enforced(self):
         G = ExactSeries([F(25, 6), -4], tag="q")
-        assert extract_gv(G, {1: F(12)}).n1[1] == 1
+        genus0 = genus0_table({1: F(12)}, 1)
+        assert extract_gv(G, genus0).n1[1] == 1
         with pytest.raises(ExtractionError):
-            extract_gv(G + ExactSeries([0, 1], tag="q"), {1: F(12)})
+            extract_gv(G + ExactSeries([0, 1], tag="q"), genus0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_roundtrip_random(self, seed):
@@ -130,6 +131,13 @@ class TestGenus0:
         assert t.n0[4] == (inst[4] + F(inst[2], 8) + F(inst[1], 64))
         with pytest.raises(ExtractionError):
             instanton_numbers({1: F(2875)}, 2)  # N0(2) = 0: n_2 = -2875/8
+
+    def test_yukawa_constant_term_checked(self):
+        # u(0) = 2 would make K(0) = 5 * 2^3 = 40
+        chart = mirror_map(3)
+        chart.u_of_q = chart.u_of_q + 1
+        with pytest.raises(SeriesError, match="constant term 5"):
+            genus0_pipeline(chart)
 
     def test_yukawa_normalization(self):
         # K(0) = 5: the degree-0 instanton term must vanish identically,

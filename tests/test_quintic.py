@@ -45,7 +45,8 @@ def integral_charts(draw):
 class TestHarmonicGaps:
     @pytest.mark.parametrize("order", [0, 1, 2, 41])
     def test_matches_fraction_sum(self, order):
-        assert _harmonic_gaps(order) == [
+        gaps, D = _harmonic_gaps(order)
+        assert [F(h, D) for h in gaps] == [
             sum((F(1, j) for j in range(n + 1, 5 * n + 1)), F(0))
             for n in range(order + 1)]
 
@@ -132,6 +133,26 @@ class TestMirrorMap:
         with pytest.raises(SeriesError, match="integral"):
             replace(chart, **{name: ExactSeries(coeffs, tag=s.tag)})
 
+    @pytest.mark.parametrize("c0", [0, -1, 2, 2 ** 70])
+    def test_y0_of_q_other_constant_term_rejected(self, c0):
+        chart = mirror_map(3)
+        with pytest.raises(NonUnitError):
+            replace(chart, y0_of_q=chart.y0_of_q + (c0 - 1))
+
+    def test_x_of_q_constant_term_rejected(self):
+        chart = mirror_map(3)
+        with pytest.raises(NonUnitError):
+            replace(chart, x_of_q=chart.x_of_q + 1)
+
+    def test_period_checked_against_picard_fuchs(self, monkeypatch):
+        import mirrorcalc.quintic as quintic
+        period = quintic.period_y0
+        monkeypatch.setattr(quintic, "period_y0",
+                            lambda order: period(order) + ExactSeries(
+                                [0, 0, 1], tag="x", order=order))
+        with pytest.raises(SeriesError, match="Picard-Fuchs"):
+            mirror_map(5)
+
 
 class TestF1:
     def test_constant_term(self):
@@ -174,9 +195,8 @@ class TestF1:
 
     def test_y0_of_q_must_be_unit(self):
         chart = mirror_map(4)
-        bad = replace(chart, y0_of_q=chart.y0_of_q * 2)
         with pytest.raises(NonUnitError):
-            f1_log_derivative(bad)
+            replace(chart, y0_of_q=chart.y0_of_q * 2)
 
     def test_all_coefficients_rational(self):
         G = f1_log_derivative(mirror_map(8))

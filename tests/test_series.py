@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mirrorcalc.series import (ExactSeries, TagMismatchError, NonUnitError,
-                               CompositionError, _convolve, _unit_divide)
+                               CompositionError, _convolve)
 
 
 def S(coeffs, tag="q", order=None):
@@ -229,15 +230,17 @@ def test_convolve_matches_mul(a, b):
 @given(int_series, int_series)
 @example([5], [1])
 @example([2 ** 300] * 60, [1] + [-(2 ** 300)] * 59)
-def test_unit_divide_matches_div(a, b):
+def test_integer_division_matches_long_division(a, b):
+    """An integer series over one with constant term 1 stays integral
+    (den == 1) and equals the long division
+    out[m] = a[m] - sum_{k>=1} b[k] out[m-k]."""
     b = ([1, *b[1:]] + [0] * len(a))[:len(a)]
-    assert _unit_divide(a, b) == list((S(a) / S(b)).coeffs)
-
-
-@pytest.mark.parametrize("b", [[0, 1], [-1, 2], [2], [2 ** 70, 1]])
-def test_unit_divide_rejects_other_constant_terms(b):
-    with pytest.raises(NonUnitError):
-        _unit_divide([1, 1], b)
+    out = []
+    for m, v in enumerate(a):
+        out.append(v - sum(b[k] * out[m - k] for k in range(1, m + 1)))
+    got = S(a) / S(b)
+    assert got.den == 1
+    assert list(got.nums) == out
 
 
 def test_no_floats_anywhere():
@@ -245,6 +248,108 @@ def test_no_floats_anywhere():
     for op in (a + a, a * a, (a + 1).log_derivative(), a.exp(),
                (a + 1).log()):
         assert all(isinstance(c, F) for c in op.coeffs)
+
+
+def reduced(s):
+    """The stored form is nums over the least common denominator."""
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.order + 1
+    return s
+
+
+def oracle_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
+
+
+def oracle_div(a, b):
+    n = min(len(a), len(b))
+    out = []
+    for m in range(n):
+        out.append((a[m] - sum(b[k] * out[m - k] for k in range(1, m + 1)))
+                   / b[0])
+    return out
+
+
+def oracle_compose(c, x):
+    """sum_k c_k x^k to the shorter length, power by power."""
+    n = min(len(c), len(x))
+    out, power = [F(0)] * n, [F(1)] + [F(0)] * (n - 1)
+    for k in range(n):
+        out = [o + c[k] * p for o, p in zip(out, power)]
+        power = oracle_mul(power, x[:n])
+    return out
+
+
+def oracle_exp(a):
+    out = [F(1)]
+    for m in range(1, len(a)):
+        out.append(sum(k * a[k] * out[m - k] for k in range(1, m + 1)) / m)
+    return out
+
+
+def oracle_log_derivative(a):
+    return oracle_div([n * c for n, c in enumerate(a)], a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_strategy(min_order=1, max_order=8),
+       series_strategy(min_order=1, max_order=8),
+       rationals.filter(lambda c: c != 0))
+@example(S([F(1, 2), F(1, 2)]), S([F(1, 2), F(-1, 2)]), F(2))
+def test_every_result_is_reduced_and_matches_fractions(a, b, k):
+    """Each operation leaves den > 0 and gcd(den, *nums) = 1, and its
+    coeffs equal the same computation on Fraction lists."""
+    A, B = list(a.coeffs), list(b.coeffs)
+    n = min(len(A), len(B))
+    unit = b if B[0] else b + 1
+    U = list(unit.coeffs)
+    z = a - a.coeffs[0]              # zero constant term
+    Z = [F(0), *A[1:]]
+    inner = S([0, k, *B[2:]], order=b.order)
+    I = [F(0), k, *B[2:]]
+    cases = [
+        (a + b, [x + y for x, y in zip(A, B)]),
+        (a - b, [x - y for x, y in zip(A, B)]),
+        (-a, [-x for x in A]),
+        (a * k, [x * k for x in A]),
+        (a / k, [x / k for x in A]),
+        (a * 0, [F(0)] * len(A)),
+        (a * b, oracle_mul(A, B)),
+        (a / unit, oracle_div(A, U)),
+        (z.exp(), oracle_exp(Z)),
+        ((unit / unit[0]).log(),
+         [F(0), *(d / m for m, d in enumerate(
+             oracle_log_derivative([u / U[0] for u in U])) if m)]),
+        (unit.log_derivative(), oracle_log_derivative(U)),
+        (a.compose(inner), oracle_compose(A, I)),
+        (a.truncate(0), A[:1]),
+        (a.truncate(n - 1), A[:n]),
+        (ExactSeries.from_json_dict(a.to_json_dict()), A),
+    ]
+    inverse, *transports = inner.reverse(a, b)
+    ident = [F(0), F(1)] + [F(0)] * (len(I) - 2)
+    assert oracle_compose(I, list(inverse.coeffs)) == ident
+    cases += [(inverse, list(inverse.coeffs)),
+              *((t, oracle_compose(list(f.coeffs), list(inverse.coeffs)))
+                for t, f in zip(transports, (a, b)))]
+    for got, want in cases:
+        assert list(reduced(got).coeffs) == want
+
+
+@pytest.mark.parametrize("left, right", [
+    (S([F(1, 2), F(1, 2)]) + S([F(1, 2), F(-1, 2)]), S([1, 0])),
+    (S([F(2, 3), 4]) * 3, S([2, 12])),
+    (S([6, 4, 2]) / 2, S([3, 2, 1])),
+    (S([F(1, 6), F(5, 6), F(1, 3)]).truncate(1), S([F(1, 6), F(5, 6)])),
+    (S([F(1, 2), F(1, 2), F(1, 3)]).truncate(1), S([1, 1]) / 2),
+    (S([1, 2], order=3) / S([1, 2], order=3), ExactSeries.one(3)),
+    (ExactSeries.from_nums([-4, 2], -6, "q"), S([F(2, 3), F(-1, 3)])),
+])
+def test_equal_values_have_one_form(left, right):
+    assert left == right
+    assert hash(left) == hash(right)
+    assert (left.nums, left.den) == (right.nums, right.den)
 
 
 def test_serialization_roundtrip():
