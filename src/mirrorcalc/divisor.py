@@ -104,7 +104,11 @@ class Point:
         if obj == "infinity":
             return cls.infinity()
         if isinstance(obj, dict) and "root_of_unity" in obj:
-            n, k = obj["root_of_unity"]
+            nk = obj["root_of_unity"]
+            if type(nk) is not list or len(nk) != 2:
+                raise FamilyError("a root_of_unity point needs [n, k], not "
+                                  f"{reprlib.repr(nk)}")
+            n, k = nk
             return cls.root_of_unity(_json_int(n, "root order"),
                                      _json_int(k, "root index"))
         if isinstance(obj, dict) and "value" in obj:
@@ -185,7 +189,12 @@ class WeightedDivisor:
     xi_power: Fraction
     vector_field_power: Fraction
     overall_root: Fraction
-    infinity_exponent: Fraction = Fraction(0)
+
+    @property
+    def infinity_exponent(self) -> Fraction:
+        """On P^1 the total degree is zero, which forces the exponent at
+        infinity to minus the sum of the entries' exponents."""
+        return -sum((e for _, e in self.entries), Fraction(0))
 
     def normalized_entries(self) -> List[Tuple[Point, Fraction]]:
         return [(pt, e * self.overall_root) for pt, e in self.entries]
@@ -218,13 +227,10 @@ def assemble_factor(data: FamilyData) -> WeightedDivisor:
     for pt, r in data.ramification:
         if not pt.is_infinity():
             entries.append((pt, Fraction(-12 * (r - 1))))
-    # On P^1 the exponent at infinity is forced: total degree is zero.
-    inf_exp = -sum((e for _, e in entries), Fraction(0))
     return WeightedDivisor(entries=tuple(entries),
                            xi_power=Fraction(w),
                            vector_field_power=Fraction(12),
-                           overall_root=Fraction(1, 6),
-                           infinity_exponent=inf_exp)
+                           overall_root=Fraction(1, 6))
 
 
 def divisor_equal(a: WeightedDivisor, b: WeightedDivisor) -> bool:
@@ -260,8 +266,7 @@ def quintic_normal_form() -> WeightedDivisor:
     return WeightedDivisor(entries=tuple(entries),
                            xi_power=Fraction(62),
                            vector_field_power=Fraction(3),
-                           overall_root=Fraction(2, 3),
-                           infinity_exponent=-sum(e for _, e in entries))
+                           overall_root=Fraction(2, 3))
 
 
 def green_potential(data: FamilyData, psi: complex) -> float:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Mapping, Optional
 
-from .series import ExactSeries, SeriesError, _scaled
+from .series import ExactSeries, SeriesError, _exact, _scaled
 from .quintic import LOG_X_MULTIPLE, MirrorChart
 
 
@@ -31,7 +31,8 @@ class GWTable:
     present, the integer genus-zero Gopakumar-Vafa (instanton) numbers
     n_d.  n1 holds what extract_n1 solved for: genus-one Gopakumar-Vafa
     numbers when it was given the n_d, as in extract_gv.  from_maps and
-    extract_n1 fill every degree; the constructor trusts its arguments.
+    extract_n1 fill every degree, each value through series._exact (no
+    floats or bools); the constructor trusts its arguments.
     """
 
     def __init__(self, max_degree: int, n0: Mapping[int, Fraction],
@@ -48,8 +49,8 @@ class GWTable:
                   instanton_n0: Optional[Mapping[int, int]] = None) -> "GWTable":
         if max_degree is None:
             max_degree = max([0, *n0.keys(), *n1.keys()])
-        full_n0 = {d: Fraction(n0.get(d, 0)) for d in range(1, max_degree + 1)}
-        full_n1 = {d: Fraction(n1.get(d, 0)) for d in range(1, max_degree + 1)}
+        full_n0 = {d: _exact(n0.get(d, 0)) for d in range(1, max_degree + 1)}
+        full_n1 = {d: _exact(n1.get(d, 0)) for d in range(1, max_degree + 1)}
         return cls(max_degree=max_degree, n0=full_n0, n1=full_n1,
                    instanton_n0=instanton_n0)
 
@@ -127,7 +128,7 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
         raise ExtractionError(
             f"constant term of G must be 50/12, got {G[0]}")
     order = G.order
-    n0_full = {d: Fraction(n0.get(d, 0)) for d in range(1, order + 1)}
+    n0_full = {d: _exact(n0.get(d, 0)) for d in range(1, order + 1)}
     # with 1/G.den among the entries, den is a multiple of G.den
     nums, den = _scaled([*n0_full.values(), Fraction(1, G.den)])
     k = den // G.den
@@ -156,7 +157,7 @@ def instanton_numbers(n0: Mapping[int, Fraction],
     A non-integral n_d raises ExtractionError.
     """
     n = max_degree
-    nums, den = _scaled([Fraction(n0.get(d, 0)) for d in range(1, n + 1)])
+    nums, den = _scaled([_exact(n0.get(d, 0)) for d in range(1, n + 1)])
     h = _dirichlet_divide([0, *(d ** 3 * v for d, v in enumerate(nums, 1))],
                           [0] + [1] * n, n)
     inst = {d: Fraction(h[d], den * d ** 3) for d in range(1, n + 1)}
@@ -221,9 +222,9 @@ def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:
     try:
         if isinstance(src, dict) and all(
                 type(k) is str and k.isascii() and k.isdigit() and k[0] != "0"
-                and type(v) in (int, str) for k, v in src.items()):
-            return {int(k): Fraction(v) for k, v in src.items()}
-    except (ValueError, ZeroDivisionError):
+                for k in src):
+            return {int(k): _exact(v) for k, v in src.items()}
+    except SeriesError:
         pass
     raise ExtractionError('n0 must be an object mapping each degree ("1", '
                           '"2", ...) to an int or a rational string')

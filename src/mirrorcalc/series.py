@@ -3,7 +3,9 @@
 Every series carries an explicit truncation order (inclusive) and a
 variable tag ("x", "q", "psi-inv", ...).  Binary operations require
 matching tags and truncate to the minimum of the two orders; nothing
-ever extends precision silently.  No floating point enters anywhere.
+ever extends precision silently.  No floating point enters anywhere:
+every value a caller hands in (coefficients, constants, scalar operands)
+passes ``_exact``, which admits only ints, Fractions and rational strings.
 
 A series is stored as Python ``int`` numerators ``nums`` over one
 denominator ``den > 0`` with gcd(den, *nums) = 1: ``den`` is the least
@@ -14,6 +16,7 @@ when ``den == 1``.  Every operation computes on that form, and
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -36,6 +39,18 @@ class NonUnitError(SeriesError):
 
 class CompositionError(SeriesError):
     """Raised when substitution or reversion preconditions fail."""
+
+
+def _exact(v) -> Fraction:
+    """v as a Fraction if it is an int (not a bool), a Fraction or a
+    rational string; anything else raises SeriesError."""
+    if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SeriesError(f"{reprlib.repr(v)} is not an exact rational "
+                      "(an int, a Fraction or a rational string)")
 
 
 def _scaled(coeffs) -> tuple[list[int], int]:
@@ -79,23 +94,27 @@ class ExactSeries:
     """A polynomial truncation of a formal power series over Q.
 
     Immutable.  The coefficient of t**n, n = 0..order, is
-    nums[n] / den; ``coeffs`` lists them as Fractions.
+    nums[n] / den; ``coeffs`` lists them as Fractions.  Every series is
+    built by ``from_nums``.
     """
 
     __slots__ = ("nums", "den", "order", "tag")
 
-    def __init__(self, coeffs: Iterable[Scalar], tag: str = "q",
-                 order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+    def __new__(cls, coeffs: Iterable[Scalar], tag: str = "q",
+                order: int | None = None):
+        cs = [_exact(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise SeriesError("order must be non-negative")
-        _fill(self, *_scaled(cs[:order + 1] + [0] * (order + 1 - len(cs))),
-              tag)
+        return cls.from_nums(
+            *_scaled(cs[:order + 1] + [0] * (order + 1 - len(cs))), tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactSeries is immutable")
+
+    def __reduce__(self):
+        return ExactSeries.from_nums, (self.nums, self.den, self.tag)
 
     # -- constructors -------------------------------------------------
 
@@ -111,20 +130,16 @@ class ExactSeries:
                 nums, den = [-v for v in nums], -den
             if (g := gcd(den, *nums)) != 1:
                 nums, den = [v // g for v in nums], den // g
-        return _fill(object.__new__(cls), nums, den, tag)
+        s = object.__new__(cls)
+        for name, v in zip(ExactSeries.__slots__,
+                           (tuple(nums), den, len(nums) - 1, tag)):
+            object.__setattr__(s, name, v)
+        return s
 
     @classmethod
     def constant(cls, value: Scalar, order: int, tag: str = "q") -> "ExactSeries":
-        v = value if isinstance(value, Fraction) else Fraction(value)
+        v = _exact(value)
         return cls.from_nums([v.numerator] + [0] * order, v.denominator, tag)
-
-    @classmethod
-    def zero(cls, order: int, tag: str = "q") -> "ExactSeries":
-        return cls.constant(0, order, tag)
-
-    @classmethod
-    def one(cls, order: int, tag: str = "q") -> "ExactSeries":
-        return cls.constant(1, order, tag)
 
     @classmethod
     def identity(cls, order: int, tag: str = "q") -> "ExactSeries":
@@ -167,13 +182,11 @@ class ExactSeries:
             raise SeriesError("cannot extend truncation order")
         return ExactSeries.from_nums(self.nums[:order + 1], self.den, self.tag)
 
-    # -- ring operations ----------------------------------------------
+    # -- ring operations (a scalar operand passes _exact) -------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactSeries.constant(other, self.order, self.tag)
         if not isinstance(other, ExactSeries):
-            return NotImplemented
+            other = ExactSeries.constant(other, self.order, self.tag)
         self._check_tag(other)
         den = lcm(self.den, other.den)
         ka, kb = den // self.den, den // other.den
@@ -188,18 +201,17 @@ class ExactSeries:
                                      self.tag)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -(other if isinstance(other, ExactSeries)
+                        else _exact(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExactSeries.from_nums(
-                [v * other.numerator for v in self.nums],
-                self.den * other.denominator, self.tag)
         if not isinstance(other, ExactSeries):
-            return NotImplemented
+            v = _exact(other)
+            return ExactSeries.from_nums([a * v.numerator for a in self.nums],
+                                         self.den * v.denominator, self.tag)
         self._check_tag(other)
         n = min(self.order, other.order)
         return ExactSeries.from_nums(_convolve(self.nums, other.nums, n),
@@ -208,10 +220,8 @@ class ExactSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
         if not isinstance(other, ExactSeries):
-            return NotImplemented
+            return self * (1 / _exact(other))
         self._check_tag(other)
         b = other.nums
         if not b[0]:
@@ -227,8 +237,8 @@ class ExactSeries:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return ExactSeries.one(self.order, self.tag) / self ** (-k)
-        result = self if k else ExactSeries.one(self.order, self.tag)
+            return ExactSeries.constant(1, self.order, self.tag) / self ** -k
+        result = self if k else ExactSeries.constant(1, self.order, self.tag)
         for bit in bin(k)[3:]:          # square and multiply
             result = result * result
             if bit == "1":
@@ -370,13 +380,5 @@ class ExactSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExactSeries":
-        return cls([Fraction(s) for s in d["coefficients"]],
-                   tag=d["variable_tag"], order=int(d["order"]))
-
-
-def _fill(s: ExactSeries, nums, den: int, tag: str) -> ExactSeries:
-    """Set the slots of a new series s from reduced nums/den; return s."""
-    for name, v in zip(ExactSeries.__slots__,
-                       (tuple(nums), den, len(nums) - 1, tag)):
-        object.__setattr__(s, name, v)
-    return s
+        return cls(d["coefficients"], tag=d["variable_tag"],
+                   order=int(d["order"]))

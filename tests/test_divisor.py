@@ -53,6 +53,8 @@ class TestPoint:
         ({"value": "nan+1i"}, "not finite"),
         ({"value": "-1e400i"}, "not finite"),
         ({"value": "1.7e308-1.7e308i"}, "not finite"),
+        ({"root_of_unity": [5]}, "point needs"),
+        ({"root_of_unity": [5, 1, 2]}, "point needs"),
     ])
     def test_from_json_rejects(self, obj, message):
         with pytest.raises(FamilyError, match=message):
@@ -71,6 +73,7 @@ class TestAssemble:
         for k in range(1, 5):
             assert exps[("zeta", 5, k)] == 2
         assert exps["value"] == -248  # at psi = 0
+        assert wd.infinity_exponent == 248 - 5 * 2
         assert wd.xi_power == 248
         assert wd.vector_field_power == 12
         assert wd.overall_root == F(1, 6)
@@ -78,6 +81,7 @@ class TestAssemble:
     def test_empty_data(self):
         wd = assemble_factor(FamilyData(chi=-200))
         assert wd.entries == ()
+        assert wd.infinity_exponent == 0
         assert wd.xi_power == 48 - 200
 
     def test_single_ramification_point(self):
@@ -116,6 +120,9 @@ class TestEquality:
                                 vector_field_power=wd.vector_field_power,
                                 overall_root=wd.overall_root)
         assert not divisor_equal(wd, other)
+        # the degree balance, not a stored default, fixes infinity
+        assert wd.infinity_exponent == F(119, 2)
+        assert other.infinity_exponent == F(117, 2)
 
 
 class TestGreenPotential:

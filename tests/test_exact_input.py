@@ -1,0 +1,104 @@
+"""One rule for exact input: every entrance to ``series`` and ``gw`` reads
+an int, a Fraction or a rational string exactly, and refuses anything
+else (floats, bools, None, malformed strings) with SeriesError.  A
+series survives pickle, copy and deepcopy, and stays immutable."""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from mirrorcalc.gw import (ExtractionError, GWTable, extract_n1,
+                           genus0_table, instanton_numbers)
+from mirrorcalc.series import ExactSeries, SeriesError
+
+ONE = ExactSeries([1, 0], tag="q")
+G = ExactSeries.constant(F(50, 12), 1, "q")
+
+
+def _integral_n1(read):
+    """n_1 = N0(1), so the n_1 read back is the value given; a
+    non-integral one is named at the end of the ExtractionError."""
+    def entrance(v):
+        try:
+            return F(read(v))
+        except ExtractionError as exc:
+            return F(str(exc).rpartition(" ")[2])
+    return entrance
+
+
+# Each entrance maps a caller's value v to the Fraction it stored.
+ENTRANCES = {
+    "ExactSeries": lambda v: ExactSeries([1, v])[1],
+    "from_json_dict": lambda v: ExactSeries.from_json_dict(
+        {"variable_tag": "q", "order": 0, "coefficients": [v]})[0],
+    "constant": lambda v: ExactSeries.constant(v, 2)[0],
+    "add": lambda v: (ONE + v)[0] - 1,
+    "radd": lambda v: (v + ONE)[0] - 1,
+    "sub": lambda v: 1 - (ONE - v)[0],
+    "rsub": lambda v: (v - ONE)[0] + 1,
+    "mul": lambda v: (ONE * v)[0],
+    "rmul": lambda v: (v * ONE)[0],
+    "truediv": lambda v: 1 / (ONE / v)[0],
+    "from_maps_n0": lambda v: GWTable.from_maps({1: v}, {}).n0[1],
+    "from_maps_n1": lambda v: GWTable.from_maps({}, {1: v}).n1[1],
+    "extract_n1": lambda v: extract_n1(G, {1: v}).n0[1],
+    "instanton_numbers": _integral_n1(lambda v: instanton_numbers({1: v}, 1)[1]),
+    "genus0_table": _integral_n1(lambda v: genus0_table({1: v}, 1).n0[1]),
+}
+
+
+@pytest.mark.parametrize("entrance", sorted(ENTRANCES))
+@pytest.mark.parametrize("value, exact", [
+    (3, F(3)), (F(1, 3), F(1, 3)), ("1/3", F(1, 3)), ("-2", F(-2)),
+], ids=["int", "fraction", "string", "negative-string"])
+def test_entrance_accepts_exact_values(entrance, value, exact):
+    got = ENTRANCES[entrance](value)
+    assert type(got) is F and got == exact
+
+
+@pytest.mark.parametrize("entrance", sorted(ENTRANCES))
+@pytest.mark.parametrize("value", [0.1, True, float("nan"), None, "abc", "1/0"],
+                         ids=["float", "bool", "nan", "none", "word",
+                              "zero-denominator"])
+def test_entrance_rejects_inexact_values(entrance, value):
+    with pytest.raises(SeriesError, match="is not an exact rational"):
+        ENTRANCES[entrance](value)
+
+
+def test_rejection_names_the_value_briefly():
+    with pytest.raises(SeriesError, match=r"^0\.1 is not"):
+        ExactSeries([0.1])
+    assert ExactSeries([F(1, 10)]).coeffs == (F(1, 10),)
+    with pytest.raises(SeriesError) as info:
+        ExactSeries(["x" * 1000])
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("s", [
+    ExactSeries([F(1, 3), -2, F(7, 5)], tag="x"),
+    ExactSeries.constant(0, 4, "psi-inv"),
+    ExactSeries.from_nums([2 ** 200, -3], 7, "q"),
+])
+@pytest.mark.parametrize("roundtrip", [
+    *(lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy,
+], ids=[*(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        "copy", "deepcopy"])
+def test_roundtrip_keeps_value_tag_and_hash(s, roundtrip):
+    t = roundtrip(s)
+    assert type(t) is ExactSeries
+    assert t == s and t.coeffs == s.coeffs
+    assert (t.tag, t.order, t.den, t.nums) == (s.tag, s.order, s.den, s.nums)
+    assert hash(t) == hash(s)
+
+
+def test_series_stays_immutable():
+    s = ExactSeries([1, 2])
+    with pytest.raises(AttributeError):
+        s.nums = ()
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s.nums == (1, 2)

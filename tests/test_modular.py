@@ -11,7 +11,7 @@ from mirrorcalc.series import ExactSeries, SeriesError
 
 def eta_product(order):
     """prod_{k=1}^{order} (1 - q^k), multiplied out factor by factor."""
-    out = ExactSeries.one(order, "q")
+    out = ExactSeries.constant(1, order, "q")
     for k in range(1, order + 1):
         out = out * ExactSeries([1] + [0] * (k - 1) + [-1], order=order)
     return out

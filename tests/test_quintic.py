@@ -170,7 +170,7 @@ class TestF1:
         # all instanton corrections off: u = 1, y0 = 1, x(q) = q with
         # the 1-3125x factor suppressed leaves only the log-x multiple
         from mirrorcalc.quintic import LOG_X_MULTIPLE
-        u = ExactSeries.one(6, "q")
+        u = ExactSeries.constant(1, 6, "q")
         G = u * LOG_X_MULTIPLE - u.log_derivative()
         assert G == ExactSeries.constant(F(50, 12), 6, "q")
 

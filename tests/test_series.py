@@ -25,7 +25,7 @@ class TestAdd:
 
     def test_identity(self):
         a = S([F(1, 2), 3, F(-7, 5)])
-        assert a + ExactSeries.zero(2) == a
+        assert a + ExactSeries.constant(0, 2) == a
 
     def test_exact_rational(self):
         assert S([F(1, 2), 1]) + S([F(1, 3), 0]) == S([F(5, 6), 1])
@@ -44,7 +44,7 @@ class TestMul:
 
     def test_identity(self):
         a = S([F(2, 3), -1, 5])
-        assert a * ExactSeries.one(2) == a
+        assert a * ExactSeries.constant(1, 2) == a
 
     def test_binomial_cube(self):
         # direct binomial expansion oracle
@@ -58,12 +58,12 @@ class TestMul:
 
 class TestDiv:
     def test_geometric(self):
-        one = ExactSeries.one(5)
+        one = ExactSeries.constant(1, 5)
         assert one / S([1, -1], order=5) == S([1] * 6)
 
     def test_self_division(self):
         a = S([2, F(1, 3), -4, 7])
-        assert a / a == ExactSeries.one(3)
+        assert a / a == ExactSeries.constant(1, 3)
 
     def test_long_division(self):
         # (1+q)/(1+2q) to order 2, long-division oracle
@@ -76,7 +76,7 @@ class TestDiv:
 
 class TestExpLog:
     def test_exp_zero(self):
-        assert ExactSeries.zero(4).exp() == ExactSeries.one(4)
+        assert ExactSeries.constant(0, 4).exp() == ExactSeries.constant(1, 4)
 
     def test_mercator(self):
         got = S([1, -1], order=4).log()
@@ -120,7 +120,7 @@ class TestReverseCompose:
         assert a.compose(ExactSeries.identity(2)) == a
 
     def test_compose_substitution(self):
-        geom = ExactSeries.one(4) / S([1, -1], order=4)
+        geom = ExactSeries.constant(1, 4) / S([1, -1], order=4)
         got = geom.compose(S([0, 0, 1], order=4))
         assert got == S([1, 0, 1, 0, 1])
 
@@ -132,7 +132,7 @@ class TestReverseCompose:
 class TestEuler:
     def test_constant(self):
         assert (ExactSeries.constant(7, 3).log_derivative()
-                == ExactSeries.zero(3))
+                == ExactSeries.constant(0, 3))
 
     def test_monomial(self):
         # 3 t^3 / (1 + t^3) to order 3
@@ -343,7 +343,7 @@ def test_every_result_is_reduced_and_matches_fractions(a, b, k):
     (S([6, 4, 2]) / 2, S([3, 2, 1])),
     (S([F(1, 6), F(5, 6), F(1, 3)]).truncate(1), S([F(1, 6), F(5, 6)])),
     (S([F(1, 2), F(1, 2), F(1, 3)]).truncate(1), S([1, 1]) / 2),
-    (S([1, 2], order=3) / S([1, 2], order=3), ExactSeries.one(3)),
+    (S([1, 2], order=3) / S([1, 2], order=3), ExactSeries.constant(1, 3)),
     (ExactSeries.from_nums([-4, 2], -6, "q"), S([F(2, 3), F(-1, 3)])),
 ])
 def test_equal_values_have_one_form(left, right):
