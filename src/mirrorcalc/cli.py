@@ -85,16 +85,26 @@ def _cmd_f1(args) -> dict:
 
 
 def _cmd_extract_gw(args) -> dict:
-    from . import gw, quintic
-
-    chart = quintic.mirror_map(args.order)
-    G = quintic.f1_log_derivative(chart)
     if args.n0_file:
+        from . import gw, quintic
+
+        chart = quintic.mirror_map(args.order)
+        G = quintic.f1_log_derivative(chart)
         genus0 = gw.genus0_table(gw.n0_map_from_json_dict(
             _load_json("--n0-file", args.n0_file)), chart.order)
-    else:
-        genus0 = gw.genus0_pipeline(chart)
-    return gw.table_to_json_dict(gw.extract_gv(G, genus0))
+        return gw.table_to_json_dict(gw.extract_gv(G, genus0))
+    # the int kernels that the quintic and gw functions above wrap
+    from . import kernels as k
+
+    _, _, x, u, y = k.mirror_map(args.order)
+    w = k.one_minus_3125x(x)
+    G = k.f1_log_derivative(u, y, w)
+    (K, dK), inst = k.genus_zero(u, w, y)
+    n1 = k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1))
+    return {"max_degree": args.order,
+            "n0": {str(d): k.ratio(K[d], dK * d ** 3) for d in inst},
+            "n1": {str(d): str(v) for d, v in n1.items()},
+            "instanton_n0": {str(d): str(v) for d, v in inst.items()}}
 
 
 def _cmd_delta(args) -> dict:

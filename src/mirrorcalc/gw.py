@@ -3,7 +3,8 @@ Lambert-series assembly, the equivalent eta-product log-derivative,
 extraction of the degree-d exponents N1(d), and the standard
 genus-zero pipeline producing N0(d).  Each kernel is a Dirichlet
 convolution or its inverse on ints, a series' nums or a degree column
-over one denominator, striding over the multiples of each degree.
+over one denominator, striding over the multiples of each degree;
+they live in ``kernels``, and the functions here check and wrap them.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -13,15 +14,12 @@ independent count of lines on a quintic (see schubert.count_lines).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Dict, Mapping, Optional
 
-from .series import ExactSeries, SeriesError, _exact, _scaled
-from .quintic import LOG_X_MULTIPLE, MirrorChart
-
-
-class ExtractionError(SeriesError):
-    """Raised when extraction preconditions fail."""
+from . import kernels
+from .kernels import ExtractionError, SeriesError, _dirichlet, _sigma
+from .series import ExactSeries, _exact, _scaled
 
 
 class GWTable:
@@ -55,29 +53,6 @@ class GWTable:
                    instanton_n0=instanton_n0)
 
 
-def _dirichlet(f, g, n: int) -> list[int]:
-    """(f * g)(m) = sum_{dk=m} f(d) g(k), m = 1..n, for int lists
-    indexed from 1 (f may stop before n), one strided slice per d."""
-    h = [0] * (n + 1)
-    for d in range(1, min(n, len(f) - 1) + 1):
-        h[d::d] = map(add, h[d::d], [f[d] * v for v in g[1:n // d + 1]])
-    return h
-
-
-def _dirichlet_divide(c, f, n: int) -> list[int]:
-    """x with f * x = c at 1..n, for f(1) = 1 and c of length n + 1, by
-    the same sieve: x(d) is final once its proper divisors are spread."""
-    x = list(c)
-    for d in range(1, n // 2 + 1):
-        x[2 * d::d] = map(sub, x[2 * d::d], [x[d] * v for v in f[2:n // d + 1]])
-    return x
-
-
-def _sigma(n: int) -> list[int]:
-    """sigma_1(m), m = 1..n, as 1 * id."""
-    return _dirichlet([0] + [1] * n, range(n + 1), n)
-
-
 def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
     """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for int
     lists E, U, the columns scaled to ints over 6 lcm(denominators)."""
@@ -87,7 +62,8 @@ def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
     A = [0, *(12 * d * v for d, v in enumerate(nums[n:], 1))]
     B = [0, *(d * v for d, v in enumerate(nums[:n], 1))]
     out = list(map(add, _dirichlet(A, E, order), _dirichlet(B, U, order)))
-    out[0] = int(6 * LOG_X_MULTIPLE) * lcd      # 6 * 50/12 = 25
+    p, q = kernels.LOG_X_MULTIPLE
+    out[0] = 6 * p // q * lcd                   # 6 * 50/12 = 25
     return ExactSeries.from_nums(out, 6 * lcd, "q")
 
 
@@ -120,48 +96,24 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
-    """Solve the Lambert form for N1(d), given G and the genus-zero
-    column.  With c_m = G_m + (1/6) sum_{d|m} d N0(d) it reads
-    -c/2 = (d N1) * sigma_1, solved by one Dirichlet division.
-    """
-    if G[0] != LOG_X_MULTIPLE:
-        raise ExtractionError(
-            f"constant term of G must be 50/12, got {G[0]}")
+    """The N1(d) that ``kernels.extract_n1`` solves for, given G and the
+    genus-zero column."""
     order = G.order
     n0_full = {d: _exact(n0.get(d, 0)) for d in range(1, order + 1)}
-    # with 1/G.den among the entries, den is a multiple of G.den
-    nums, den = _scaled([*n0_full.values(), Fraction(1, G.den)])
-    k = den // G.den
-    # 6 den c_m = 6 den G_m + ((den d N0) * 1)(m)
-    c = map(add, [0, *(6 * k * v for v in G.nums[1:])], _dirichlet(
-        [0, *(d * v for d, v in enumerate(nums[:order], 1))],
-        [0] + [1] * order, order))
-    h = _dirichlet_divide(c, _sigma(order), order)
-    n1 = {m: Fraction(-h[m], 12 * den * m) for m in range(1, order + 1)}
-    return GWTable(max_degree=order, n0=n0_full, n1=n1)
-
-
-def _integral(values: Mapping[int, Fraction], what: str) -> Dict[int, int]:
-    for d, v in values.items():
-        if v.denominator != 1:
-            raise ExtractionError(f"{what} at degree {d} is not an integer: {v}")
-    return {d: v.numerator for d, v in values.items()}
+    nums, den = _scaled(list(n0_full.values()))
+    n1 = kernels.extract_n1(G.nums, G.den, [0, *nums], den)
+    return GWTable(max_degree=order, n0=n0_full,
+                   n1={m: Fraction(p, q) for m, (p, q) in enumerate(n1, 1)})
 
 
 def instanton_numbers(n0: Mapping[int, Fraction],
                       max_degree: int) -> Dict[int, int]:
-    """Genus-zero Gopakumar-Vafa numbers n_d, d = 1..max_degree, from
-    Gromov-Witten numbers N0(d) (absent degrees read 0), by inverting
-    the multicover rule d^3 N0 = (d^3 n) * 1 by Moebius inversion, a
-    Dirichlet division by 1: d^3 n_d = sum_{k|d} mu(k) (d/k)^3 N0(d/k).
-    A non-integral n_d raises ExtractionError.
-    """
-    n = max_degree
-    nums, den = _scaled([_exact(n0.get(d, 0)) for d in range(1, n + 1)])
-    h = _dirichlet_divide([0, *(d ** 3 * v for d, v in enumerate(nums, 1))],
-                          [0] + [1] * n, n)
-    inst = {d: Fraction(h[d], den * d ** 3) for d in range(1, n + 1)}
-    return _integral(inst, "genus-zero instanton number")
+    """``kernels.instanton_numbers`` of the Gromov-Witten numbers N0(d),
+    d = 1..max_degree (absent degrees read 0)."""
+    nums, den = _scaled([_exact(n0.get(d, 0))
+                         for d in range(1, max_degree + 1)])
+    return kernels.instanton_numbers(
+        [0, *(d ** 3 * v for d, v in enumerate(nums, 1))], den)
 
 
 def genus0_table(n0: Mapping[int, Fraction], max_degree: int) -> GWTable:
@@ -171,34 +123,27 @@ def genus0_table(n0: Mapping[int, Fraction], max_degree: int) -> GWTable:
 
 
 def extract_gv(G: ExactSeries, genus0: GWTable) -> GWTable:
-    """Genus-one Gopakumar-Vafa numbers n1 from G and the genus-zero table
-    at degrees 1..G.order (genus0_pipeline, genus0_table), extracted
-    against its instanton numbers, the exponents of the eta-product.
-    A non-integral n1 raises ExtractionError."""
+    """Genus-one Gopakumar-Vafa numbers n1 from G and a genus-zero table
+    at degrees 1..G.order, against its instanton numbers (the exponents
+    of the eta-product); a non-integral n1 raises ExtractionError."""
     inst = genus0.instanton_n0
-    n1 = _integral(extract_n1(G, inst).n1, "genus-one instanton number")
+    n1 = kernels.extract_gv((v.numerator, v.denominator)
+                            for v in extract_n1(G, inst).n1.values())
     return GWTable.from_maps(genus0.n0, n1, max_degree=G.order,
                              instanton_n0=inst)
 
 
-def genus0_pipeline(chart: MirrorChart) -> GWTable:
-    """Standard genus-zero pipeline for the quintic.
-
-    The normalized Yukawa coupling in the flat coordinate is
-    K(q) = 5 u(q)^3 / ((1 - 3125 x(q)) y0(x(q))^2), with K(0) = 5 the
-    classical triple intersection.  K = 5 + sum_d n_d d^3 q^d/(1-q^d),
-    so by the multicover rule N0(d) = sum_{k|d} n_{d/k}/k^3 the q^d
-    coefficient of K is d^3 N0(d); instanton_numbers recovers the n_d
-    and enforces their integrality.  Covers degrees 1..chart.order.
-    K(0) other than 5 raises SeriesError.
-    """
-    u, w, y = chart.u_of_q, chart.one_minus_3125x_of_q, chart.y0_of_q
-    K = u * u * u * 5 / (w * y * y)
-    if K[0] != 5:
-        raise SeriesError(f"K must have constant term 5, not {K[0]}")
+def genus0_pipeline(chart) -> GWTable:
+    """The quintic's genus-zero table at degrees 1..chart.order from a
+    quintic.MirrorChart, by ``kernels.genus_zero``: N0(d) is the q^d
+    coefficient of the Yukawa coupling K over d^3."""
+    (K, dK), inst = kernels.genus_zero(chart.u_of_q.nums,
+                                       chart.one_minus_3125x_of_q.nums,
+                                       chart.y0_of_q.nums)
     n = chart.order
-    return genus0_table({d: Fraction(K.nums[d], K.den * d ** 3)
-                         for d in range(1, n + 1)}, n)
+    return GWTable.from_maps({d: Fraction(K[d], dK * d ** 3)
+                              for d in range(1, n + 1)}, {},
+                             max_degree=n, instanton_n0=inst)
 
 
 def table_to_json_dict(table: GWTable) -> dict:

@@ -1,0 +1,319 @@
+"""Integer kernels of the series arithmetic and the quintic BCOV
+pipeline, wrapped by ``series.ExactSeries``, ``quintic`` and ``gw``; a
+cold ``extract-gw`` runs on this module alone, without ``fractions``.
+
+A rational series is int numerators over one denominator, ``nums, den``,
+returned reduced (den > 0, gcd(den, *nums) = 1); a rational value is a
+pair (p, q), which ``ratio`` writes as ``str(Fraction(p, q))`` does.
+"""
+
+from math import factorial, gcd, lcm
+from operator import add, itemgetter, mul, sub
+
+
+class SeriesError(ValueError):
+    """Base class for series domain errors."""
+
+
+class TagMismatchError(SeriesError):
+    """Raised when two series in different formal variables are combined."""
+
+
+class NonUnitError(SeriesError):
+    """Raised when division/log requires an invertible constant term."""
+
+
+class CompositionError(SeriesError):
+    """Raised when substitution or reversion preconditions fail."""
+
+
+class ExtractionError(SeriesError):
+    """Raised when extraction preconditions fail."""
+
+
+def reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums/den over den > 0 with gcd(den, *nums) = 1."""
+    if den != 1:
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        if (g := gcd(den, *nums)) != 1:
+            nums, den = [v // g for v in nums], den // g
+    return nums, den
+
+
+def ratio(p: int, q: int) -> str:
+    """p/q in lowest terms as "p/q", or "p" when the denominator is 1."""
+    (p,), q = reduced([p], q)
+    return f"{p}/{q}" if q != 1 else str(p)
+
+
+def _solve(c: list[int], dc: int, w, d: list[int]) -> tuple[list[int], int]:
+    """The triangular recurrence
+    out[m] = (c[m]/dc + sum_{k=1}^{m} w[k] out[m-k]) / d[m], m = 0..len(c)-1,
+    for integers c, dc, w and nonzero integers d.
+
+    The out[j] are kept as integer numerators over their running least
+    common denominator, returned with them: each out[m] is reduced once,
+    so the result is reduced, and integral results keep it at 1.
+    """
+    nums: list[int] = []          # out[j] * den, oldest first
+    den = 1
+    for m in range(len(c)):
+        s = sum(map(mul, w[1:m + 1], reversed(nums)))
+        p, q = c[m] * den + dc * s, dc * den * d[m]
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        p, q = p // g, q // g
+        if den % q:
+            k = q // gcd(den, q)
+            nums = [v * k for v in nums]
+            den *= k
+        nums.append(p * (den // q))
+    return nums, den
+
+
+def _convolve(a, b, n: int) -> list[int]:
+    """The product of two integer series, (a b)[k] = sum_j a[j] b[k-j],
+    k = 0..n."""
+    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n + 1)]
+
+
+def divide(a, da: int, b, db: int) -> tuple[list[int], int]:
+    """(a/da) / (b/db) to the shorter length; b[0] = 0 raises NonUnitError."""
+    if not b[0]:
+        raise NonUnitError("divisor has zero constant term")
+    n = min(len(a), len(b))
+    # out[m] = (a[m] - sum_{k>=1} b[k] out[m-k]) / b[0] on a*db over da
+    return _solve([v * db for v in a[:n]], da, [-v for v in b[:n]],
+                  [b[0]] * n)
+
+
+def exp(a, da: int) -> tuple[list[int], int]:
+    """exp(a/da), for a[0] = 0 (else NonUnitError), by the recurrence
+    f' = a' f, i.e. n f_n = sum_{k=1}^{n} k a_k f_{n-k}."""
+    if a[0]:
+        raise NonUnitError("exp needs zero constant term")
+    n = len(a) - 1
+    return _solve([1] + [0] * n, 1, [k * v for k, v in enumerate(a)],
+                  [1] + [m * da for m in range(1, n + 1)])
+
+
+def log_derivative(a) -> tuple[list[int], int]:
+    """t f'/f for f = a/den, any den, by one division; a[0] = 0 raises
+    NonUnitError."""
+    if not a[0]:
+        raise NonUnitError("log_derivative needs nonzero constant term")
+    return _solve([m * v for m, v in enumerate(a)], 1, [-v for v in a],
+                  [a[0]] * len(a))
+
+
+def reverse(a, D: int, *outer) -> list[tuple[list[int], int]]:
+    """The inverse g of a/D = a1*t + O(t^2), a1 != 0, then f(g) for each
+    f = (nums, den) in ``outer``.  Rescales to the monic h(s) = (a/D)(s/a1) = s + sum_{k>=2} H_k s^k / L
+    with integers H_k and L, and solves h(g(t)) = t for g degree by
+    degree; the inverse is g/a1.  Weighted homogeneity makes
+    G_m = g_m L^(m-1) and P_k[m] = [t^m] g^k L^(m-k) integers, and the
+    power table P costs O(n^3) integer products.  Each transport is read
+    from it in O(n^2): [t^m] f(g/a1) = sum_k f_k P_k[m] / (a1^k L^(m-k)).
+    """
+    n = len(a) - 1
+    if a[0]:
+        raise CompositionError("reversion needs zero constant term")
+    if n < 1 or not a[1]:
+        raise CompositionError("reversion needs nonzero linear term")
+    # a_k / a1^k = a[k] D^(k-1) / a[1]^k, over a[1]^n
+    H, L = reduced([0, *(a[k] * D ** (k - 1) * a[1] ** (n - k)
+                         for k in range(1, n + 1))], a[1] ** n)
+    HL = [0, 0] + [H[k] * L ** (k - 2) for k in range(2, n + 1)]
+    G = [0, 1]
+    P = [None, G] + [[0] * (n + 1) for _ in range(2, n + 1)]
+    for m in range(2, n + 1):
+        # [t^m] g^k = sum_{j>=1} g_j [t^(m-j)] g^(k-1); g_1 = 1
+        for k in range(2, m):
+            P[k][m] = sum(map(mul, G[1:m - k + 2], P[k - 1][m - 1:k - 2:-1]))
+        P[m][m] = 1
+        G.append(-sum(HL[k] * P[k][m] for k in range(2, m + 1)))
+    g = gcd(a[1], D)
+    p, r = a[1] // g, D // g          # a1 = p/r, r > 0
+    out = [reduced([0, *(G[m] * r * L ** (n - m) for m in range(1, n + 1))],
+                   L ** (n - 1) * p)]
+    for c, dc in outer:
+        # over the common denominator dc p^N L^N, the k-th term of
+        # [t^m] is c_k r^k L^k p^(N-k) P_k[m] L^(N-m)
+        N = min(len(c) - 1, n)
+        scale = p ** N * L ** N
+        w = [v * (r * L) ** k * p ** (N - k) for k, v in enumerate(c[:N + 1])]
+        out.append(reduced(
+            [c[0] * scale, *(sum(map(mul, w[1:m + 1],
+                                     map(itemgetter(m), P[1:m + 1])))
+                             * L ** (N - m) for m in range(1, N + 1))],
+            dc * scale))
+    return out
+
+
+def _dirichlet(f, g, n: int) -> list[int]:
+    """(f * g)(m) = sum_{dk=m} f(d) g(k), m = 1..n, for int lists
+    indexed from 1 (f may stop before n), one strided slice per d."""
+    h = [0] * (n + 1)
+    for d in range(1, min(n, len(f) - 1) + 1):
+        h[d::d] = map(add, h[d::d], [f[d] * v for v in g[1:n // d + 1]])
+    return h
+
+
+def _dirichlet_divide(c, f, n: int) -> list[int]:
+    """x with f * x = c at 1..n, for f(1) = 1 and c of length n + 1, by
+    the same sieve: x(d) is final once its proper divisors are spread."""
+    x = list(c)
+    for d in range(1, n // 2 + 1):
+        x[2 * d::d] = map(sub, x[2 * d::d], [x[d] * v for v in f[2:n // d + 1]])
+    return x
+
+
+def _sigma(n: int) -> list[int]:
+    """sigma_1(m), m = 1..n, as 1 * id."""
+    return _dirichlet([0] + [1] * n, range(n + 1), n)
+
+
+def integral(pairs, what: str) -> dict[int, int]:
+    """{d: p/q} for pairs (p, q), q > 0, d = 1, 2, ..., or ExtractionError."""
+    out = {}
+    for d, (p, q) in enumerate(pairs, 1):
+        if p % q:
+            raise ExtractionError(
+                f"{what} at degree {d} is not an integer: {ratio(p, q)}")
+        out[d] = p // q
+    return out
+
+
+# Rational multiple of log x in the log of the genus-one amplitude:
+#   (62/3)*log psi  -> -62/15 * log x   (log psi = -(1/5) log x + const)
+#   -(1/6)*log(psi^5 - 1) -> +1/6 * log x  (psi^5 - 1 = (1-3125x)/(3125x))
+#   log(q dpsi/dq) = log psi + log u + const -> -1/5 * log x
+# totalling -25/6, the constant term of q d/dq F1.  G = -q d/dq F1
+# negates all of it, so the log x multiple of G is +25/6 = 50/12.  It
+# is also the constant term of G, since u(0) = 1 and every q f'/f
+# vanishes at q = 0.
+LOG_X_MULTIPLE = (50, 12)
+CHART = ("y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q")
+
+
+def period(order: int) -> list[int]:
+    """y0 = sum_n (5n)!/(n!)^5 x^n, x = (5 psi)^-5, the holomorphic
+    period normalized by y0(0) = 1."""
+    if order < 0:
+        raise SeriesError("order must be non-negative")
+    return [factorial(5 * n) // factorial(n) ** 5 for n in range(order + 1)]
+
+
+def picard_fuchs_check(a) -> bool:
+    """True iff (theta^4 - 5x(5theta+1)(5theta+2)(5theta+3)(5theta+4)) y0
+    vanishes to truncation for y0 = a/den, theta = x d/dx; the recursion
+    n^4 a_n = 5 (5n-1)(5n-2)(5n-3)(5n-4) a_{n-1} is homogeneous."""
+    return all(n ** 4 * a[n] == 5 * (5 * n - 1) * (5 * n - 2) * (5 * n - 3)
+               * (5 * n - 4) * a[n - 1] for n in range(1, len(a)))
+
+
+def _harmonic_gaps(order: int) -> tuple[list[int], int]:
+    """H_n = sum_{j=n+1}^{5n} 1/j, n = 0..order, as int numerators over
+    D = lcm(1..5 order), and D: H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
+    D = lcm(*range(1, 5 * order + 1))
+    gaps, h = [0], 0
+    for n in range(1, order + 1):
+        h += sum(D // j for j in range(5 * n - 4, 5 * n + 1)) - D // n
+        gaps.append(h)
+    return gaps, D
+
+
+def check_chart(*chart) -> None:
+    """The CHART series (nums, den) start y0 = 1 + ..., y0_of_q = 1 + ...,
+    x_of_q = O(q) (else NonUnitError), q_of_x = x + O(x^2), integral."""
+    (y0, dy), (qx, dq), (xq, _), _, (yq, dyq) = chart
+    if y0[0] != dy or yq[0] != dyq or xq[0]:
+        raise NonUnitError("y0, y0_of_q need constant term 1, x_of_q none")
+    if qx[0] or qx[1] != dq:
+        raise SeriesError("q_of_x must be x + O(x^2)")
+    for name, (_, den) in zip(CHART, chart):
+        if den != 1:
+            raise SeriesError(f"{name} must have integral coefficients")
+
+
+def mirror_map(order: int) -> tuple[list[int], ...]:
+    """The integral y0, q_of_x, x_of_q, u_of_q, y0_of_q to x^order or
+    q^order.  q(x) = x E(x), E = exp((5/y0) sum a_n H_n x^n); one
+    reversion gives x(q), y0(x(q)) and E(x(q)), and u = q d(log x)/dq =
+    1 + L(x(q)/q) = 1 - L(E(x(q))), L(f) = q f'/f."""
+    if order < 1:
+        raise SeriesError("mirror_map needs order >= 1")
+    y0 = period(order)
+    if not picard_fuchs_check(y0):
+        raise SeriesError("the period y0 fails its Picard-Fuchs equation")
+    gaps, D = _harmonic_gaps(order)
+    E = exp(*divide([5 * a * h for a, h in zip(y0, gaps)], D, y0, 1))
+    q_of_x = reduced([0, *E[0][:order]], E[1])
+    x_of_q, y0_of_q, (E_of_q, _) = reverse(*q_of_x, (y0, 1), E)
+    L, dL = log_derivative(E_of_q)
+    u_of_q = reduced([dL - L[0], *(-v for v in L[1:])], dL)
+    chart = (y0, 1), q_of_x, x_of_q, u_of_q, y0_of_q
+    check_chart(*chart)
+    return tuple(nums for nums, _ in chart)
+
+
+def one_minus_3125x(x: list[int]) -> list[int]:
+    """1 - 3125 x for an integral series x with x(0) = 0."""
+    return [1, *(-3125 * v for v in x[1:])]
+
+
+def f1_log_derivative(u, y, w) -> tuple[list[int], int]:
+    """G = (25 u + 124 L(y) + L(w) - 6 L(u)) / 6, L(f) = q f'/f, from the
+    integral u(q), y0(x(q)) and 1 - 3125 x(q); G(0) != 50/12 raises."""
+    (ly, dy), (lw, dw), (lu, du) = map(log_derivative, (y, w, u))
+    den = lcm(dy, dw, du)
+    ky, kw, ku = 124 * (den // dy), den // dw, 6 * (den // du)
+    G, dG = reduced([25 * den * a + ky * b + kw * c - ku * e
+                     for a, b, c, e in zip(u, ly, lw, lu)], 6 * den)
+    if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
+        raise SeriesError(
+            f"G must have constant term 50/12, not {ratio(G[0], dG)}")
+    return G, dG
+
+
+def instanton_numbers(c, den: int) -> dict[int, int]:
+    """Genus-zero GV numbers n_d, d = 1..len(c) - 1, from c[d] = d^3 N0(d)
+    den: the multicover rule d^3 N0 = (d^3 n) * 1 divided by 1."""
+    n = len(c) - 1
+    h = _dirichlet_divide([0, *c[1:]], [0] + [1] * n, n)
+    return integral([(h[d], den * d ** 3) for d in range(1, n + 1)],
+                    "genus-zero instanton number")
+
+
+def genus_zero(u, w, y) -> tuple[tuple[list[int], int], dict[int, int]]:
+    """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d
+    and the instanton numbers read from it; K(0) != 5 raises."""
+    n = min(len(u), len(w), len(y)) - 1
+    K, dK = divide([5 * v for v in _convolve(_convolve(u, u, n), u, n)], 1,
+                   _convolve(_convolve(w, y, n), y, n), 1)
+    if K[0] != 5 * dK:
+        raise SeriesError(f"K must have constant term 5, not {ratio(K[0], dK)}")
+    return (K, dK), instanton_numbers(K, dK)
+
+
+def extract_n1(G, dG: int, n0, d0: int) -> list[tuple[int, int]]:
+    """N1(m) = p/q as pairs, m = 1..len(G) - 1, from G/dG and N0(d) =
+    n0[d]/d0.  With c_m = G_m + (1/6) sum_{d|m} d N0(d) the Lambert form
+    reads -c/2 = (d N1) * sigma_1, one Dirichlet division."""
+    if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
+        raise ExtractionError(
+            f"constant term of G must be 50/12, got {ratio(G[0], dG)}")
+    order = len(G) - 1
+    den = lcm(d0, dG)
+    k0, k = den // d0, 6 * (den // dG)
+    # 6 den c_m = 6 den G_m + ((den d N0) * 1)(m)
+    c = map(add, [0, *(k * v for v in G[1:])], _dirichlet(
+        [0, *(k0 * d * n0[d] for d in range(1, order + 1))],
+        [0] + [1] * order, order))
+    h = _dirichlet_divide(c, _sigma(order), order)
+    return [(-h[m], 12 * den * m) for m in range(1, order + 1)]
+
+
+def extract_gv(n1) -> dict[int, int]:
+    """Genus-one GV numbers from extract_n1's pairs; integrality enforced."""
+    return integral(n1, "genus-one instanton number")

@@ -10,35 +10,23 @@ passes ``_exact``, which admits only ints, Fractions and rational strings.
 A series is stored as Python ``int`` numerators ``nums`` over one
 denominator ``den > 0`` with gcd(den, *nums) = 1: ``den`` is the least
 common denominator of the coefficients, so a series is integral exactly
-when ``den == 1``.  Every operation computes on that form, and
-``coeffs`` builds the ``fractions.Fraction`` coefficients when read.
+when ``den == 1``.  Every operation computes on that form, by the int
+kernels of ``kernels``, and ``coeffs`` builds the ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
-from math import gcd, lcm
-from operator import itemgetter, mul
+from math import lcm
+from operator import mul
 from typing import Iterable, Union
 
+from . import kernels
+from .kernels import (CompositionError, NonUnitError, SeriesError,
+                      TagMismatchError, _convolve)
+
 Scalar = Union[int, str, Fraction]
-
-
-class SeriesError(ValueError):
-    """Base class for series domain errors."""
-
-
-class TagMismatchError(SeriesError):
-    """Raised when two series in different formal variables are combined."""
-
-
-class NonUnitError(SeriesError):
-    """Raised when division/log requires an invertible constant term."""
-
-
-class CompositionError(SeriesError):
-    """Raised when substitution or reversion preconditions fail."""
 
 
 def _exact(v) -> Fraction:
@@ -53,41 +41,17 @@ def _exact(v) -> Fraction:
                       "(an int, a Fraction or a rational string)")
 
 
+def _check_form(order, tag) -> None:
+    if type(order) is not int or not isinstance(tag, str):   # no bool
+        raise SeriesError(f"order {reprlib.repr(order)} must be an int and "
+                          f"tag {reprlib.repr(tag)} a str")
+
+
 def _scaled(coeffs) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` (ints or Fractions) over their
     least common denominator, and that denominator."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _solve(c: list[int], dc: int, w, d: list[int]) -> tuple[list[int], int]:
-    """The triangular recurrence
-    out[m] = (c[m]/dc + sum_{k=1}^{m} w[k] out[m-k]) / d[m], m = 0..len(c)-1,
-    for integers c, dc, w and nonzero integers d.
-
-    The solved out[j] are kept as integer numerators over their running
-    least common denominator, which is returned with them; each out[m]
-    is reduced once, and integral results keep that denominator at 1.
-    """
-    nums: list[int] = []          # out[j] * den, oldest first
-    den = 1
-    for m in range(len(c)):
-        s = sum(map(mul, w[1:m + 1], reversed(nums)))
-        p, q = c[m] * den + dc * s, dc * den * d[m]
-        g = gcd(p, q) if q > 0 else -gcd(p, q)
-        p, q = p // g, q // g
-        if den % q:
-            k = q // gcd(den, q)
-            nums = [v * k for v in nums]
-            den *= k
-        nums.append(p * (den // q))
-    return nums, den
-
-
-def _convolve(a, b, n: int) -> list[int]:
-    """The product of two integer series, (a b)[k] = sum_j a[j] b[k-j],
-    k = 0..n."""
-    return [sum(map(mul, a[:k + 1], b[k::-1])) for k in range(n + 1)]
 
 
 class ExactSeries:
@@ -105,13 +69,16 @@ class ExactSeries:
         cs = [_exact(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
+        _check_form(order, tag)
         if order < 0:
             raise SeriesError("order must be non-negative")
         return cls.from_nums(
             *_scaled(cs[:order + 1] + [0] * (order + 1 - len(cs))), tag)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("ExactSeries is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return ExactSeries.from_nums, (self.nums, self.den, self.tag)
@@ -125,11 +92,7 @@ class ExactSeries:
         nums = list(nums)
         if not nums or not den:
             raise SeriesError("a series needs a numerator and den != 0")
-        if den != 1:
-            if den < 0:
-                nums, den = [-v for v in nums], -den
-            if (g := gcd(den, *nums)) != 1:
-                nums, den = [v // g for v in nums], den // g
+        nums, den = kernels.reduced(nums, den)
         s = object.__new__(cls)
         for name, v in zip(ExactSeries.__slots__,
                            (tuple(nums), den, len(nums) - 1, tag)):
@@ -223,15 +186,8 @@ class ExactSeries:
         if not isinstance(other, ExactSeries):
             return self * (1 / _exact(other))
         self._check_tag(other)
-        b = other.nums
-        if not b[0]:
-            raise NonUnitError("divisor has zero constant term")
-        n = min(self.order, other.order)
-        # out[m] = (a[m] - sum_{k>=1} b[k] out[m-k]) / b[0], with a = A/da
-        # and b = B/db: c = A db over da, w = -B, divisor B[0].
-        return ExactSeries.from_nums(*_solve(
-            [v * other.den for v in self.nums[:n + 1]], self.den,
-            [-v for v in b[:n + 1]], [b[0]] * (n + 1)), self.tag)
+        return ExactSeries.from_nums(*kernels.divide(
+            self.nums, self.den, other.nums, other.den), self.tag)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -248,28 +204,15 @@ class ExactSeries:
     # -- transcendental-style operations --------------------------------
 
     def exp(self) -> "ExactSeries":
-        """Formal exponential; requires zero constant term.
-
-        Uses the recurrence f' = a' f, i.e.
-        n f_n = sum_{k=1}^{n} k a_k f_{n-k}.
-        """
-        a, n = self.nums, self.order
-        if a[0]:
-            raise NonUnitError("exp needs zero constant term")
-        return ExactSeries.from_nums(*_solve(
-            [1] + [0] * n, 1, [k * v for k, v in enumerate(a)],
-            [1] + [m * self.den for m in range(1, n + 1)]), self.tag)
+        """Formal exponential; requires zero constant term."""
+        return ExactSeries.from_nums(*kernels.exp(self.nums, self.den),
+                                     self.tag)
 
     def log_derivative(self) -> "ExactSeries":
-        """The logarithmic derivative t f'/f = (t d/dt) log f, by one
-        division on the numerators (a constant factor of f drops out);
-        a zero constant term raises NonUnitError."""
-        a = self.nums
-        if not a[0]:
-            raise NonUnitError("log_derivative needs nonzero constant term")
-        return ExactSeries.from_nums(*_solve(
-            [m * v for m, v in enumerate(a)], 1, [-v for v in a],
-            [a[0]] * len(a)), self.tag)
+        """The logarithmic derivative t f'/f = (t d/dt) log f; a zero
+        constant term raises NonUnitError."""
+        return ExactSeries.from_nums(*kernels.log_derivative(self.nums),
+                                     self.tag)
 
     def log(self) -> "ExactSeries":
         """Formal logarithm; requires constant term 1.
@@ -310,64 +253,13 @@ class ExactSeries:
         return ExactSeries.from_nums(acc, self.den * scale, inner.tag)
 
     def reverse(self, *outer: "ExactSeries", tag: str | None = None):
-        """Compositional inverse g of a series a1*t + O(t^2), a1 != 0.
-
-        Rescales to the monic h(s) = self(s/a1) = s + sum_{k>=2} H_k s^k / L
-        with integers H_k and L, and solves h(g(t)) = t for g degree by
-        degree; the inverse is g/a1.  Weighted homogeneity makes
-        G_m = g_m L^(m-1) and P_k[m] = [t^m] g^k L^(m-k) integers, and
-        the running power table P costs O(n^3) integer products.
-
-        Given series f_1, ..., f_r, returns the tuple
-        (inverse, f_1(inverse), ..., f_r(inverse)), each transport read
-        from the same table in O(n^2):
-        [t^m] f(inverse) = sum_k f_k P_k[m] / (a1^k L^(m-k)).
-        The table is dropped on return.  Every result is a series in
-        ``tag``, by default this series' own variable.
-        """
-        a, n, D = self.nums, self.order, self.den
-        if a[0]:
-            raise CompositionError("reversion needs zero constant term")
-        if n < 1 or not a[1]:
-            raise CompositionError("reversion needs nonzero linear term")
+        """Compositional inverse of a series a1*t + O(t^2), a1 != 0, or
+        with series f_1, ... the tuple (inverse, f_1(inverse), ...), all
+        in ``tag`` (default: this series' own), by ``kernels.reverse``."""
         tag = self.tag if tag is None else tag
-        # a_k / a1^k = a[k] D^(k-1) / a[1]^k, over a[1]^n
-        h = ExactSeries.from_nums([0, *(a[k] * D ** (k - 1) * a[1] ** (n - k)
-                                        for k in range(1, n + 1))],
-                                  a[1] ** n, tag)
-        H, L = h.nums, h.den
-        HL = [0, 0] + [H[k] * L ** (k - 2) for k in range(2, n + 1)]
-        G = [0, 1]
-        P = [None, G] + [[0] * (n + 1) for _ in range(2, n + 1)]
-        for m in range(2, n + 1):
-            # [t^m] g^k = sum_{j>=1} g_j [t^(m-j)] g^(k-1); g_1 = 1
-            for k in range(2, m):
-                P[k][m] = sum(map(mul, G[1:m - k + 2],
-                                  P[k - 1][m - 1:k - 2:-1]))
-            P[m][m] = 1
-            G.append(-sum(HL[k] * P[k][m] for k in range(2, m + 1)))
-        g = gcd(a[1], D)
-        p, r = a[1] // g, D // g          # a1 = p/r, r > 0
-        inverse = ExactSeries.from_nums(
-            [0, *(G[m] * r * L ** (n - m) for m in range(1, n + 1))],
-            L ** (n - 1) * p, tag)
-        if not outer:
-            return inverse
-
-        def transport(f: "ExactSeries") -> "ExactSeries":
-            # over the common denominator df p^N L^N, the k-th term of
-            # [t^m] is c_k r^k L^k p^(N-k) P_k[m] L^(N-m), a1 = p/r
-            N = min(f.order, n)
-            c, scale = f.nums, p ** N * L ** N
-            w = [v * (r * L) ** k * p ** (N - k)
-                 for k, v in enumerate(c[:N + 1])]
-            return ExactSeries.from_nums(
-                [c[0] * scale, *(sum(map(mul, w[1:m + 1],
-                                         map(itemgetter(m), P[1:m + 1])))
-                                 * L ** (N - m) for m in range(1, N + 1))],
-                f.den * scale, tag)
-
-        return (inverse, *map(transport, outer))
+        out = [ExactSeries.from_nums(*s, tag) for s in kernels.reverse(
+            self.nums, self.den, *((f.nums, f.den) for f in outer))]
+        return tuple(out) if outer else out[0]
 
     # -- serialization ----------------------------------------------------
 
@@ -380,5 +272,6 @@ class ExactSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExactSeries":
-        return cls(d["coefficients"], tag=d["variable_tag"],
-                   order=int(d["order"]))
+        order, tag = d["order"], d["variable_tag"]
+        _check_form(order, tag)
+        return cls(d["coefficients"], tag=tag, order=order)

@@ -87,6 +87,21 @@ class TestF1AndGW:
         assert payload["n0"]["3"] == "8564575000/27"
         assert [payload["n1"][d] for d in "123"] == ["0", "0", "609250"]
 
+    @pytest.mark.parametrize("fmt, order", [("json", 1), ("json", 12),
+                                            ("json", 40), ("csv", 20)])
+    def test_extract_gw_matches_the_series_route(self, capsys, fmt, order):
+        # the built-in extract-gw runs on the int kernels; the ExactSeries
+        # route through quintic and gw must give the same bytes
+        from mirrorcalc import gw, quintic
+        from mirrorcalc.cli import _emit
+        chart = quintic.mirror_map(order)
+        table = gw.extract_gv(quintic.f1_log_derivative(chart),
+                              gw.genus0_pipeline(chart))
+        code, out, _ = invoke(capsys, "--output", fmt, "extract-gw",
+                              "--order", str(order))
+        assert code == 0
+        assert out == _emit(gw.table_to_json_dict(table), fmt)
+
     def test_extract_gw_n0_file(self, capsys, tmp_path):
         path = tmp_path / "n0.json"
         path.write_text(json.dumps({"n0": {"1": "2875", "2": "4876875/8",
@@ -126,11 +141,12 @@ class TestF1AndGW:
     @pytest.mark.parametrize("n0_file", [False, True])
     def test_extract_gw_inverts_the_multicover_rule_once(
             self, capsys, tmp_path, monkeypatch, n0_file):
-        from mirrorcalc import gw
+        # both routes invert through the one kernel
+        from mirrorcalc import kernels
         calls = []
-        inverse = gw.instanton_numbers
-        monkeypatch.setattr(gw, "instanton_numbers", lambda n0, max_degree:
-                            calls.append(max_degree) or inverse(n0, max_degree))
+        inverse = kernels.instanton_numbers
+        monkeypatch.setattr(kernels, "instanton_numbers", lambda c, den:
+                            calls.append(len(c) - 1) or inverse(c, den))
         path = tmp_path / "n0.json"
         path.write_text(json.dumps({"n0": {"1": "2875", "2": "4876875/8",
                                            "3": "8564575000/27"}}))

@@ -19,8 +19,9 @@ PROBE = ("import json, sys, mirrorcalc; print(json.dumps([mirrorcalc.__file__, "
          "sorted(m for m in sys.modules if m.startswith('mirrorcalc.'))]))")
 
 # Runs the CLI on argv, then prints its exit code, the mirrorcalc
-# submodules it loaded, whether csv was loaded and which of dataclasses
-# and inspect (an import chain through ast, dis and tokenize) are loaded.
+# submodules it loaded, whether csv was loaded and which of dataclasses,
+# inspect (an import chain through ast, dis and tokenize), fractions and
+# decimal are loaded.
 RUN_PROBE = """\
 import contextlib, io, json, sys
 from mirrorcalc import cli
@@ -29,11 +30,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m.removeprefix('mirrorcalc.') for m in
                                sys.modules if m.startswith('mirrorcalc.')),
                   'csv' in sys.modules,
-                  [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))
+                  [m for m in ('dataclasses', 'inspect', 'fractions',
+                               'decimal') if m in sys.modules]]))
 """
 
-# The series pipeline builds its records without dataclasses.
-NO_DATACLASSES = {"extract-gw", "mirror-map", "f1"}
+# The series pipeline builds its records without dataclasses; the
+# built-in extract-gw runs on the int kernels alone, without fractions
+# (which loads decimal).
+FRACTIONS = ["fractions", "decimal"]
+HEAVY = {"extract-gw": [], "mirror-map": FRACTIONS, "f1": FRACTIONS}
 
 
 def _python(*args):
@@ -67,14 +72,14 @@ def inputs(tmp_path):
 
 
 SUBCOMMANDS = [
-    (["extract-gw", "--order", "3"], ["cli", "gw", "quintic", "series"]),
-    (["mirror-map", "--order", "3"], ["cli", "quintic", "series"]),
-    (["f1", "--order", "3"], ["cli", "quintic", "series"]),
+    (["extract-gw", "--order", "3"], ["cli", "kernels"]),
+    (["mirror-map", "--order", "3"], ["cli", "kernels", "quintic", "series"]),
+    (["f1", "--order", "3"], ["cli", "kernels", "quintic", "series"]),
     (["delta", "--table", "3"], ["cli", "deltacoeff"]),
     (["covolume", "--lattice", "LATTICE"], ["cli", "lattice"]),
     (["fhsv", "--gram", "GRAM", "--h", "[1,1,0,0,0,0,0,0,0,0]"],
      ["cli", "lattice"]),
-    (["modular", "--tau", "1i"], ["cli", "modular", "series"]),
+    (["modular", "--tau", "1i"], ["cli", "kernels", "modular", "series"]),
     (["bcov-factor", "--family", "FAMILY"], ["cli", "divisor"]),
 ]
 
@@ -87,14 +92,14 @@ def test_subcommand_loads_only_its_modules(inputs, argv, modules):
     assert code == 0
     assert loaded == modules
     assert not csv_loaded
-    if argv[0] in NO_DATACLASSES:
-        assert heavy == []
+    if argv[0] in HEAVY:
+        assert heavy == HEAVY[argv[0]]
 
 
 def test_csv_loaded_only_for_csv_output():
     code, loaded, csv_loaded, heavy = _python(
         "-c", RUN_PROBE, "--output", "csv", "extract-gw", "--order", "3")
     assert code == 0
-    assert loaded == ["cli", "gw", "quintic", "series"]
+    assert loaded == ["cli", "kernels"]
     assert csv_loaded
     assert heavy == []

@@ -1,7 +1,8 @@
 """One rule for exact input: every entrance to ``series`` and ``gw`` reads
 an int, a Fraction or a rational string exactly, and refuses anything
 else (floats, bools, None, malformed strings) with SeriesError.  A
-series survives pickle, copy and deepcopy, and stays immutable."""
+series survives pickle, copy and deepcopy, and stays immutable, and its
+order and tag must be an int and a str."""
 
 import copy
 import pickle
@@ -102,3 +103,37 @@ def test_series_stays_immutable():
     with pytest.raises(AttributeError):
         s.extra = 1
     assert s.nums == (1, 2)
+
+
+@pytest.mark.parametrize("name", ["nums", "den"])
+def test_series_attributes_cannot_be_deleted(name):
+    s = ExactSeries([1, 2])
+    with pytest.raises(AttributeError, match="ExactSeries is immutable"):
+        delattr(s, name)
+    assert s.nums == (1, 2) and s.den == 1
+    assert s * s == ExactSeries([1, 4])
+
+
+@pytest.mark.parametrize("order", [2.7, True, "2", None],
+                         ids=["float", "bool", "string", "none"])
+def test_json_order_must_be_an_int(order):
+    doc = {"variable_tag": "q", "order": order, "coefficients": ["1", "2", "3"]}
+    with pytest.raises(SeriesError, match="must be an int"):
+        ExactSeries.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("order", [2.7, True, "2"],
+                         ids=["float", "bool", "string"])
+def test_constructor_order_must_be_an_int(order):
+    with pytest.raises(SeriesError, match="must be an int"):
+        ExactSeries([1, 2, 3], order=order)
+
+
+def test_tag_must_be_a_str():
+    with pytest.raises(SeriesError, match="a str"):
+        ExactSeries([1, 2], tag=5)
+    with pytest.raises(SeriesError, match="a str"):
+        ExactSeries.from_json_dict(
+            {"variable_tag": 5, "order": 1, "coefficients": ["1", "2"]})
+    doc = {"variable_tag": "x", "order": 1, "coefficients": ["1", "2"]}
+    assert ExactSeries.from_json_dict(doc) == ExactSeries([1, 2], tag="x")

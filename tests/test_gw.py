@@ -8,8 +8,8 @@ from mirrorcalc import modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
                            extract_n1, extract_gv, genus0_pipeline,
                            genus0_table, instanton_numbers, ExtractionError,
-                           n0_map_from_json_dict, table_to_json_dict,
-                           _dirichlet, _dirichlet_divide, _sigma)
+                           n0_map_from_json_dict, table_to_json_dict)
+from mirrorcalc.kernels import _dirichlet, _dirichlet_divide, _sigma
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
 from mirrorcalc.series import ExactSeries, SeriesError

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorcalc.series import ExactSeries, NonUnitError, SeriesError
+from mirrorcalc.kernels import _harmonic_gaps
 from mirrorcalc.quintic import (MirrorChart, period_y0, mirror_map,
-                                f1_log_derivative, picard_fuchs_check,
-                                _harmonic_gaps)
+                                f1_log_derivative, picard_fuchs_check)
 
 FIELDS = ("order", "y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q")
 
@@ -145,11 +145,10 @@ class TestMirrorMap:
             replace(chart, x_of_q=chart.x_of_q + 1)
 
     def test_period_checked_against_picard_fuchs(self, monkeypatch):
-        import mirrorcalc.quintic as quintic
-        period = quintic.period_y0
-        monkeypatch.setattr(quintic, "period_y0",
-                            lambda order: period(order) + ExactSeries(
-                                [0, 0, 1], tag="x", order=order))
+        import mirrorcalc.kernels as kernels
+        period = kernels.period
+        monkeypatch.setattr(kernels, "period", lambda order: [
+            a + (n == 2) for n, a in enumerate(period(order))])
         with pytest.raises(SeriesError, match="Picard-Fuchs"):
             mirror_map(5)
 

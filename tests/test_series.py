@@ -4,8 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mirrorcalc.kernels import _convolve
 from mirrorcalc.series import (ExactSeries, TagMismatchError, NonUnitError,
-                               CompositionError, _convolve)
+                               CompositionError)
 
 
 def S(coeffs, tag="q", order=None):
