@@ -5,7 +5,7 @@ inverse x(q), and checks the coefficient recursion of the underlying
 fourth-order ODE.
 """
 
-from mirrorcalc import quintic
+from mirrorcalc import kernels, quintic
 
 chart = quintic.mirror_map(8)
 
@@ -20,4 +20,4 @@ print("q(x(q)) is the identity:",
       chart.q_of_x.compose(chart.x_of_q)
       == type(chart.x_of_q).identity(order=8, tag="q"))
 print("ODE recursion holds to order 100:",
-      quintic.picard_fuchs_check(quintic.period_y0(100)))
+      kernels.picard_fuchs_check(kernels.period(100)))

@@ -4,7 +4,8 @@
 
 Each order in ORDERS runs in a freshly spawned process on the ``src/``
 next to this script: ``mirror_map``, ``f1_log_derivative``,
-``genus0_pipeline`` and ``extract_gv``, as ``extract-gw`` runs them.
+``genus0_pipeline`` and ``extract_gv``, the ``quintic`` and ``gw``
+wrappers of the ``kernels`` pipeline that ``extract-gw`` runs.
 Per order it records each stage's wall time, the largest bit length of
 a numerator or denominator in x(q) (``max_coeff_bits``, as the
 benchmark's traced runs define it) and the process's peak RSS.

@@ -16,8 +16,8 @@ import math
 import reprlib
 import sys
 
-# Each handler imports the modules it runs, so a cold process loads
-# only what its subcommand needs.
+# Each handler imports the modules it runs, so a cold process loads only
+# what its subcommand needs: ``kernels`` for the pipeline subcommands.
 
 
 class UsageError(Exception):
@@ -65,44 +65,41 @@ def _emit(payload: dict, fmt: str) -> str:
 
 
 def _cmd_mirror_map(args) -> dict:
-    from . import quintic
+    from . import kernels as k
 
-    chart = quintic.mirror_map(args.order)
-    return {
-        "order": chart.order,
-        "y0": chart.y0.to_json_dict(),
-        "q_of_x": chart.q_of_x.to_json_dict(),
-        "x_of_q": chart.x_of_q.to_json_dict(),
-        "u_of_q": chart.u_of_q.to_json_dict(),
-    }
+    chart = k.mirror_map(args.order)
+    return {"order": args.order,
+            **{name: k.series_json(s, 1, tag)
+               for name, s, tag in zip(k.CHART[:4], chart, "xxqq")}}
 
 
 def _cmd_f1(args) -> dict:
-    from . import quintic
+    from . import kernels as k
 
-    G = quintic.f1_log_derivative(quintic.mirror_map(args.order))
-    return {"G": G.to_json_dict()}
+    _, _, x, u, y = k.mirror_map(args.order)
+    G = k.f1_log_derivative(u, y, k.one_minus_3125x(x))
+    return {"G": k.series_json(*G, "q")}
 
 
 def _cmd_extract_gw(args) -> dict:
-    if args.n0_file:
-        from . import gw, quintic
-
-        chart = quintic.mirror_map(args.order)
-        G = quintic.f1_log_derivative(chart)
-        genus0 = gw.genus0_table(gw.n0_map_from_json_dict(
-            _load_json("--n0-file", args.n0_file)), chart.order)
-        return gw.table_to_json_dict(gw.extract_gv(G, genus0))
-    # the int kernels that the quintic and gw functions above wrap
     from . import kernels as k
 
     _, _, x, u, y = k.mirror_map(args.order)
     w = k.one_minus_3125x(x)
     G = k.f1_log_derivative(u, y, w)
-    (K, dK), inst = k.genus_zero(u, w, y)
+    if args.n0_file:        # c[d] = d^3 N0(d) den, as the Yukawa K holds it
+        from .gw import n0_map_from_json_dict
+        from .series import _scaled
+
+        n0 = n0_map_from_json_dict(_load_json("--n0-file", args.n0_file))
+        nums, den = _scaled([n0.get(d, 0) for d in range(1, args.order + 1)])
+        c = [0, *(d ** 3 * v for d, v in enumerate(nums, 1))]
+    else:
+        c, den = k.genus_zero(u, w, y)
+    inst = k.instanton_numbers(c, den)
     n1 = k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1))
     return {"max_degree": args.order,
-            "n0": {str(d): k.ratio(K[d], dK * d ** 3) for d in inst},
+            "n0": {str(d): k.ratio(c[d], den * d ** 3) for d in inst},
             "n1": {str(d): str(v) for d, v in n1.items()},
             "instanton_n0": {str(d): str(v) for d, v in inst.items()}}
 
@@ -111,6 +108,8 @@ def _cmd_delta(args) -> dict:
     from .deltacoeff import delta, delta_row
 
     if args.table is not None:
+        if args.n is not None or args.p is not None:
+            raise UsageError("delta takes --table N or --n and --p, not both")
         row = delta_row(args.table)
         return {"n": args.table, "row": [str(v) for v in row]}
     if args.n is None or args.p is None:

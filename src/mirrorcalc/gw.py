@@ -4,7 +4,8 @@ extraction of the degree-d exponents N1(d), and the standard
 genus-zero pipeline producing N0(d).  Each kernel is a Dirichlet
 convolution or its inverse on ints, a series' nums or a degree column
 over one denominator, striding over the multiples of each degree;
-they live in ``kernels``, and the functions here check and wrap them.
+they live in ``kernels``, and the functions here check and wrap them;
+the CLI runs the kernels itself and takes only its n0 parser from here.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -116,19 +117,14 @@ def instanton_numbers(n0: Mapping[int, Fraction],
         [0, *(d ** 3 * v for d, v in enumerate(nums, 1))], den)
 
 
-def genus0_table(n0: Mapping[int, Fraction], max_degree: int) -> GWTable:
-    """The genus-zero table of n0 at degrees 1..max_degree, n_d included."""
-    return GWTable.from_maps(n0, {}, max_degree=max_degree,
-                             instanton_n0=instanton_numbers(n0, max_degree))
-
-
 def extract_gv(G: ExactSeries, genus0: GWTable) -> GWTable:
     """Genus-one Gopakumar-Vafa numbers n1 from G and a genus-zero table
     at degrees 1..G.order, against its instanton numbers (the exponents
     of the eta-product); a non-integral n1 raises ExtractionError."""
     inst = genus0.instanton_n0
-    n1 = kernels.extract_gv((v.numerator, v.denominator)
-                            for v in extract_n1(G, inst).n1.values())
+    nums, den = _scaled([_exact(inst.get(d, 0))
+                         for d in range(1, G.order + 1)])
+    n1 = kernels.extract_gv(kernels.extract_n1(G.nums, G.den, [0, *nums], den))
     return GWTable.from_maps(genus0.n0, n1, max_degree=G.order,
                              instanton_n0=inst)
 
@@ -137,25 +133,13 @@ def genus0_pipeline(chart) -> GWTable:
     """The quintic's genus-zero table at degrees 1..chart.order from a
     quintic.MirrorChart, by ``kernels.genus_zero``: N0(d) is the q^d
     coefficient of the Yukawa coupling K over d^3."""
-    (K, dK), inst = kernels.genus_zero(chart.u_of_q.nums,
-                                       chart.one_minus_3125x_of_q.nums,
-                                       chart.y0_of_q.nums)
+    K, dK = kernels.genus_zero(chart.u_of_q.nums,
+                               chart.one_minus_3125x_of_q.nums,
+                               chart.y0_of_q.nums)
     n = chart.order
     return GWTable.from_maps({d: Fraction(K[d], dK * d ** 3)
-                              for d in range(1, n + 1)}, {},
-                             max_degree=n, instanton_n0=inst)
-
-
-def table_to_json_dict(table: GWTable) -> dict:
-    out = {
-        "max_degree": table.max_degree,
-        "n0": {str(d): str(table.n0[d]) for d in range(1, table.max_degree + 1)},
-        "n1": {str(d): str(table.n1[d]) for d in range(1, table.max_degree + 1)},
-    }
-    if table.instanton_n0 is not None:
-        out["instanton_n0"] = {str(d): str(v)
-                               for d, v in sorted(table.instanton_n0.items())}
-    return out
+                              for d in range(1, n + 1)}, {}, max_degree=n,
+                             instanton_n0=kernels.instanton_numbers(K, dK))
 
 
 def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:

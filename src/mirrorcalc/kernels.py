@@ -1,10 +1,10 @@
 """Integer kernels of the series arithmetic and the quintic BCOV
-pipeline, wrapped by ``series.ExactSeries``, ``quintic`` and ``gw``; a
-cold ``extract-gw`` runs on this module alone, without ``fractions``.
+pipeline, wrapped by ``series.ExactSeries``, ``quintic`` and ``gw``; the
+CLI's pipeline subcommands run on this module, without ``fractions``.
 
 A rational series is int numerators over one denominator, ``nums, den``,
-returned reduced (den > 0, gcd(den, *nums) = 1); a rational value is a
-pair (p, q), which ``ratio`` writes as ``str(Fraction(p, q))`` does.
+returned reduced (den > 0, gcd(den, *nums) = 1), which ``series_json``
+writes; a rational value is a pair (p, q), written by ``ratio``.
 """
 
 from math import factorial, gcd, lcm
@@ -42,9 +42,17 @@ def reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 def ratio(p: int, q: int) -> str:
-    """p/q in lowest terms as "p/q", or "p" when the denominator is 1."""
+    """p/q in lowest terms as "p/q", or "p" when the denominator is 1,
+    as ``str(Fraction(p, q))`` writes it."""
     (p,), q = reduced([p], q)
     return f"{p}/{q}" if q != 1 else str(p)
+
+
+def series_json(nums, den: int, tag: str) -> dict:
+    """The JSON form of the series nums/den in ``tag``: its order and
+    each coefficient as ``ratio`` writes it."""
+    return {"variable_tag": tag, "order": len(nums) - 1,
+            "coefficients": [ratio(v, den) for v in nums]}
 
 
 def _solve(c: list[int], dc: int, w, d: list[int]) -> tuple[list[int], int]:
@@ -285,15 +293,15 @@ def instanton_numbers(c, den: int) -> dict[int, int]:
                     "genus-zero instanton number")
 
 
-def genus_zero(u, w, y) -> tuple[tuple[list[int], int], dict[int, int]]:
-    """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d
-    and the instanton numbers read from it; K(0) != 5 raises."""
+def genus_zero(u, w, y) -> tuple[list[int], int]:
+    """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d,
+    the column ``instanton_numbers`` reads; K(0) != 5 raises."""
     n = min(len(u), len(w), len(y)) - 1
     K, dK = divide([5 * v for v in _convolve(_convolve(u, u, n), u, n)], 1,
                    _convolve(_convolve(w, y, n), y, n), 1)
     if K[0] != 5 * dK:
         raise SeriesError(f"K must have constant term 5, not {ratio(K[0], dK)}")
-    return (K, dK), instanton_numbers(K, dK)
+    return K, dK
 
 
 def extract_n1(G, dG: int, n0, d0: int) -> list[tuple[int, int]]:

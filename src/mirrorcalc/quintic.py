@@ -11,9 +11,6 @@ wraps the int pipeline of ``kernels``, which holds the algorithms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
-
 from . import kernels
 from .series import ExactSeries
 
@@ -29,9 +26,9 @@ class MirrorChart:
     Every series ends at x^order or q^order: y0 and q_of_x = x + ...
     in x, their transports x_of_q (the inverse) and y0_of_q in q.
     u_of_q is q d(log x)/dq, the unit series carrying every rational
-    multiple of log x through the q d/dq operator; 1 - 3125 x(q) is
-    computed on first use.  The series are integral (Lian-Yau,
-    Krattenthaler-Rivoal), as ``kernels.check_chart`` checks.
+    multiple of log x through the q d/dq operator, and
+    one_minus_3125x_of_q is 1 - 3125 x(q).  The series are integral
+    (Lian-Yau, Krattenthaler-Rivoal), as ``kernels.check_chart`` checks.
     """
 
     def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
@@ -39,12 +36,8 @@ class MirrorChart:
         self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
         kernels.check_chart(*((s.nums, s.den) for s in
                               (y0, q_of_x, x_of_q, u_of_q, y0_of_q)))
-
-    @cached_property
-    def one_minus_3125x_of_q(self) -> ExactSeries:
-        """1 - 3125 x(q)."""
-        return ExactSeries.from_nums(
-            kernels.one_minus_3125x(self.x_of_q.nums), 1, self.x_of_q.tag)
+        self.one_minus_3125x_of_q = ExactSeries.from_nums(
+            kernels.one_minus_3125x(x_of_q.nums), 1, x_of_q.tag)
 
 
 def mirror_map(order: int) -> MirrorChart:
@@ -55,23 +48,16 @@ def mirror_map(order: int) -> MirrorChart:
                                 for s, tag in zip(series, "xxqqq")))
 
 
-LOG_X_MULTIPLE = Fraction(*kernels.LOG_X_MULTIPLE)   # 50/12, derived there
-
-
 def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     """G(q) = -q d/dq F1, with F1 the log of the genus-one amplitude
     (psi/y0)^(62/3) (psi^5-1)^(-1/6) q dpsi/dq, transported to the
     q-chart, to the chart's order.
 
-    Split as LOG_X_MULTIPLE * u(q) minus L(f) = q f'/f of the unit
-    series y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q), as
+    Split as (50/12) u(q) minus L(f) = q f'/f of the unit series
+    y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q), as
     ``kernels.f1_log_derivative`` computes it; G(0) != 50/12 raises.
     """
     u = chart.u_of_q
     return ExactSeries.from_nums(*kernels.f1_log_derivative(
         u.nums, chart.y0_of_q.nums, chart.one_minus_3125x_of_q.nums), u.tag)
 
-
-def picard_fuchs_check(y0: ExactSeries) -> bool:
-    """``kernels.picard_fuchs_check`` on y0's numerators."""
-    return kernels.picard_fuchs_check(y0.nums)

@@ -11,7 +11,8 @@ A series is stored as Python ``int`` numerators ``nums`` over one
 denominator ``den > 0`` with gcd(den, *nums) = 1: ``den`` is the least
 common denominator of the coefficients, so a series is integral exactly
 when ``den == 1``.  Every operation computes on that form, by the int
-kernels of ``kernels``, and ``coeffs`` builds the ``Fraction``s.
+kernels of ``kernels``, which also writes it (``to_json_dict``), and
+``coeffs`` builds the ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -264,11 +265,7 @@ class ExactSeries:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "variable_tag": self.tag,
-            "order": self.order,
-            "coefficients": [str(c) for c in self.coeffs],
-        }
+        return kernels.series_json(self.nums, self.den, self.tag)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExactSeries":

@@ -10,7 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from mirrorcalc import divisor, gw, lattice, modular, quintic, schubert
+from mirrorcalc import (divisor, gw, kernels, lattice, modular, quintic,
+                        schubert)
 from mirrorcalc.deltacoeff import delta
 from mirrorcalc.series import ExactSeries
 
@@ -54,7 +55,7 @@ def test_ac2_mirror_map():
             [0, 1, -770], order=2, tag="q")
         composed = chart.x_of_q.compose(chart.q_of_x)
         assert composed == ExactSeries.identity(order=50, tag="x")
-        assert quintic.picard_fuchs_check(quintic.period_y0(100))
+        assert kernels.picard_fuchs_check(kernels.period(100))
 
 
 def test_ac3_f1_constant():

@@ -90,17 +90,58 @@ class TestF1AndGW:
     @pytest.mark.parametrize("fmt, order", [("json", 1), ("json", 12),
                                             ("json", 40), ("csv", 20)])
     def test_extract_gw_matches_the_series_route(self, capsys, fmt, order):
-        # the built-in extract-gw runs on the int kernels; the ExactSeries
-        # route through quintic and gw must give the same bytes
+        # extract-gw runs on the int kernels; the ExactSeries route
+        # through quintic and gw must give the same bytes
         from mirrorcalc import gw, quintic
         from mirrorcalc.cli import _emit
         chart = quintic.mirror_map(order)
         table = gw.extract_gv(quintic.f1_log_derivative(chart),
                               gw.genus0_pipeline(chart))
+        degrees = range(1, table.max_degree + 1)
+        expected = {"max_degree": table.max_degree, **{
+            name: {str(d): str(column[d]) for d in degrees}
+            for name, column in [("n0", table.n0), ("n1", table.n1),
+                                 ("instanton_n0", table.instanton_n0)]}}
         code, out, _ = invoke(capsys, "--output", fmt, "extract-gw",
                               "--order", str(order))
         assert code == 0
-        assert out == _emit(gw.table_to_json_dict(table), fmt)
+        assert out == _emit(expected, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("order", [1, 30])
+    @pytest.mark.parametrize("command", ["mirror-map", "f1"])
+    def test_series_commands_match_the_series_route(self, capsys, command,
+                                                     order, fmt):
+        from mirrorcalc import quintic
+        from mirrorcalc.cli import _emit
+        chart = quintic.mirror_map(order)
+        if command == "f1":
+            expected = {"G": quintic.f1_log_derivative(chart).to_json_dict()}
+        else:
+            expected = {"order": order, **{
+                name: getattr(chart, name).to_json_dict()
+                for name in ("y0", "q_of_x", "x_of_q", "u_of_q")}}
+        code, out, _ = invoke(capsys, "--output", fmt, command,
+                              "--order", str(order))
+        assert code == 0
+        assert out == _emit(expected, fmt)
+
+    @pytest.mark.parametrize("fmt, order", [("json", 1), ("json", 12),
+                                            ("json", 40), ("csv", 20)])
+    def test_n0_file_of_the_built_in_column(self, capsys, tmp_path, fmt,
+                                            order):
+        # the built-in n0 column fed back through --n0-file gives the
+        # same bytes: only the column's source differs
+        code, out, _ = invoke(capsys, "extract-gw", "--order", str(order))
+        assert code == 0
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps({"n0": json.loads(out)["n0"]}))
+        argv = ["--output", fmt, "extract-gw", "--order", str(order)]
+        code, built_in, _ = invoke(capsys, *argv)
+        assert code == 0
+        code, from_file, _ = invoke(capsys, *argv, "--n0-file", str(path))
+        assert code == 0
+        assert from_file == built_in
 
     def test_extract_gw_n0_file(self, capsys, tmp_path):
         path = tmp_path / "n0.json"
@@ -177,6 +218,15 @@ class TestDelta:
         code, _, err = invoke(capsys, "delta")
         assert code == 2
         assert "delta" in err
+
+    @pytest.mark.parametrize("flags", [["--n", "3"], ["--p", "1"],
+                                       ["--n", "3", "--p", "1"]],
+                             ids=["n", "p", "n-and-p"])
+    def test_table_with_n_or_p_is_a_usage_error(self, capsys, flags):
+        code, out, err = invoke(capsys, "delta", "--table", "2", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
 
     def test_out_of_range(self, capsys):
         code, _, err = invoke(capsys, "delta", "--n", "3", "--p", "9")

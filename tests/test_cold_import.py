@@ -34,11 +34,11 @@ print(json.dumps([code, sorted(m.removeprefix('mirrorcalc.') for m in
                                'decimal') if m in sys.modules]]))
 """
 
-# The series pipeline builds its records without dataclasses; the
-# built-in extract-gw runs on the int kernels alone, without fractions
-# (which loads decimal).
-FRACTIONS = ["fractions", "decimal"]
-HEAVY = {"extract-gw": [], "mirror-map": FRACTIONS, "f1": FRACTIONS}
+# The pipeline subcommands run on the int kernels alone, without
+# fractions (which loads decimal) or dataclasses (which loads inspect);
+# the --n0-file parser reads its values as Fractions.
+HEAVY = {"extract-gw": [], "extract-gw-n0-file": ["fractions", "decimal"],
+         "mirror-map": [], "f1": []}
 
 
 def _python(*args):
@@ -63,6 +63,7 @@ def inputs(tmp_path):
         "LATTICE": {"rank": 1, "cubic": [[0, 0, 0, "5"]], "kappa": ["1"]},
         "GRAM": enriques_invariant_gram(),
         "FAMILY": FamilyData.quintic_mirror().to_json_dict(),
+        "N0": {"n0": {"1": "2875", "2": "4876875/8", "3": "8564575000/27"}},
     }
     paths = {}
     for name, doc in files.items():
@@ -73,8 +74,11 @@ def inputs(tmp_path):
 
 SUBCOMMANDS = [
     (["extract-gw", "--order", "3"], ["cli", "kernels"]),
-    (["mirror-map", "--order", "3"], ["cli", "kernels", "quintic", "series"]),
-    (["f1", "--order", "3"], ["cli", "kernels", "quintic", "series"]),
+    # the --n0-file parser adds gw and the series it imports
+    (["extract-gw", "--order", "3", "--n0-file", "N0"],
+     ["cli", "gw", "kernels", "series"]),
+    (["mirror-map", "--order", "3"], ["cli", "kernels"]),
+    (["f1", "--order", "3"], ["cli", "kernels"]),
     (["delta", "--table", "3"], ["cli", "deltacoeff"]),
     (["covolume", "--lattice", "LATTICE"], ["cli", "lattice"]),
     (["fhsv", "--gram", "GRAM", "--h", "[1,1,0,0,0,0,0,0,0,0]"],
@@ -84,16 +88,21 @@ SUBCOMMANDS = [
 ]
 
 
+def _name(argv):
+    """The subcommand, with -n0-file when that flag is given."""
+    return argv[0] + "-n0-file" * ("--n0-file" in argv)
+
+
 @pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
-                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
+                         ids=[_name(argv) for argv, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_its_modules(inputs, argv, modules):
     code, loaded, csv_loaded, heavy = _python(
         "-c", RUN_PROBE, *(inputs.get(a, a) for a in argv))
     assert code == 0
     assert loaded == modules
     assert not csv_loaded
-    if argv[0] in HEAVY:
-        assert heavy == HEAVY[argv[0]]
+    if _name(argv) in HEAVY:
+        assert heavy == HEAVY[_name(argv)]
 
 
 def test_csv_loaded_only_for_csv_output():

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from mirrorcalc.gw import (ExtractionError, GWTable, extract_n1,
-                           genus0_table, instanton_numbers)
+                           instanton_numbers)
 from mirrorcalc.series import ExactSeries, SeriesError
 
 ONE = ExactSeries([1, 0], tag="q")
@@ -46,7 +46,9 @@ ENTRANCES = {
     "from_maps_n1": lambda v: GWTable.from_maps({}, {1: v}).n1[1],
     "extract_n1": lambda v: extract_n1(G, {1: v}).n0[1],
     "instanton_numbers": _integral_n1(lambda v: instanton_numbers({1: v}, 1)[1]),
-    "genus0_table": _integral_n1(lambda v: genus0_table({1: v}, 1).n0[1]),
+    # the genus-zero table extract_gv reads: its column and n_d
+    "genus0_table": _integral_n1(lambda v: GWTable.from_maps(
+        {1: v}, {}, instanton_n0=instanton_numbers({1: v}, 1)).n0[1]),
 }
 
 

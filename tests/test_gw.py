@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from mirrorcalc import modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
                            extract_n1, extract_gv, genus0_pipeline,
-                           genus0_table, instanton_numbers, ExtractionError,
-                           n0_map_from_json_dict, table_to_json_dict)
+                           instanton_numbers, ExtractionError,
+                           n0_map_from_json_dict)
 from mirrorcalc.kernels import _dirichlet, _dirichlet_divide, _sigma
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
@@ -87,7 +88,9 @@ class TestExtract:
 
     def test_gv_integrality_enforced(self):
         G = ExactSeries([F(25, 6), -4], tag="q")
-        genus0 = genus0_table({1: F(12)}, 1)
+        n0 = {1: F(12)}
+        genus0 = GWTable.from_maps(n0, {}, max_degree=1,
+                                   instanton_n0=instanton_numbers(n0, 1))
         assert extract_gv(G, genus0).n1[1] == 1
         with pytest.raises(ExtractionError):
             extract_gv(G + ExactSeries([0, 1], tag="q"), genus0)
@@ -163,9 +166,11 @@ class TestEndToEnd:
         assert lambert_series(table, G.order) == G
 
 
-def test_json_schema_roundtrip():
-    t = GWTable.from_maps({1: F(2875)}, {1: F(0)}, max_degree=1)
-    d = table_to_json_dict(t)
+def test_json_schema_roundtrip(capsys):
+    # the extract-gw payload is the schema the --n0-file parser reads
+    from mirrorcalc.cli import run
+    assert run(["extract-gw", "--order", "1"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["n0"]["1"] == "2875"
     assert n0_map_from_json_dict(d) == {1: F(2875)}
 
