@@ -7,9 +7,6 @@ Exit codes: 0 success, 1 domain error (a violated precondition), 2
 argument errors.
 """
 
-from __future__ import annotations
-
-import argparse
 import io
 import json
 import math
@@ -64,60 +61,60 @@ def _emit(payload: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _cmd_mirror_map(args) -> dict:
+def _cmd_mirror_map(order) -> dict:
     from . import kernels as k
 
-    chart = k.mirror_map(args.order)
-    return {"order": args.order,
+    chart = k.mirror_map(order)
+    return {"order": order,
             **{name: k.series_json(s, 1, tag)
                for name, s, tag in zip(k.CHART[:4], chart, "xxqq")}}
 
 
-def _cmd_f1(args) -> dict:
+def _cmd_f1(order) -> dict:
     from . import kernels as k
 
-    _, _, x, u, y = k.mirror_map(args.order)
+    _, _, x, u, y = k.mirror_map(order)
     G = k.f1_log_derivative(u, y, k.one_minus_3125x(x))
     return {"G": k.series_json(*G, "q")}
 
 
-def _cmd_extract_gw(args) -> dict:
+def _cmd_extract_gw(order, n0_file) -> dict:
     from . import kernels as k
 
-    _, _, x, u, y = k.mirror_map(args.order)
+    _, _, x, u, y = k.mirror_map(order)
     w = k.one_minus_3125x(x)
     G = k.f1_log_derivative(u, y, w)
-    if args.n0_file:        # c[d] = d^3 N0(d) den, as the Yukawa K holds it
+    if n0_file:        # c[d] = d^3 N0(d) den, as the Yukawa K holds it
         from .gw import n0_map_from_json_dict
         from .series import _scaled
 
-        n0 = n0_map_from_json_dict(_load_json("--n0-file", args.n0_file))
-        nums, den = _scaled([n0.get(d, 0) for d in range(1, args.order + 1)])
+        n0 = n0_map_from_json_dict(_load_json("--n0-file", n0_file))
+        nums, den = _scaled([n0.get(d, 0) for d in range(1, order + 1)])
         c = [0, *(d ** 3 * v for d, v in enumerate(nums, 1))]
     else:
         c, den = k.genus_zero(u, w, y)
     inst = k.instanton_numbers(c, den)
     n1 = k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1))
-    return {"max_degree": args.order,
+    return {"max_degree": order,
             "n0": {str(d): k.ratio(c[d], den * d ** 3) for d in inst},
             "n1": {str(d): str(v) for d, v in n1.items()},
             "instanton_n0": {str(d): str(v) for d, v in inst.items()}}
 
 
-def _cmd_delta(args) -> dict:
+def _cmd_delta(n, p, table) -> dict:
     from .deltacoeff import delta, delta_row
 
-    if args.table is not None:
-        if args.n is not None or args.p is not None:
+    if table is not None:
+        if n is not None or p is not None:
             raise UsageError("delta takes --table N or --n and --p, not both")
-        row = delta_row(args.table)
-        return {"n": args.table, "row": [str(v) for v in row]}
-    if args.n is None or args.p is None:
+        row = delta_row(table)
+        return {"n": table, "row": [str(v) for v in row]}
+    if n is None or p is None:
         raise UsageError("delta needs either --table N or both --n and --p")
-    return {"value": str(delta(args.n, args.p))}
+    return {"value": str(delta(n, p))}
 
 
-def _load_lattice(path: str) -> lattice.CubicLattice:
+def _load_lattice(path: str) -> "lattice.CubicLattice":
     from . import lattice
 
     data = _load_json("--lattice", path)
@@ -131,11 +128,11 @@ def _load_lattice(path: str) -> lattice.CubicLattice:
         raise lattice.LatticeError(f"malformed lattice file: {exc}")
 
 
-def _cmd_covolume(args) -> dict:
-    from . import lattice
+def _cmd_covolume(lattice) -> dict:
+    from .lattice import covolume
 
-    L = _load_lattice(args.lattice)
-    res = lattice.covolume(L)
+    L = _load_lattice(lattice)
+    res = covolume(L)
     return {
         "rank": L.rank,
         "gram": [[str(v) for v in row] for row in res.gram],
@@ -143,11 +140,11 @@ def _cmd_covolume(args) -> dict:
     }
 
 
-def _cmd_fhsv(args) -> dict:
+def _cmd_fhsv(gram, h) -> dict:
     from . import lattice
 
-    A = _load_json("--gram", args.gram)
-    h = _load_json("--h", text=args.h)
+    A = _load_json("--gram", gram)
+    h = _load_json("--h", text=h)
     cov, vol = lattice.fhsv_covolume(A, h).covolume, lattice.fhsv_volume(A, h)
     return {
         "covolume": cov.to_json_dict(),
@@ -156,93 +153,140 @@ def _cmd_fhsv(args) -> dict:
     }
 
 
-def _cmd_modular(args) -> dict:
+def _cmd_modular(tau) -> dict:
     from . import modular
 
-    return modular.petersson_delta(_parse_complex(args.tau)).to_json_dict()
+    return modular.petersson_delta(_parse_complex(tau)).to_json_dict()
 
 
-def _cmd_bcov_factor(args) -> dict:
+def _cmd_bcov_factor(family, eval_at) -> dict:
     from . import divisor
 
-    data = divisor.family_from_json_dict(_load_json("--family", args.family))
+    data = divisor.family_from_json_dict(_load_json("--family", family))
     factor = divisor.assemble_factor(data)
     out = {"factor": factor.to_json_dict()}
-    if args.eval_at:
-        psi = _parse_complex(args.eval_at)
+    if eval_at:
+        psi = _parse_complex(eval_at)
         out["green_potential"] = divisor.green_potential(data, psi)
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mirrorcalc",
-        description="Exact closed-form invariants of the quintic mirror "
-                    "family and related lattices and modular forms.")
-    parser.add_argument("--output", choices=["json", "csv"], default="json")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    # the one series-order knob, shared by the three pipeline subcommands
-    order = argparse.ArgumentParser(add_help=False)
-    order.add_argument("--order", type=int, default=30)
+def _output_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(text)
+    return text
 
-    p = sub.add_parser("mirror-map", parents=[order],
-                       help="period, mirror map and inverse")
-    p.set_defaults(fn=_cmd_mirror_map)
 
-    p = sub.add_parser("f1", parents=[order],
-                       help="genus-one amplitude log-derivative G(q)")
-    p.set_defaults(fn=_cmd_f1)
+REQUIRED = object()     # the default of a flag that must be given
 
-    p = sub.add_parser("extract-gw", parents=[order],
-                       help="extract genus-one instanton numbers from G(q)")
-    p.add_argument("--n0-file", default=None,
-                   help="JSON file with genus-0 Gromov-Witten invariants; "
-                        "default uses the built-in genus-0 pipeline")
-    p.set_defaults(fn=_cmd_extract_gw)
+# Flag -> (type, help, default or REQUIRED).  ``--order`` is the one
+# series-order knob, shared by the three pipeline subcommands.
+OUTPUT = {"--output": (_output_format, "json or csv", "json")}
+ORDER = {"--order": (int, "series order N >= 1", 30)}
 
-    p = sub.add_parser("delta", help="double-point coefficients delta(n,p)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--table", type=int, default=None,
-                   help="print the full row for dimension N")
-    p.set_defaults(fn=_cmd_delta)
+# Subcommand -> (handler, help, flags); the handler takes each flag as a
+# keyword (``--n0-file`` as ``n0_file``).
+COMMANDS = {
+    "mirror-map": (_cmd_mirror_map, "period, mirror map and inverse", ORDER),
+    "f1": (_cmd_f1, "genus-one amplitude log-derivative G(q)", ORDER),
+    "extract-gw": (
+        _cmd_extract_gw, "extract genus-one instanton numbers from G(q)",
+        {**ORDER, "--n0-file": (str, "JSON file with genus-0 Gromov-Witten "
+                                "invariants; default uses the built-in "
+                                "genus-0 pipeline", None)}),
+    "delta": (_cmd_delta, "double-point coefficients delta(n,p)", {
+        "--n": (int, "dimension n", None),
+        "--p": (int, "form degree p, 0 <= p <= n", None),
+        "--table": (int, "print the full row for dimension N", None)}),
+    "covolume": (_cmd_covolume, "L2 Gram matrix and covolume", {
+        "--lattice": (str, "JSON lattice file", REQUIRED)}),
+    "fhsv": (_cmd_fhsv, "rank-11 covolume from rank-10 data", {
+        "--gram": (str, "JSON file with the 10x10 Gram matrix", REQUIRED),
+        "--h": (str, 'JSON vector, e.g. "[1,1,0,...]"', REQUIRED)}),
+    "modular": (_cmd_modular, "Petersson norm of the discriminant", {
+        "--tau": (str, 'complex, e.g. "0.5+2i"', REQUIRED)}),
+    "bcov-factor": (_cmd_bcov_factor, "assemble the divisor factor", {
+        "--family": (str, "JSON family file", REQUIRED),
+        "--eval-at": (str, "complex psi for the Green potential", None)}),
+}
 
-    p = sub.add_parser("covolume", help="L2 Gram matrix and covolume")
-    p.add_argument("--lattice", required=True)
-    p.set_defaults(fn=_cmd_covolume)
 
-    p = sub.add_parser("fhsv", help="rank-11 covolume from rank-10 data")
-    p.add_argument("--gram", required=True)
-    p.add_argument("--h", required=True, help='JSON vector, e.g. "[1,1,0,...]"')
-    p.set_defaults(fn=_cmd_fhsv)
+class HelpRequest(Exception):
+    """``--help`` or ``-h``; the message is the help text, for stdout."""
 
-    p = sub.add_parser("modular", help="Petersson norm of the discriminant")
-    p.add_argument("--tau", required=True, help='complex, e.g. "0.5+2i"')
-    p.set_defaults(fn=_cmd_modular)
 
-    p = sub.add_parser("bcov-factor", help="assemble the divisor factor")
-    p.add_argument("--family", required=True)
-    p.add_argument("--eval-at", default=None)
-    p.set_defaults(fn=_cmd_bcov_factor)
+def _help(command=None) -> str:
+    """Help built from the tables: every subcommand, or every flag of one."""
+    rows = COMMANDS[command][2] if command else {**OUTPUT, **COMMANDS}
+    width = max(map(len, rows)) + 2
+    return (f"usage: mirrorcalc {command or '[--output FORMAT] COMMAND'} "
+            "[FLAGS]\n\n" + "".join(
+                f"  {name:<{width}}{row[1]}"
+                f"{' (required)' * (row[2] is REQUIRED)}\n"
+                for name, row in rows.items()))
 
-    return parser
+
+def _is_flag(token: str) -> bool:
+    """A flag starts with "--" (or is "-h"); any other token is a value,
+    so ``--order -1`` and ``--tau -1+2i`` read as they look."""
+    return token[:2] == "--" or token == "-h"
+
+
+def _read_flags(argv: list, flags: dict, values: dict, command=None):
+    """Pop ``--flag value`` and ``--flag=value`` off the front of ``argv``
+    into ``values``, up to the first token that is no flag."""
+    while argv and _is_flag(argv[0]):
+        name, eq, text = argv.pop(0).partition("=")
+        if name in ("-h", "--help") and not eq:
+            raise HelpRequest(_help(command))
+        if name not in flags:
+            raise UsageError(f"{command or 'mirrorcalc'} has no flag "
+                             f"{reprlib.repr(name)}")
+        if not eq:
+            if not argv or _is_flag(argv[0]):
+                raise UsageError(f"{name} needs a value")
+            text = argv.pop(0)
+        try:
+            values[name] = flags[name][0](text)
+        except ValueError:
+            raise UsageError(f"bad value for {name}: {reprlib.repr(text)}")
+
+
+def parse(argv: list[str]):
+    """(handler, output format, keyword arguments) for ``argv``, which is
+    ``[--output FORMAT] COMMAND [FLAGS]``.  Raises ``UsageError`` for any
+    other argv, and ``HelpRequest`` for ``--help``/``-h``."""
+    argv, top = list(argv), {"--output": "json"}
+    _read_flags(argv, OUTPUT, top)
+    command = argv.pop(0) if argv else None
+    if command not in COMMANDS:
+        raise UsageError(f"give one subcommand of {', '.join(COMMANDS)}")
+    fn, _, flags = COMMANDS[command]
+    values = {name: default for name, (_, _, default) in flags.items()}
+    _read_flags(argv, flags, values, command)
+    if argv:
+        raise UsageError(f"{command} takes no {reprlib.repr(argv[0])}")
+    missing = " and ".join(n for n, v in values.items() if v is REQUIRED)
+    if missing:
+        raise UsageError(f"{command} needs {missing}")
+    return fn, top["--output"], {
+        name[2:].replace("-", "_"): value for name, value in values.items()}
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        payload = args.fn(args)
+        fn, fmt, kwargs = parse(sys.argv[1:] if argv is None else argv)
+        payload = fn(**kwargs)
+    except HelpRequest as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(_emit(payload, args.output))
+    sys.stdout.write(_emit(payload, fmt))
     return 0
 
 

@@ -3,10 +3,12 @@ exit codes, the default order, and file inputs."""
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mirrorcalc.cli import run
+from mirrorcalc.cli import COMMANDS, OUTPUT, parse, run
 from mirrorcalc.divisor import FamilyData
 from mirrorcalc.lattice import enriques_invariant_gram
 
@@ -548,3 +550,74 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
+
+    # argv pairs that give the same bytes and exit code: the two flag
+    # forms, values starting with "-", and repeated flags (the last wins)
+    @pytest.mark.parametrize("argv, same, code", [
+        (["extract-gw", "--order=3"], ["extract-gw", "--order", "3"], 0),
+        (["--output=csv", "delta", "--table=3"],
+         ["--output", "csv", "delta", "--table", "3"], 0),
+        (["modular", "--tau=-1+2i"], ["modular", "--tau", "-1 + 2i"], 0),
+        (["modular", "--tau", "-1+2i"], ["modular", "--tau=-1+2i"], 0),
+        (["extract-gw", "--order", "-1"], ["extract-gw", "--order=-1"], 1),
+        (["extract-gw", "--order", "5", "--order", "3"],
+         ["extract-gw", "--order", "3"], 0),
+        (["--output", "csv", "--output", "json", "delta", "--n", "2",
+          "--p", "1", "--n=3"], ["delta", "--n", "3", "--p", "1"], 0),
+    ], ids=lambda v: shlex.join(v) if isinstance(v, list) else str(v))
+    def test_flag_forms_agree(self, capsys, argv, same, code):
+        first = invoke(capsys, *argv)
+        assert first == invoke(capsys, *same)
+        assert first[0] == code
+
+    @pytest.mark.parametrize("argv", [
+        ["extract-gw", "--ord", "3"],           # no prefix abbreviation
+        ["extract-gw", "--order"],
+        ["extract-gw", "--order", "--n0-file", "n0.json"],
+        ["extract-gw", "--order", "abc"],
+        ["--output", "xml", "extract-gw"],
+        ["extract-gw", "--output", "csv"],      # --output goes first
+        ["extract-gw", "--bogus", "1"],
+        ["extract-gw", "3"],
+        ["--order", "3", "extract-gw"],
+        ["modular"],
+        ["covolume"],
+        ["fhsv", "--gram", "gram.json"],
+        [],
+        ["frobnicate"],
+    ], ids=shlex.join)
+    def test_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_names_every_subcommand(self, capsys, flag):
+        code, out, err = invoke(capsys, flag)
+        assert code == 0 and err == ""
+        for name, (_, text, _) in COMMANDS.items():
+            assert f"  {name} " in out and text in out
+        assert "  --output " in out and OUTPUT["--output"][1] in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_names_every_flag(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: mirrorcalc {command} ")
+        for name, (_, text, _) in COMMANDS[command][2].items():
+            assert f"  {name} " in out and text in out
+
+    def test_readme_lines_parse(self):
+        """Every ``mirrorcalc`` line of README's CLI block parses to its
+        subcommand's handler; no handler runs."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.split("```", 1)[0].splitlines()]
+        assert len(lines) >= len(COMMANDS)
+        for argv in lines:
+            assert argv[0] == "mirrorcalc"
+            fn, fmt, _ = parse(argv[1:])
+            assert fn is COMMANDS[argv[1]][0] and fmt == "json"

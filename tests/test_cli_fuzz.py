@@ -1,6 +1,7 @@
 """Fuzz the command line with small malformed JSON files and number
 strings: every run ends in exit 0 with strict JSON on stdout, or in
-exit 1 or 2 with nothing on stdout and a message on stderr."""
+exit 1 or 2 with nothing on stdout and a message on stderr.  A
+malformed argv ends in exit 2 with one ``usage error:`` line."""
 
 import contextlib
 import copy
@@ -9,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mirrorcalc.cli import run
 from mirrorcalc.divisor import FamilyData
@@ -125,6 +126,68 @@ def test_cli_ends_cleanly(invocation):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error:", "usage error:"))
+
+
+# Well-formed argv of every subcommand; their files are never read,
+# because every argv drawn from them is broken before the subcommand runs.
+ARGVS = [["mirror-map", "--order", "3"], ["f1", "--order", "2"],
+         ["extract-gw", "--order", "2", "--n0-file", "N0"],
+         ["delta", "--table", "3"], ["delta", "--n", "3", "--p", "1"],
+         ["covolume", "--lattice", "LATTICE"],
+         ["fhsv", "--gram", "GRAM", "--h", "[1]"], ["modular", "--tau", "1i"],
+         ["bcov-factor", "--family", "FAMILY", "--eval-at", "2"]]
+FLAGS = {"-h", "--help", "--output", *(a for argv in ARGVS for a in argv
+                                      if a.startswith("--"))}
+
+
+@st.composite
+def malformed_argvs(draw):
+    """A well-formed argv broken one way: a random token added, an unknown
+    or abbreviated flag, a flag without its value, or an option moved to
+    the other side of the subcommand."""
+    argv = draw(st.sampled_from([[], ["--output", "json"],
+                                 ["--output", "csv"]])) + draw(
+        st.sampled_from(ARGVS))
+    sub = 2 if argv[0] == "--output" else 0     # the subcommand's index
+    flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+    how = draw(st.sampled_from(["token", "unknown", "abbreviated",
+                                "no value", "moved"]))
+    if how == "token":
+        token = draw(st.text(max_size=6))
+        assume(token.partition("=")[0] not in FLAGS)
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    elif how == "unknown":
+        name = "--" + draw(st.text("abcdefghijklmnopqrstuvwxyz0-",
+                                   min_size=1, max_size=8))
+        assume(name not in FLAGS)
+        value = draw(st.sampled_from(["", "=1"]))
+        argv.insert(draw(st.sampled_from([sub, *flags, len(argv)])),
+                    name + value)
+    elif how == "abbreviated":
+        i = draw(st.sampled_from(flags))
+        assume(len(argv[i]) > 3)
+        argv[i] = argv[i][:draw(st.integers(3, len(argv[i]) - 1))]
+    elif how == "no value":
+        del argv[draw(st.sampled_from(flags)) + 1]
+    elif sub and draw(st.booleans()):         # --output after the subcommand
+        argv = argv[2:]
+        argv[1:1] = ["--output", "json"]
+    else:                                     # a flag before the subcommand
+        i = draw(st.sampled_from([i for i in flags if i > sub]))
+        argv[sub:sub] = [argv.pop(i), argv.pop(i)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_argvs())
+def test_malformed_argv_is_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("usage error: ")
+    assert err.getvalue().count("\n") == 1
 
 
 def _covolume_code(doc) -> int:

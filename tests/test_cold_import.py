@@ -19,9 +19,10 @@ PROBE = ("import json, sys, mirrorcalc; print(json.dumps([mirrorcalc.__file__, "
          "sorted(m for m in sys.modules if m.startswith('mirrorcalc.'))]))")
 
 # Runs the CLI on argv, then prints its exit code, the mirrorcalc
-# submodules it loaded, whether csv was loaded and which of dataclasses,
+# submodules it loaded, whether csv was loaded, which of dataclasses,
 # inspect (an import chain through ast, dis and tokenize), fractions and
-# decimal are loaded.
+# decimal are loaded, and which of argparse, gettext and locale (the
+# chain argparse's first parser pulls in) are loaded.
 RUN_PROBE = """\
 import contextlib, io, json, sys
 from mirrorcalc import cli
@@ -31,7 +32,9 @@ print(json.dumps([code, sorted(m.removeprefix('mirrorcalc.') for m in
                                sys.modules if m.startswith('mirrorcalc.')),
                   'csv' in sys.modules,
                   [m for m in ('dataclasses', 'inspect', 'fractions',
-                               'decimal') if m in sys.modules]]))
+                               'decimal') if m in sys.modules],
+                  [m for m in ('argparse', 'gettext', 'locale')
+                   if m in sys.modules]]))
 """
 
 # The pipeline subcommands run on the int kernels alone, without
@@ -96,19 +99,20 @@ def _name(argv):
 @pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
                          ids=[_name(argv) for argv, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_its_modules(inputs, argv, modules):
-    code, loaded, csv_loaded, heavy = _python(
+    code, loaded, csv_loaded, heavy, parser = _python(
         "-c", RUN_PROBE, *(inputs.get(a, a) for a in argv))
     assert code == 0
     assert loaded == modules
     assert not csv_loaded
+    assert parser == []
     if _name(argv) in HEAVY:
         assert heavy == HEAVY[_name(argv)]
 
 
 def test_csv_loaded_only_for_csv_output():
-    code, loaded, csv_loaded, heavy = _python(
+    code, loaded, csv_loaded, heavy, parser = _python(
         "-c", RUN_PROBE, "--output", "csv", "extract-gw", "--order", "3")
     assert code == 0
     assert loaded == ["cli", "kernels"]
     assert csv_loaded
-    assert heavy == []
+    assert heavy == parser == []
