@@ -14,7 +14,9 @@ independent count of lines on a quintic (see schubert.count_lines).
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
+from functools import cache
 from operator import add
 from typing import Dict, Mapping, Optional
 
@@ -68,6 +70,23 @@ def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
     return ExactSeries.from_nums(out, 6 * lcd, "q")
 
 
+def _check_order(order) -> None:
+    """An int >= 0, else SeriesError (a bool would hit the memo of 1)."""
+    if type(order) is not int or order < 0:
+        raise SeriesError(f"order {reprlib.repr(order)} must be an int >= 0")
+
+
+@cache
+def _eta_columns(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """E = q eta'/eta from the pentagonal ``modular.eta_series`` and
+    U = q (1-q)'/(1-q), integral, to q^order: built once per order by
+    the O(n^2) solver, as tuples that no caller can alter."""
+    from .modular import eta_series
+
+    return tuple(tuple(kernels.log_derivative(a)[0]) for a in
+                 (eta_series(order).nums, [1, -1] + [0] * (order - 1)))
+
+
 def lambert_series(table: GWTable, order: int) -> ExactSeries:
     """50/12 - sum_{n,d} N1(d) 2nd q^{nd}/(1-q^{nd})
              - sum_d N0(d) 2d q^d / (12 (1-q^d)).
@@ -75,6 +94,7 @@ def lambert_series(table: GWTable, order: int) -> ExactSeries:
     Expanded coefficientwise: the q^m coefficient for m >= 1 is
     -sum_{d|m} (2d sigma_1(m/d) N1(d) + d N0(d)/6).
     """
+    _check_order(order)
     return _genus_one(table, order, [-v for v in _sigma(order)],
                       [0] + [-1] * order)
 
@@ -85,15 +105,12 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
     The fractional power q^{25/12} contributes the constant 2*(25/12).
     Each factor f(q^d) contributes d (q f'/f)(q^d), read from the
-    logarithmic derivatives E of eta and U of 1 - q, integral series.
+    logarithmic derivatives E of eta and U of 1 - q, ``_eta_columns``.
     E comes from the pentagonal eta series, never from sigma_1, so that
     agreement with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
     """
-    from .modular import eta_series
-
-    E = eta_series(order).log_derivative()
-    U = ExactSeries.from_nums([1, -1] + [0] * order, 1, "q").log_derivative()
-    return _genus_one(table, order, E.nums, U.nums)
+    _check_order(order)
+    return _genus_one(table, order, *_eta_columns(order))
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:

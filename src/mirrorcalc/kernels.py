@@ -7,7 +7,8 @@ returned reduced (den > 0, gcd(den, *nums) = 1), which ``series_json``
 writes; a rational value is a pair (p, q), written by ``ratio``.
 """
 
-from math import factorial, gcd, lcm
+from functools import cache
+from math import factorial, gcd, isqrt, lcm
 from operator import add, itemgetter, mul, sub
 
 
@@ -159,26 +160,35 @@ def reverse(a, D: int, *outer) -> list[tuple[list[int], int]]:
 
 
 def _dirichlet(f, g, n: int) -> list[int]:
-    """(f * g)(m) = sum_{dk=m} f(d) g(k), m = 1..n, for int lists
-    indexed from 1 (f may stop before n), one strided slice per d."""
-    h = [0] * (n + 1)
-    for d in range(1, min(n, len(f) - 1) + 1):
-        h[d::d] = map(add, h[d::d], [f[d] * v for v in g[1:n // d + 1]])
+    """(f * g)(m) = sum_{dk=m} f(d) g(k), m = 1..n, for int sequences
+    indexed from 1 (f may stop before n), by the hyperbola split at
+    r = isqrt(n): a pair with dk <= n has d <= r or k <= r, so one slice
+    per d <= r spreads over all k and one per k <= r over d in (r, n//k].
+    Each slice has an explicit stop, so a step of 1 cannot resize h."""
+    h, r, top = [0] * (n + 1), isqrt(n), min(n, len(f) - 1)
+    for d in range(1, min(r, top) + 1):
+        h[d:n + 1:d] = map(add, h[d:n + 1:d],
+                           [f[d] * v for v in g[1:n // d + 1]])
+    for k in range(1, r + 1):
+        m = min(n // k, top)                # d = r+1..m
+        h[(r + 1) * k:m * k + 1:k] = map(add, h[(r + 1) * k:m * k + 1:k],
+                                         [g[k] * v for v in f[r + 1:m + 1]])
     return h
 
 
 def _dirichlet_divide(c, f, n: int) -> list[int]:
-    """x with f * x = c at 1..n, for f(1) = 1 and c of length n + 1, by
-    the same sieve: x(d) is final once its proper divisors are spread."""
+    """x with f * x = c at 1..n, for f(1) = 1 and c of length n + 1, by a
+    sieve per degree: x(d) is final once its proper divisors are spread."""
     x = list(c)
     for d in range(1, n // 2 + 1):
         x[2 * d::d] = map(sub, x[2 * d::d], [x[d] * v for v in f[2:n // d + 1]])
     return x
 
 
-def _sigma(n: int) -> list[int]:
-    """sigma_1(m), m = 1..n, as 1 * id."""
-    return _dirichlet([0] + [1] * n, range(n + 1), n)
+@cache
+def _sigma(n: int) -> tuple[int, ...]:
+    """sigma_1(m), m = 1..n, as 1 * id: once per n, as a tuple."""
+    return tuple(_dirichlet([0] + [1] * n, range(n + 1), n))
 
 
 def integral(pairs, what: str) -> dict[int, int]:

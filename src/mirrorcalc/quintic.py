@@ -32,20 +32,25 @@ class MirrorChart:
     """
 
     def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
-        self.order, self.y0, self.q_of_x = order, y0, q_of_x
-        self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
         kernels.check_chart(*((s.nums, s.den) for s in
                               (y0, q_of_x, x_of_q, u_of_q, y0_of_q)))
+        self._fill(order, y0, q_of_x, x_of_q, u_of_q, y0_of_q)
+
+    def _fill(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
+        self.order, self.y0, self.q_of_x = order, y0, q_of_x
+        self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
         self.one_minus_3125x_of_q = ExactSeries.from_nums(
             kernels.one_minus_3125x(x_of_q.nums), 1, x_of_q.tag)
 
 
 def mirror_map(order: int) -> MirrorChart:
     """The chart of ``kernels.mirror_map`` to order; a period that fails
-    its Picard-Fuchs equation raises SeriesError."""
-    series = kernels.mirror_map(order)
-    return MirrorChart(order, *(ExactSeries.from_nums(s, 1, tag)
-                                for s, tag in zip(series, "xxqqq")))
+    its Picard-Fuchs equation raises SeriesError.  The kernel checked
+    the chart, so it is filled without a second ``check_chart``."""
+    chart = object.__new__(MirrorChart)
+    chart._fill(order, *(ExactSeries.from_nums(s, 1, tag)
+                         for s, tag in zip(kernels.mirror_map(order), "xxqqq")))
+    return chart
 
 
 def f1_log_derivative(chart: MirrorChart) -> ExactSeries:

@@ -33,6 +33,8 @@ Scalar = Union[int, str, Fraction]
 def _exact(v) -> Fraction:
     """v as a Fraction if it is an int (not a bool), a Fraction or a
     rational string; anything else raises SeriesError."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
         try:
             return Fraction(v)
@@ -51,8 +53,9 @@ def _check_form(order, tag) -> None:
 def _scaled(coeffs) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` (ints or Fractions) over their
     least common denominator, and that denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    pairs = [c.as_integer_ratio() for c in coeffs]
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
 class ExactSeries:

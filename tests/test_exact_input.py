@@ -7,12 +7,13 @@ order and tag must be an int and a str."""
 import copy
 import pickle
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from mirrorcalc.gw import (ExtractionError, GWTable, extract_n1,
                            instanton_numbers)
-from mirrorcalc.series import ExactSeries, SeriesError
+from mirrorcalc.series import ExactSeries, SeriesError, _exact, _scaled
 
 ONE = ExactSeries([1, 0], tag="q")
 G = ExactSeries.constant(F(50, 12), 1, "q")
@@ -139,3 +140,30 @@ def test_tag_must_be_a_str():
             {"variable_tag": 5, "order": 1, "coefficients": ["1", "2"]})
     doc = {"variable_tag": "x", "order": 1, "coefficients": ["1", "2"]}
     assert ExactSeries.from_json_dict(doc) == ExactSeries([1, 2], tag="x")
+
+
+class Half(F):
+    """A Fraction subclass, which _exact must not pass through as is."""
+
+
+@pytest.mark.parametrize("value", [Half(1, 2), F(1, 2), 3, "7/4"],
+                         ids=["subclass", "fraction", "int", "string"])
+def test_exact_returns_a_plain_fraction(value):
+    got = _exact(value)
+    assert type(got) is F and got == F(value)
+    if type(value) is F:
+        assert got is value
+
+
+def scaled_by_properties(coeffs):
+    """``_scaled`` as the numerator and denominator properties read it."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+@pytest.mark.parametrize("coeffs", [
+    [], [0], [3, -4, 0], [F(1, 3), F(-5, 6), 2, F(0)],
+    [F(2 ** 70, 3 ** 40), -(2 ** 90), F(7, 12)], [Half(1, 2), F(1, 3)],
+])
+def test_scaled_matches_the_property_reads(coeffs):
+    assert _scaled(coeffs) == scaled_by_properties(coeffs)

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorcalc import modular
+from mirrorcalc import kernels, modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
                            extract_n1, extract_gv, genus0_pipeline,
                            instanton_numbers, ExtractionError,
-                           n0_map_from_json_dict)
+                           n0_map_from_json_dict, _eta_columns)
 from mirrorcalc.kernels import _dirichlet, _dirichlet_divide, _sigma
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
@@ -310,7 +310,7 @@ class TestIntegerKernels:
     @pytest.mark.parametrize("n", [0, 1, 2, 12, 60, 300])
     def test_sigma_sieve(self, n):
         sigma = _sigma(n)
-        assert sigma[1:] == [sigma1(m) for m in range(1, n + 1)]
+        assert list(sigma[1:]) == [sigma1(m) for m in range(1, n + 1)]
         delta = [int(m == 1) for m in range(n + 1)]
         inverse = _dirichlet_divide(delta, sigma, n)
         assert _dirichlet(sigma, inverse, n) == delta
@@ -357,6 +357,87 @@ def test_eta_product_reads_the_eta_series(monkeypatch):
         return ExactSeries(coeffs, tag="q", order=order)
 
     monkeypatch.setattr(modular, "eta_series", wrong_eta_series)
-    wrong = eta_product_log_derivative(t, 10)
+    _eta_columns.cache_clear()          # the columns are built once per order
+    try:
+        wrong = eta_product_log_derivative(t, 10)
+    finally:
+        _eta_columns.cache_clear()
     assert wrong != right
     assert wrong != lambert_series(t, 10)
+
+
+def naive_dirichlet(f, g, n):
+    """The double sum over d k = m, m = 1..n, with f read as 0 past its end."""
+    return [0] + [sum(f[d] * g[m // d] for d in range(1, min(m, len(f) - 1) + 1)
+                      if m % d == 0) for m in range(1, n + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 80).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=n + 1),
+    st.one_of(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1,
+                       max_size=n + 6),
+              st.integers(n + 1, n + 6).map(range)))))
+@example((0, [0], [0]))
+@example((1, [0, 3], [0, 5]))
+@example((3, [0, 1, 2, 3], [0, 4, 5, 6]))
+@example((49, [0, 2], list(range(50))))
+@example((64, [0] + [1] * 64, list(range(70))))
+@example((80, [0] + [1] * 80, range(81)))
+def test_dirichlet_matches_double_sum(case):
+    """The hyperbola split against the naive double sum, n = 0..80
+    (perfect squares and n <= 3 among them), f shorter than n and g
+    longer than n or a range, as ``_sigma`` passes it."""
+    n, f, g = case
+    assert kernels._dirichlet(f, g, n) == naive_dirichlet(f, g, n)
+
+
+def fresh_eta_columns(order):
+    """E and U built again, without the memo."""
+    E = modular.eta_series(order).log_derivative()
+    U = ExactSeries([1, -1], tag="q", order=order).log_derivative()
+    return E.nums, U.nums
+
+
+class TestOrderColumns:
+    @pytest.mark.parametrize("order", [0, 1, 24, 300])
+    def test_columns_are_tuples_equal_to_a_fresh_build(self, order):
+        sigma, (E, U) = _sigma(order), _eta_columns(order)
+        assert (type(sigma), type(E), type(U)) == (tuple, tuple, tuple)
+        assert sigma == tuple([0] + [sigma1(m) for m in range(1, order + 1)])
+        assert (E, U[:order + 1]) == fresh_eta_columns(order)
+
+    def test_orders_interleave(self):
+        for order in (24, 10, 24):
+            assert _sigma(order)[1:] == tuple(sigma1(m)
+                                             for m in range(1, order + 1))
+            E, U = _eta_columns(order)
+            assert (E, U[:order + 1]) == fresh_eta_columns(order)
+
+    def test_second_call_rebuilds_nothing(self, monkeypatch):
+        t = random_table(random.Random(5), max_degree=12)
+        first = eta_product_log_derivative(t, 12)
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(modular, "eta_series",
+                            spy("eta_series", modular.eta_series))
+        monkeypatch.setattr(kernels, "log_derivative",
+                            spy("log_derivative", kernels.log_derivative))
+        assert eta_product_log_derivative(t, 12) == first
+        assert calls == []
+
+
+@pytest.mark.parametrize("form", [lambert_series, eta_product_log_derivative])
+@pytest.mark.parametrize("order", [-1, True, 2.5, "3"],
+                         ids=["negative", "bool", "float", "string"])
+def test_genus_one_order_must_be_a_natural_int(form, order):
+    t = random_table(random.Random(1))
+    with pytest.raises(SeriesError, match=f"order {order!r} must be an int"):
+        form(t, order)

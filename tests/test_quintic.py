@@ -144,6 +144,20 @@ class TestMirrorMap:
         with pytest.raises(NonUnitError):
             replace(chart, x_of_q=chart.x_of_q + 1)
 
+    def test_chart_checked_once(self, monkeypatch):
+        """mirror_map's chart is checked by the kernel alone; a chart
+        built by hand is checked by MirrorChart."""
+        import mirrorcalc.kernels as kernels
+        calls = []
+        check = kernels.check_chart
+        monkeypatch.setattr(kernels, "check_chart",
+                            lambda *chart: calls.append(1) or check(*chart))
+        chart = mirror_map(4)
+        assert len(calls) == 1
+        assert chart.one_minus_3125x_of_q.nums[1] == -3125
+        replace(chart)
+        assert len(calls) == 2
+
     def test_period_checked_against_picard_fuchs(self, monkeypatch):
         import mirrorcalc.kernels as kernels
         period = kernels.period
