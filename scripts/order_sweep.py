@@ -3,11 +3,12 @@
     python3 scripts/order_sweep.py
 
 Each order in ORDERS runs in a freshly spawned process on the ``src/``
-next to this script: ``mirror_map``, ``f1_log_derivative``,
-``genus0_pipeline`` and ``extract_gv``, the ``quintic`` and ``gw``
-wrappers of the ``kernels`` pipeline that ``extract-gw`` runs.
+next to this script, through the ``kernels`` calls that ``extract-gw``
+makes, one stage each: ``mirror_map``, ``f1_log_derivative``,
+``genus0_pipeline`` (``genus_zero`` and ``instanton_numbers``) and
+``extract_gv`` (``extract_n1`` and ``extract_gv``).
 Per order it records each stage's wall time, the largest bit length of
-a numerator or denominator in x(q) (``max_coeff_bits``, as the
+a coefficient of the integral x(q) (``max_coeff_bits``, as the
 benchmark's traced runs define it) and the process's peak RSS.
 
 The run is appended to ``BENCH_order_sweep.json`` at the repository
@@ -37,7 +38,7 @@ ORDERS = (10, 30, 50, 100, 200, 300)
 def measure(order: int) -> dict:
     """Stage times in seconds, max_coeff_bits and peak RSS in MiB for
     one pipeline run at ``order`` in this process."""
-    from mirrorcalc import gw, quintic
+    from mirrorcalc import kernels as k
 
     times = {}
 
@@ -47,12 +48,14 @@ def measure(order: int) -> dict:
         times[name] = round(time.perf_counter() - start, 6)
         return result
 
-    chart = stage("mirror_map_s", quintic.mirror_map, order)
-    G = stage("f1_log_derivative_s", quintic.f1_log_derivative, chart)
-    genus0 = stage("genus0_pipeline_s", gw.genus0_pipeline, chart)
-    stage("extract_gv_s", gw.extract_gv, G, genus0)
-    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-               for c in chart.x_of_q.coeffs)
+    _, _, x, u, y = stage("mirror_map_s", k.mirror_map, order)
+    w = k.one_minus_3125x(x)
+    G = stage("f1_log_derivative_s", k.f1_log_derivative, u, y, w)
+    inst = stage("genus0_pipeline_s",
+                 lambda: k.instanton_numbers(*k.genus_zero(u, w, y)))
+    stage("extract_gv_s",
+          lambda: k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1)))
+    bits = max(v.bit_length() for v in x)       # x(q) has denominator 1
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {**times, "max_coeff_bits": bits, "peak_rss_mib": round(rss, 2)}
 

@@ -22,10 +22,15 @@ class UsageError(Exception):
 
 
 def _parse_complex(text: str) -> complex:
-    z = complex(text.replace(" ", "").replace("i", "j"))
+    """text as a finite complex ("i" for "j", spaces dropped), else ValueError."""
+    try:
+        z = complex(text.replace(" ", "").replace("i", "j"))
+    except (AttributeError, ValueError):
+        raise ValueError(f"{reprlib.repr(text)} is not a complex number "
+                         "such as 1.5-2i") from None
     # hypot, unlike abs, gives inf rather than raising when |z| overflows
     if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise ValueError(f"{reprlib.repr(text)} has no finite modulus")
+        raise ValueError(f"{reprlib.repr(text)} is not finite")
     return z
 
 

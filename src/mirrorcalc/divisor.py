@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from .cli import _parse_complex     # a point value reads as --eval-at
+
 REL_TOL = 1e-12  # relative tolerance of _coincide
 
 
@@ -112,11 +114,10 @@ class Point:
             return cls.root_of_unity(_json_int(n, "root order"),
                                      _json_int(k, "root index"))
         if isinstance(obj, dict) and "value" in obj:
-            z = complex(str(obj["value"]).replace("i", "j"))
-            if not math.isfinite(math.hypot(z.real, z.imag)):
-                raise FamilyError(f"point value {reprlib.repr(obj['value'])}"
-                                  " is not finite")
-            return cls.of(z)
+            try:
+                return cls.of(_parse_complex(obj["value"]))
+            except ValueError as exc:
+                raise FamilyError(f"point value {exc}") from None
         raise FamilyError(f"unrecognized point: {reprlib.repr(obj)}")
 
 

@@ -25,15 +25,24 @@ from .kernels import ExtractionError, SeriesError, _dirichlet, _sigma
 from .series import ExactSeries, _exact, _scaled
 
 
+def _check_degrees(*columns: Mapping) -> None:
+    """SeriesError naming the first key that is no int d >= 1 (or a bool)."""
+    for column in columns:
+        for d in column:
+            if type(d) is not int or d < 1:
+                raise SeriesError(f"degree {reprlib.repr(d)} must be an int "
+                                  ">= 1")
+
+
 class GWTable:
     """Degree-indexed genus-0 and genus-1 invariants, degrees 1..max_degree.
 
     n0 holds genus-zero Gromov-Witten numbers N0(d); instanton_n0, when
     present, the integer genus-zero Gopakumar-Vafa (instanton) numbers
     n_d.  n1 holds what extract_n1 solved for: genus-one Gopakumar-Vafa
-    numbers when it was given the n_d, as in extract_gv.  from_maps and
-    extract_n1 fill every degree, each value through series._exact (no
-    floats or bools); the constructor trusts its arguments.
+    numbers when it was given the n_d.  from_maps and extract_n1 check
+    each key (_check_degrees) and value (series._exact) and fill every
+    degree; the constructor trusts its arguments.
     """
 
     def __init__(self, max_degree: int, n0: Mapping[int, Fraction],
@@ -48,6 +57,7 @@ class GWTable:
     def from_maps(cls, n0: Mapping[int, Fraction], n1: Mapping[int, Fraction],
                   max_degree: int | None = None,
                   instanton_n0: Optional[Mapping[int, int]] = None) -> "GWTable":
+        _check_degrees(n0, n1)
         if max_degree is None:
             max_degree = max([0, *n0.keys(), *n1.keys()])
         full_n0 = {d: _exact(n0.get(d, 0)) for d in range(1, max_degree + 1)}
@@ -116,6 +126,7 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
     """The N1(d) that ``kernels.extract_n1`` solves for, given G and the
     genus-zero column."""
+    _check_degrees(n0)
     order = G.order
     n0_full = {d: _exact(n0.get(d, 0)) for d in range(1, order + 1)}
     nums, den = _scaled(list(n0_full.values()))
@@ -124,34 +135,12 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
                    n1={m: Fraction(p, q) for m, (p, q) in enumerate(n1, 1)})
 
 
-def instanton_numbers(n0: Mapping[int, Fraction],
-                      max_degree: int) -> Dict[int, int]:
-    """``kernels.instanton_numbers`` of the Gromov-Witten numbers N0(d),
-    d = 1..max_degree (absent degrees read 0)."""
-    nums, den = _scaled([_exact(n0.get(d, 0))
-                         for d in range(1, max_degree + 1)])
-    return kernels.instanton_numbers(
-        [0, *(d ** 3 * v for d, v in enumerate(nums, 1))], den)
-
-
-def extract_gv(G: ExactSeries, genus0: GWTable) -> GWTable:
-    """Genus-one Gopakumar-Vafa numbers n1 from G and a genus-zero table
-    at degrees 1..G.order, against its instanton numbers (the exponents
-    of the eta-product); a non-integral n1 raises ExtractionError."""
-    inst = genus0.instanton_n0
-    nums, den = _scaled([_exact(inst.get(d, 0))
-                         for d in range(1, G.order + 1)])
-    n1 = kernels.extract_gv(kernels.extract_n1(G.nums, G.den, [0, *nums], den))
-    return GWTable.from_maps(genus0.n0, n1, max_degree=G.order,
-                             instanton_n0=inst)
-
-
 def genus0_pipeline(chart) -> GWTable:
     """The quintic's genus-zero table at degrees 1..chart.order from a
     quintic.MirrorChart, by ``kernels.genus_zero``: N0(d) is the q^d
     coefficient of the Yukawa coupling K over d^3."""
     K, dK = kernels.genus_zero(chart.u_of_q.nums,
-                               chart.one_minus_3125x_of_q.nums,
+                               kernels.one_minus_3125x(chart.x_of_q.nums),
                                chart.y0_of_q.nums)
     n = chart.order
     return GWTable.from_maps({d: Fraction(K[d], dK * d ** 3)
@@ -162,15 +151,16 @@ def genus0_pipeline(chart) -> GWTable:
 def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:
     """Parse the {"n0": {"1": "2875", ...}} schema (n1 ignored if present).
     Anything but an object mapping degrees str(d), d >= 1, to ints or
-    rational strings (no bools, floats or nulls) raises ExtractionError.
+    rational strings (no bools, floats or nulls) raises ExtractionError,
+    which names the first inexact value.
     """
     src = d.get("n0", d) if isinstance(d, dict) else d
-    try:
-        if isinstance(src, dict) and all(
-                type(k) is str and k.isascii() and k.isdigit() and k[0] != "0"
-                for k in src):
+    if isinstance(src, dict) and all(
+            type(k) is str and k.isascii() and k.isdigit() and k[0] != "0"
+            for k in src):
+        try:
             return {int(k): _exact(v) for k, v in src.items()}
-    except SeriesError:
-        pass
+        except SeriesError as exc:
+            raise ExtractionError(f"n0 value {exc}") from None
     raise ExtractionError('n0 must be an object mapping each degree ("1", '
                           '"2", ...) to an int or a rational string')

@@ -26,31 +26,20 @@ class MirrorChart:
     Every series ends at x^order or q^order: y0 and q_of_x = x + ...
     in x, their transports x_of_q (the inverse) and y0_of_q in q.
     u_of_q is q d(log x)/dq, the unit series carrying every rational
-    multiple of log x through the q d/dq operator, and
-    one_minus_3125x_of_q is 1 - 3125 x(q).  The series are integral
-    (Lian-Yau, Krattenthaler-Rivoal), as ``kernels.check_chart`` checks.
+    multiple of log x through the q d/dq operator.  A record that trusts
+    its arguments: ``kernels.mirror_map`` checks every chart it builds.
     """
 
     def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
-        kernels.check_chart(*((s.nums, s.den) for s in
-                              (y0, q_of_x, x_of_q, u_of_q, y0_of_q)))
-        self._fill(order, y0, q_of_x, x_of_q, u_of_q, y0_of_q)
-
-    def _fill(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
         self.order, self.y0, self.q_of_x = order, y0, q_of_x
         self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
-        self.one_minus_3125x_of_q = ExactSeries.from_nums(
-            kernels.one_minus_3125x(x_of_q.nums), 1, x_of_q.tag)
 
 
 def mirror_map(order: int) -> MirrorChart:
     """The chart of ``kernels.mirror_map`` to order; a period that fails
-    its Picard-Fuchs equation raises SeriesError.  The kernel checked
-    the chart, so it is filled without a second ``check_chart``."""
-    chart = object.__new__(MirrorChart)
-    chart._fill(order, *(ExactSeries.from_nums(s, 1, tag)
-                         for s, tag in zip(kernels.mirror_map(order), "xxqqq")))
-    return chart
+    its Picard-Fuchs equation raises SeriesError."""
+    return MirrorChart(order, *(ExactSeries.from_nums(s, 1, tag) for s, tag
+                                in zip(kernels.mirror_map(order), "xxqqq")))
 
 
 def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
@@ -62,7 +51,6 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q), as
     ``kernels.f1_log_derivative`` computes it; G(0) != 50/12 raises.
     """
-    u = chart.u_of_q
+    u, w = chart.u_of_q, kernels.one_minus_3125x(chart.x_of_q.nums)
     return ExactSeries.from_nums(*kernels.f1_log_derivative(
-        u.nums, chart.y0_of_q.nums, chart.one_minus_3125x_of_q.nums), u.tag)
-
+        u.nums, chart.y0_of_q.nums, w), u.tag)

@@ -11,8 +11,7 @@ A series is stored as Python ``int`` numerators ``nums`` over one
 denominator ``den > 0`` with gcd(den, *nums) = 1: ``den`` is the least
 common denominator of the coefficients, so a series is integral exactly
 when ``den == 1``.  Every operation computes on that form, by the int
-kernels of ``kernels``, which also writes it (``to_json_dict``), and
-``coeffs`` builds the ``Fraction``s.
+kernels of ``kernels``, and ``coeffs`` builds the ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -44,12 +43,6 @@ def _exact(v) -> Fraction:
                       "(an int, a Fraction or a rational string)")
 
 
-def _check_form(order, tag) -> None:
-    if type(order) is not int or not isinstance(tag, str):   # no bool
-        raise SeriesError(f"order {reprlib.repr(order)} must be an int and "
-                          f"tag {reprlib.repr(tag)} a str")
-
-
 def _scaled(coeffs) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` (ints or Fractions) over their
     least common denominator, and that denominator."""
@@ -73,7 +66,9 @@ class ExactSeries:
         cs = [_exact(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
-        _check_form(order, tag)
+        if type(order) is not int or not isinstance(tag, str):   # no bool
+            raise SeriesError(f"order {reprlib.repr(order)} must be an int "
+                              f"and tag {reprlib.repr(tag)} a str")
         if order < 0:
             raise SeriesError("order must be non-negative")
         return cls.from_nums(
@@ -194,8 +189,8 @@ class ExactSeries:
             self.nums, self.den, other.nums, other.den), self.tag)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
+        if type(k) is not int:                  # no bool
+            raise SeriesError(f"exponent {reprlib.repr(k)} must be an int")
         if k < 0:
             return ExactSeries.constant(1, self.order, self.tag) / self ** -k
         result = self if k else ExactSeries.constant(1, self.order, self.tag)
@@ -264,14 +259,3 @@ class ExactSeries:
         out = [ExactSeries.from_nums(*s, tag) for s in kernels.reverse(
             self.nums, self.den, *((f.nums, f.den) for f in outer))]
         return tuple(out) if outer else out[0]
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return kernels.series_json(self.nums, self.den, self.tag)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExactSeries":
-        order, tag = d["order"], d["variable_tag"]
-        _check_form(order, tag)
-        return cls(d["coefficients"], tag=tag, order=order)

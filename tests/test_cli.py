@@ -15,6 +15,16 @@ from mirrorcalc.lattice import enriques_invariant_gram
 # JSON nested past the parser's recursion limit
 DEEP = "[" * 50000 + "]" * 50000
 
+
+def reference_chart(order):
+    """The mirror map's chart with y0(x(q)) recomputed by ExactSeries
+    compose, not by the kernel's transport through the reversion."""
+    from mirrorcalc.quintic import MirrorChart, mirror_map
+    c = mirror_map(order)
+    return MirrorChart(order, c.y0, c.q_of_x, c.x_of_q, c.u_of_q,
+                       c.y0.compose(c.x_of_q))
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -92,18 +102,23 @@ class TestF1AndGW:
     @pytest.mark.parametrize("fmt, order", [("json", 1), ("json", 12),
                                             ("json", 40), ("csv", 20)])
     def test_extract_gw_matches_the_series_route(self, capsys, fmt, order):
-        # extract-gw runs on the int kernels; the ExactSeries route
-        # through quintic and gw must give the same bytes
-        from mirrorcalc import gw, quintic
+        # extract-gw runs on the int kernels; the Fraction references,
+        # which share neither genus_zero, f1_log_derivative nor the
+        # transport of y0 with them, must give the same bytes
         from mirrorcalc.cli import _emit
-        chart = quintic.mirror_map(order)
-        table = gw.extract_gv(quintic.f1_log_derivative(chart),
-                              gw.genus0_pipeline(chart))
-        degrees = range(1, table.max_degree + 1)
-        expected = {"max_degree": table.max_degree, **{
-            name: {str(d): str(column[d]) for d in degrees}
-            for name, column in [("n0", table.n0), ("n1", table.n1),
-                                 ("instanton_n0", table.instanton_n0)]}}
+        from test_gw import (reference_extract_n1, reference_instanton,
+                             yukawa_reference)
+        from test_quintic import f1_reference
+        chart = reference_chart(order)
+        K = yukawa_reference(chart)
+        n0 = {d: K[d] / d ** 3 for d in range(1, order + 1)}
+        inst, bad = reference_instanton(n0, order)
+        n1 = reference_extract_n1(f1_reference(chart), inst)
+        assert bad is None and all(v.denominator == 1 for v in n1.values())
+        expected = {"max_degree": order, **{
+            name: {str(d): str(column[d]) for d in range(1, order + 1)}
+            for name, column in [("n0", n0), ("n1", n1),
+                                 ("instanton_n0", inst)]}}
         code, out, _ = invoke(capsys, "--output", fmt, "extract-gw",
                               "--order", str(order))
         assert code == 0
@@ -114,15 +129,17 @@ class TestF1AndGW:
     @pytest.mark.parametrize("command", ["mirror-map", "f1"])
     def test_series_commands_match_the_series_route(self, capsys, command,
                                                      order, fmt):
-        from mirrorcalc import quintic
         from mirrorcalc.cli import _emit
-        chart = quintic.mirror_map(order)
-        if command == "f1":
-            expected = {"G": quintic.f1_log_derivative(chart).to_json_dict()}
-        else:
-            expected = {"order": order, **{
-                name: getattr(chart, name).to_json_dict()
-                for name in ("y0", "q_of_x", "x_of_q", "u_of_q")}}
+        from mirrorcalc.kernels import series_json
+        from test_quintic import f1_reference
+        chart = reference_chart(order)
+        series = {"G": f1_reference(chart)} if command == "f1" else {
+            name: getattr(chart, name)
+            for name in ("y0", "q_of_x", "x_of_q", "u_of_q")}
+        expected = {name: series_json(s.nums, s.den, s.tag)
+                    for name, s in series.items()}
+        if command == "mirror-map":
+            expected["order"] = order
         code, out, _ = invoke(capsys, "--output", fmt, command,
                               "--order", str(order))
         assert code == 0
@@ -526,6 +543,18 @@ class TestBcovFactor:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert len(err) < 1024  # an echoed value is cut short
+
+    @pytest.mark.parametrize("value", ["1 + 2x", True, [1, 2]],
+                             ids=["word", "bool", "array"])
+    def test_malformed_point_value_is_named(self, capsys, tmp_path, value):
+        doc = FamilyData.quintic_mirror().to_json_dict()
+        doc["xi_divisor"][0]["point"]["value"] = value
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(family))
+        assert (code, out) == (1, "")
+        assert err == f"error: point value {value!r} is not a complex number " \
+                      "such as 1.5-2i\n"
 
     def test_family_missing_chi(self, capsys, tmp_path):
         path = tmp_path / "family.json"

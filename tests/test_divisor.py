@@ -55,10 +55,22 @@ class TestPoint:
         ({"value": "1.7e308-1.7e308i"}, "not finite"),
         ({"root_of_unity": [5]}, "point needs"),
         ({"root_of_unity": [5, 1, 2]}, "point needs"),
+        ({"value": "1 + 2j + i"}, "is not a complex"),
+        ({"value": True}, "value True is not a complex"),
+        ({"value": [1, 2]}, "is not a complex"),
+        ({"value": None}, "value None is not a complex"),
+        ({"value": 2}, "value 2 is not a complex"),
     ])
     def test_from_json_rejects(self, obj, message):
         with pytest.raises(FamilyError, match=message):
             Point.from_json(obj)
+
+    @pytest.mark.parametrize("text, z", [("1 + 2i", 1 + 2j), ("-3j", -3j),
+                                         (" 0.5 ", 0.5)])
+    def test_from_json_reads_a_value_as_eval_at_does(self, text, z):
+        from mirrorcalc.cli import _parse_complex
+        assert Point.from_json({"value": text}).value == z == _parse_complex(
+            text)
 
 
 class TestAssemble:

@@ -1,8 +1,8 @@
 """One rule for exact input: every entrance to ``series`` and ``gw`` reads
 an int, a Fraction or a rational string exactly, and refuses anything
-else (floats, bools, None, malformed strings) with SeriesError.  A
-series survives pickle, copy and deepcopy, and stays immutable, and its
-order and tag must be an int and a str."""
+else (floats, bools, None, malformed strings) with SeriesError; a degree
+is an int >= 1.  A series survives pickle, copy and deepcopy, and stays
+immutable, and its order and tag must be an int and a str."""
 
 import copy
 import pickle
@@ -11,8 +11,9 @@ from math import lcm
 
 import pytest
 
+from mirrorcalc import kernels
 from mirrorcalc.gw import (ExtractionError, GWTable, extract_n1,
-                           instanton_numbers)
+                           n0_map_from_json_dict)
 from mirrorcalc.series import ExactSeries, SeriesError, _exact, _scaled
 
 ONE = ExactSeries([1, 0], tag="q")
@@ -26,15 +27,23 @@ def _integral_n1(read):
         try:
             return F(read(v))
         except ExtractionError as exc:
+            if "is not an integer" not in str(exc):
+                raise
             return F(str(exc).rpartition(" ")[2])
     return entrance
+
+
+def _n0_file_instanton(v):
+    """n_1 of the --n0-file column N0(1) = v: its reader, then the kernel."""
+    n = n0_map_from_json_dict({"1": v})[1]
+    return kernels.instanton_numbers([0, n.numerator], n.denominator)[1]
 
 
 # Each entrance maps a caller's value v to the Fraction it stored.
 ENTRANCES = {
     "ExactSeries": lambda v: ExactSeries([1, v])[1],
-    "from_json_dict": lambda v: ExactSeries.from_json_dict(
-        {"variable_tag": "q", "order": 0, "coefficients": [v]})[0],
+    # the JSON entrance: an --n0-file value
+    "from_json_dict": lambda v: n0_map_from_json_dict({"n0": {"1": v}})[1],
     "constant": lambda v: ExactSeries.constant(v, 2)[0],
     "add": lambda v: (ONE + v)[0] - 1,
     "radd": lambda v: (v + ONE)[0] - 1,
@@ -46,11 +55,39 @@ ENTRANCES = {
     "from_maps_n0": lambda v: GWTable.from_maps({1: v}, {}).n0[1],
     "from_maps_n1": lambda v: GWTable.from_maps({}, {1: v}).n1[1],
     "extract_n1": lambda v: extract_n1(G, {1: v}).n0[1],
-    "instanton_numbers": _integral_n1(lambda v: instanton_numbers({1: v}, 1)[1]),
-    # the genus-zero table extract_gv reads: its column and n_d
+    "instanton_numbers": _integral_n1(_n0_file_instanton),
+    # a table as genus0_pipeline builds it: its column and n_d
     "genus0_table": _integral_n1(lambda v: GWTable.from_maps(
-        {1: v}, {}, instanton_n0=instanton_numbers({1: v}, 1)).n0[1]),
+        {1: v}, {}, instanton_n0={1: _n0_file_instanton(v)}).n0[1]),
 }
+
+# Each degree entrance maps a column to the table it builds.
+DEGREE_ENTRANCES = {
+    "from_maps_n0": lambda column: GWTable.from_maps(column, {}),
+    "from_maps_n1": lambda column: GWTable.from_maps({}, column),
+    "from_maps_max_degree": lambda column: GWTable.from_maps(
+        column, column, max_degree=1),
+    "extract_n1": lambda column: extract_n1(G, column),
+}
+
+
+@pytest.mark.parametrize("entrance", sorted(DEGREE_ENTRANCES))
+@pytest.mark.parametrize("key", ["1", True, 1.5, 0, -2, None],
+                         ids=["string", "bool", "float", "zero", "negative",
+                              "none"])
+def test_degree_keys_must_be_ints_from_one(entrance, key):
+    # "1" would read as degree 1 holding 0, True as max_degree True
+    with pytest.raises(SeriesError, match=r"^degree .* must be an int >= 1$"
+                       ) as info:
+        DEGREE_ENTRANCES[entrance]({2: 5, key: 12})
+    assert repr(key) in str(info.value)
+
+
+def test_degrees_above_the_table_are_truncated():
+    assert GWTable.from_maps({1: 12, 5: 2}, {}, max_degree=2).n0 == {
+        1: 12, 2: 0}
+    table = extract_n1(ExactSeries([F(25, 6), -4], tag="q"), {1: 12, 9: 1})
+    assert (table.n0, table.n1) == ({1: 12}, {1: 1})
 
 
 @pytest.mark.parametrize("entrance", sorted(ENTRANCES))
@@ -117,14 +154,6 @@ def test_series_attributes_cannot_be_deleted(name):
     assert s * s == ExactSeries([1, 4])
 
 
-@pytest.mark.parametrize("order", [2.7, True, "2", None],
-                         ids=["float", "bool", "string", "none"])
-def test_json_order_must_be_an_int(order):
-    doc = {"variable_tag": "q", "order": order, "coefficients": ["1", "2", "3"]}
-    with pytest.raises(SeriesError, match="must be an int"):
-        ExactSeries.from_json_dict(doc)
-
-
 @pytest.mark.parametrize("order", [2.7, True, "2"],
                          ids=["float", "bool", "string"])
 def test_constructor_order_must_be_an_int(order):
@@ -135,11 +164,7 @@ def test_constructor_order_must_be_an_int(order):
 def test_tag_must_be_a_str():
     with pytest.raises(SeriesError, match="a str"):
         ExactSeries([1, 2], tag=5)
-    with pytest.raises(SeriesError, match="a str"):
-        ExactSeries.from_json_dict(
-            {"variable_tag": 5, "order": 1, "coefficients": ["1", "2"]})
-    doc = {"variable_tag": "x", "order": 1, "coefficients": ["1", "2"]}
-    assert ExactSeries.from_json_dict(doc) == ExactSeries([1, 2], tag="x")
+    assert ExactSeries([1, 2], tag="x").tag == "x"
 
 
 class Half(F):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mirrorcalc import kernels
 from mirrorcalc.series import ExactSeries, NonUnitError, SeriesError
 from mirrorcalc.kernels import (LOG_X_MULTIPLE, _harmonic_gaps, period,
                                 picard_fuchs_check)
@@ -18,11 +19,17 @@ def replace(chart, **changes):
                           for name in FIELDS})
 
 
+def check(chart):
+    """``kernels.check_chart`` on a chart's series, as mirror_map runs it."""
+    kernels.check_chart(*((s.nums, s.den) for s in (
+        getattr(chart, name) for name in FIELDS[1:])))
+
+
 def f1_reference(chart):
     """G as a sum of ExactSeries log-derivatives over Fraction."""
     u = chart.u_of_q
     return (u * F(50, 12) + chart.y0_of_q.log_derivative() * F(62, 3)
-            + chart.one_minus_3125x_of_q.log_derivative() / 6
+            + (1 - 3125 * chart.x_of_q).log_derivative() / 6
             - u.log_derivative())
 
 
@@ -110,7 +117,8 @@ class TestMirrorMap:
         chart = mirror_map(order)
         x_q = chart.x_of_q
         assert chart.y0_of_q == chart.y0.compose(x_q)
-        assert chart.one_minus_3125x_of_q == ExactSeries(
+        assert ExactSeries.from_nums(kernels.one_minus_3125x(x_q.nums), 1,
+                                     "q") == ExactSeries(
             [1, -3125], tag="x", order=order).compose(x_q)
 
     def test_order_precondition(self):
@@ -120,8 +128,8 @@ class TestMirrorMap:
     def test_every_series_at_chart_order(self):
         chart = mirror_map(7)
         series = (chart.y0, chart.q_of_x, chart.x_of_q, chart.u_of_q,
-                  chart.y0_of_q, chart.one_minus_3125x_of_q)
-        assert [s.order for s in series] == [7] * 6
+                  chart.y0_of_q)
+        assert [s.order for s in series] == [7] * 5
 
     @pytest.mark.parametrize("name", ["y0", "q_of_x", "x_of_q", "u_of_q",
                                       "y0_of_q"])
@@ -131,35 +139,34 @@ class TestMirrorMap:
         coeffs = list(s.coeffs)
         coeffs[2] += F(1, 2)
         with pytest.raises(SeriesError, match="integral"):
-            replace(chart, **{name: ExactSeries(coeffs, tag=s.tag)})
+            check(replace(chart, **{name: ExactSeries(coeffs, tag=s.tag)}))
 
     @pytest.mark.parametrize("c0", [0, -1, 2, 2 ** 70])
     def test_y0_of_q_other_constant_term_rejected(self, c0):
         chart = mirror_map(3)
         with pytest.raises(NonUnitError):
-            replace(chart, y0_of_q=chart.y0_of_q + (c0 - 1))
+            check(replace(chart, y0_of_q=chart.y0_of_q + (c0 - 1)))
 
     def test_x_of_q_constant_term_rejected(self):
         chart = mirror_map(3)
         with pytest.raises(NonUnitError):
-            replace(chart, x_of_q=chart.x_of_q + 1)
+            check(replace(chart, x_of_q=chart.x_of_q + 1))
 
     def test_chart_checked_once(self, monkeypatch):
-        """mirror_map's chart is checked by the kernel alone; a chart
-        built by hand is checked by MirrorChart."""
-        import mirrorcalc.kernels as kernels
+        """mirror_map's chart is checked by the kernel alone, once per
+        call; MirrorChart is a record and checks nothing."""
         calls = []
-        check = kernels.check_chart
-        monkeypatch.setattr(kernels, "check_chart",
-                            lambda *chart: calls.append(1) or check(*chart))
+        check_chart = kernels.check_chart
+        monkeypatch.setattr(kernels, "check_chart", lambda *chart:
+                            calls.append(1) or check_chart(*chart))
         chart = mirror_map(4)
         assert len(calls) == 1
-        assert chart.one_minus_3125x_of_q.nums[1] == -3125
         replace(chart)
+        assert len(calls) == 1
+        mirror_map(4)
         assert len(calls) == 2
 
     def test_period_checked_against_picard_fuchs(self, monkeypatch):
-        import mirrorcalc.kernels as kernels
         period = kernels.period
         monkeypatch.setattr(kernels, "period", lambda order: [
             a + (n == 2) for n, a in enumerate(period(order))])
@@ -208,7 +215,7 @@ class TestF1:
     def test_y0_of_q_must_be_unit(self):
         chart = mirror_map(4)
         with pytest.raises(NonUnitError):
-            replace(chart, y0_of_q=chart.y0_of_q * 2)
+            check(replace(chart, y0_of_q=chart.y0_of_q * 2))
 
     def test_all_coefficients_rational(self):
         G = f1_log_derivative(mirror_map(8))

@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mirrorcalc.kernels import _convolve
+from mirrorcalc.kernels import _convolve, series_json
 from mirrorcalc.series import (ExactSeries, TagMismatchError, NonUnitError,
-                               CompositionError)
+                               CompositionError, SeriesError)
 
 
 def S(coeffs, tag="q", order=None):
@@ -326,7 +326,7 @@ def test_every_result_is_reduced_and_matches_fractions(a, b, k):
         (a.compose(inner), oracle_compose(A, I)),
         (a.truncate(0), A[:1]),
         (a.truncate(n - 1), A[:n]),
-        (ExactSeries.from_json_dict(a.to_json_dict()), A),
+        (S(series_json(a.nums, a.den, "q")["coefficients"]), A),
     ]
     inverse, *transports = inner.reverse(a, b)
     ident = [F(0), F(1)] + [F(0)] * (len(I) - 2)
@@ -354,5 +354,18 @@ def test_equal_values_have_one_form(left, right):
 
 
 def test_serialization_roundtrip():
+    # the one writer of the schema, read back by the constructor
     a = S([F(1, 3), -2, F(7, 5)], tag="x")
-    assert ExactSeries.from_json_dict(a.to_json_dict()) == a
+    d = series_json(a.nums, a.den, a.tag)
+    assert d == {"variable_tag": "x", "order": 2,
+                 "coefficients": ["1/3", "-2", "7/5"]}
+    assert S(d["coefficients"], tag=d["variable_tag"], order=d["order"]) == a
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, F(2)],
+                         ids=["true", "false", "float", "fraction"])
+def test_power_exponent_must_be_an_int(k):
+    # a bool is no exponent: s ** True would be s, and s ** False one
+    with pytest.raises(SeriesError, match="^exponent .* must be an int$"):
+        S([1, 2]) ** k
+    assert S([1, 2]) ** 1 == S([1, 2]) and S([1, 2]) ** 0 == S([1, 0])
