@@ -49,10 +49,9 @@ def measure(order: int) -> dict:
         return result
 
     _, _, x, u, y = stage("mirror_map_s", k.mirror_map, order)
-    w = k.one_minus_3125x(x)
-    G = stage("f1_log_derivative_s", k.f1_log_derivative, u, y, w)
+    G = stage("f1_log_derivative_s", k.f1_log_derivative, x, u, y)
     inst = stage("genus0_pipeline_s",
-                 lambda: k.instanton_numbers(*k.genus_zero(u, w, y)))
+                 lambda: k.instanton_numbers(*k.genus_zero(x, u, y)))
     stage("extract_gv_s",
           lambda: k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1)))
     bits = max(v.bit_length() for v in x)       # x(q) has denominator 1

@@ -79,7 +79,7 @@ def _cmd_f1(order) -> dict:
     from . import kernels as k
 
     _, _, x, u, y = k.mirror_map(order)
-    G = k.f1_log_derivative(u, y, k.one_minus_3125x(x))
+    G = k.f1_log_derivative(x, u, y)
     return {"G": k.series_json(*G, "q")}
 
 
@@ -87,8 +87,7 @@ def _cmd_extract_gw(order, n0_file) -> dict:
     from . import kernels as k
 
     _, _, x, u, y = k.mirror_map(order)
-    w = k.one_minus_3125x(x)
-    G = k.f1_log_derivative(u, y, w)
+    G = k.f1_log_derivative(x, u, y)
     if n0_file:        # c[d] = d^3 N0(d) den, as the Yukawa K holds it
         from .gw import n0_map_from_json_dict
         from .series import _scaled
@@ -97,7 +96,7 @@ def _cmd_extract_gw(order, n0_file) -> dict:
         nums, den = _scaled([n0.get(d, 0) for d in range(1, order + 1)])
         c = [0, *(d ** 3 * v for d, v in enumerate(nums, 1))]
     else:
-        c, den = k.genus_zero(u, w, y)
+        c, den = k.genus_zero(x, u, y)
     inst = k.instanton_numbers(c, den)
     n1 = k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1))
     return {"max_degree": order,
@@ -124,7 +123,12 @@ def _load_lattice(path: str) -> "lattice.CubicLattice":
 
     data = _load_json("--lattice", path)
     try:
-        entries = [((i, j, k), v) for i, j, k, v in data["cubic"]]
+        cubic = data["cubic"]
+        for row in cubic if isinstance(cubic, list) else [cubic]:
+            if not isinstance(row, list) or len(row) != 4:
+                raise lattice.LatticeError(f"cubic row {reprlib.repr(row)} "
+                                           "is not [i, j, k, value]")
+        entries = [((i, j, k), v) for i, j, k, v in cubic]
         return lattice.CubicLattice.from_entries(
             rank=data["rank"], entries=entries, kappa=data["kappa"])
     except KeyError as exc:

@@ -14,10 +14,10 @@ def delta(n: int, p: int) -> Fraction:
     """delta(n,p) = sum_{j=0}^{p} (-1)^j C(n+1,j)
     ((p-j+1)^{n+2} - (p-j)^{n+2}) / (n+2)!  for 0 <= p <= n.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be positive, got {n}")
-    if not 0 <= p <= n:
-        raise ValueError(f"form degree p must satisfy 0 <= p <= {n}, got {p}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension n must be positive (an int), got {n!r}")
+    if type(p) is not int or not 0 <= p <= n:
+        raise ValueError(f"form degree p must be an int in 0..{n}, got {p!r}")
     total = 0
     for j in range(p + 1):
         total += (-1) ** j * comb(n + 1, j) * (
@@ -27,8 +27,8 @@ def delta(n: int, p: int) -> Fraction:
 
 def delta_row(n: int) -> List[Fraction]:
     """All of delta(n, 0..n)."""
-    if n < 1:
-        raise ValueError(f"dimension n must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension n must be positive (an int), got {n!r}")
     return [delta(n, p) for p in range(n + 1)]
 
 

@@ -197,9 +197,6 @@ class WeightedDivisor:
         infinity to minus the sum of the entries' exponents."""
         return -sum((e for _, e in self.entries), Fraction(0))
 
-    def normalized_entries(self) -> List[Tuple[Point, Fraction]]:
-        return [(pt, e * self.overall_root) for pt, e in self.entries]
-
     def to_json_dict(self) -> dict:
         return {
             "entries": [{"point": pt.to_json(), "exponent": str(e)}
@@ -243,10 +240,9 @@ def divisor_equal(a: WeightedDivisor, b: WeightedDivisor) -> bool:
     if (a.vector_field_power * a.overall_root
             != b.vector_field_power * b.overall_root):
         return False
-    remaining = [e for e in b.normalized_entries() if e[1]]
-    for pt, exp in a.normalized_entries():
-        if not exp:
-            continue
+    ours, remaining = ([(pt, e * w.overall_root) for pt, e in w.entries
+                        if e and w.overall_root] for w in (a, b))
+    for pt, exp in ours:
         for i, (pt2, exp2) in enumerate(remaining):
             if pt.same_as(pt2):
                 if exp != exp2:
@@ -295,9 +291,15 @@ def residue_balance_check(data: FamilyData,
     + (48+chi) deg Xi, with chi(S) = 2 for the projective line.
 
     Returns the exact value; zero iff the boundary triple (a, b, c)
-    satisfies the balance.
+    satisfies the balance.  An entry ``series._exact`` refuses raises
+    FamilyError.
     """
-    a_inf, b_inf, c_inf = (Fraction(v) for v in boundary)
+    from .series import SeriesError, _exact   # bcov-factor loads no series
+
+    try:
+        a_inf, b_inf, c_inf = map(_exact, boundary)
+    except SeriesError as exc:
+        raise FamilyError(f"boundary entry {exc}") from None
     w = 48 + data.chi
     deg_dstar = sum(r for _, r in data.odp_points)
     deg_ram = sum(r - 1 for _, r in data.ramification)

@@ -18,7 +18,7 @@ import reprlib
 from fractions import Fraction
 from functools import cache
 from operator import add
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from . import kernels
 from .kernels import ExtractionError, SeriesError, _dirichlet, _sigma
@@ -37,12 +37,12 @@ def _check_degrees(*columns: Mapping) -> None:
 class GWTable:
     """Degree-indexed genus-0 and genus-1 invariants, degrees 1..max_degree.
 
-    n0 holds genus-zero Gromov-Witten numbers N0(d); instanton_n0, when
-    present, the integer genus-zero Gopakumar-Vafa (instanton) numbers
-    n_d.  n1 holds what extract_n1 solved for: genus-one Gopakumar-Vafa
-    numbers when it was given the n_d.  from_maps and extract_n1 check
-    each key (_check_degrees) and value (series._exact) and fill every
-    degree; the constructor trusts its arguments.
+    n0 holds genus-zero Gromov-Witten numbers N0(d); instanton_n0, from
+    genus0_pipeline, the genus-zero Gopakumar-Vafa numbers n_d.  n1 holds
+    what extract_n1 solved for: genus-one Gopakumar-Vafa numbers when it
+    was given the n_d.  from_maps and extract_n1 check each key
+    (_check_degrees) and value (series._exact) and fill every degree; the
+    constructor trusts its arguments (genus0_pipeline's are kernel output).
     """
 
     def __init__(self, max_degree: int, n0: Mapping[int, Fraction],
@@ -54,16 +54,12 @@ class GWTable:
         return type(other) is GWTable and vars(self) == vars(other)
 
     @classmethod
-    def from_maps(cls, n0: Mapping[int, Fraction], n1: Mapping[int, Fraction],
-                  max_degree: int | None = None,
-                  instanton_n0: Optional[Mapping[int, int]] = None) -> "GWTable":
+    def from_maps(cls, n0: Mapping[int, Fraction],
+                  n1: Mapping[int, Fraction]) -> "GWTable":
         _check_degrees(n0, n1)
-        if max_degree is None:
-            max_degree = max([0, *n0.keys(), *n1.keys()])
-        full_n0 = {d: _exact(n0.get(d, 0)) for d in range(1, max_degree + 1)}
-        full_n1 = {d: _exact(n1.get(d, 0)) for d in range(1, max_degree + 1)}
-        return cls(max_degree=max_degree, n0=full_n0, n1=full_n1,
-                   instanton_n0=instanton_n0)
+        n = max([0, *n0.keys(), *n1.keys()])
+        return cls(n, *({d: _exact(col.get(d, 0)) for d in range(1, n + 1)}
+                        for col in (n0, n1)))
 
 
 def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
@@ -139,13 +135,11 @@ def genus0_pipeline(chart) -> GWTable:
     """The quintic's genus-zero table at degrees 1..chart.order from a
     quintic.MirrorChart, by ``kernels.genus_zero``: N0(d) is the q^d
     coefficient of the Yukawa coupling K over d^3."""
-    K, dK = kernels.genus_zero(chart.u_of_q.nums,
-                               kernels.one_minus_3125x(chart.x_of_q.nums),
-                               chart.y0_of_q.nums)
-    n = chart.order
-    return GWTable.from_maps({d: Fraction(K[d], dK * d ** 3)
-                              for d in range(1, n + 1)}, {}, max_degree=n,
-                             instanton_n0=kernels.instanton_numbers(K, dK))
+    K, dK = kernels.genus_zero(
+        *(s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q)))
+    n0 = {d: Fraction(K[d], dK * d ** 3) for d in range(1, chart.order + 1)}
+    return GWTable(chart.order, n0, dict.fromkeys(n0, Fraction(0)),
+                   kernels.instanton_numbers(K, dK))
 
 
 def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:

@@ -275,14 +275,15 @@ def mirror_map(order: int) -> tuple[list[int], ...]:
     return tuple(nums for nums, _ in chart)
 
 
-def one_minus_3125x(x: list[int]) -> list[int]:
-    """1 - 3125 x for an integral series x with x(0) = 0."""
+def _one_minus_3125x(x: list[int]) -> list[int]:
+    """w = 1 - 3125 x for an integral series x with x(0) = 0."""
     return [1, *(-3125 * v for v in x[1:])]
 
 
-def f1_log_derivative(u, y, w) -> tuple[list[int], int]:
+def f1_log_derivative(x, u, y) -> tuple[list[int], int]:
     """G = (25 u + 124 L(y) + L(w) - 6 L(u)) / 6, L(f) = q f'/f, from the
-    integral u(q), y0(x(q)) and 1 - 3125 x(q); G(0) != 50/12 raises."""
+    integral x(q), u(q), y0(x(q)) and w = 1 - 3125 x; G(0) != 50/12 raises."""
+    w = _one_minus_3125x(x)
     (ly, dy), (lw, dw), (lu, du) = map(log_derivative, (y, w, u))
     den = lcm(dy, dw, du)
     ky, kw, ku = 124 * (den // dy), den // dw, 6 * (den // du)
@@ -303,12 +304,12 @@ def instanton_numbers(c, den: int) -> dict[int, int]:
                     "genus-zero instanton number")
 
 
-def genus_zero(u, w, y) -> tuple[list[int], int]:
+def genus_zero(x, u, y) -> tuple[list[int], int]:
     """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d,
-    the column ``instanton_numbers`` reads; K(0) != 5 raises."""
-    n = min(len(u), len(w), len(y)) - 1
+    x, u, y, w as in f1_log_derivative; K(0) != 5 raises."""
+    n = min(len(x), len(u), len(y)) - 1
     K, dK = divide([5 * v for v in _convolve(_convolve(u, u, n), u, n)], 1,
-                   _convolve(_convolve(w, y, n), y, n), 1)
+                   _convolve(_convolve(_one_minus_3125x(x), y, n), y, n), 1)
     if K[0] != 5 * dK:
         raise SeriesError(f"K must have constant term 5, not {ratio(K[0], dK)}")
     return K, dK

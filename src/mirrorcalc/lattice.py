@@ -39,18 +39,6 @@ class PiScaled:
     mantissa: Fraction
     pi_exponent: int
 
-    def __mul__(self, other: "PiScaled") -> "PiScaled":
-        return PiScaled(self.mantissa * other.mantissa,
-                        self.pi_exponent + other.pi_exponent)
-
-    def __pow__(self, k: int) -> "PiScaled":
-        return PiScaled(self.mantissa ** k, self.pi_exponent * k)
-
-    def inverse(self) -> "PiScaled":
-        if not self.mantissa:
-            raise ZeroDivisionError("zero mantissa")
-        return PiScaled(1 / self.mantissa, -self.pi_exponent)
-
     def __str__(self):
         return f"{self.mantissa} * pi^{self.pi_exponent}"
 
@@ -375,9 +363,12 @@ def fhsv_volume(A: Sequence[Sequence[int]], h: Sequence[int]) -> PiScaled:
 
 def fhsv_constant(volume: PiScaled, covolume: PiScaled) -> PiScaled:
     """Vol^-3 * covolume^-1 * <H,H>^4 from the values of fhsv_volume and
-    fhsv_covolume, with <H,H> = 2^5 volume.mantissa."""
-    return (volume.inverse() ** 3 * covolume.inverse()
-            * PiScaled(2 ** 5 * volume.mantissa, 0) ** 4)
+    fhsv_covolume, with <H,H> = 2^5 volume.mantissa; a zero mantissa
+    raises ZeroDivisionError."""
+    if not (volume.mantissa and covolume.mantissa):
+        raise ZeroDivisionError("zero mantissa")
+    return PiScaled(Fraction(2 ** 20 * volume.mantissa, covolume.mantissa),
+                    -3 * volume.pi_exponent - covolume.pi_exponent)
 
 
 def fhsv_constant_check(A: Sequence[Sequence[int]],

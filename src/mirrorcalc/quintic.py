@@ -51,6 +51,5 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q), as
     ``kernels.f1_log_derivative`` computes it; G(0) != 50/12 raises.
     """
-    u, w = chart.u_of_q, kernels.one_minus_3125x(chart.x_of_q.nums)
     return ExactSeries.from_nums(*kernels.f1_log_derivative(
-        u.nums, chart.y0_of_q.nums, w), u.tag)
+        *(s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q))), "q")

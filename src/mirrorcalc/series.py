@@ -251,11 +251,10 @@ class ExactSeries:
                                     for j in range(1, n - k + 1)]
         return ExactSeries.from_nums(acc, self.den * scale, inner.tag)
 
-    def reverse(self, *outer: "ExactSeries", tag: str | None = None):
+    def reverse(self, *outer: "ExactSeries"):
         """Compositional inverse of a series a1*t + O(t^2), a1 != 0, or
         with series f_1, ... the tuple (inverse, f_1(inverse), ...), all
-        in ``tag`` (default: this series' own), by ``kernels.reverse``."""
-        tag = self.tag if tag is None else tag
-        out = [ExactSeries.from_nums(*s, tag) for s in kernels.reverse(
+        in this series' tag, by ``kernels.reverse``."""
+        out = [ExactSeries.from_nums(*s, self.tag) for s in kernels.reverse(
             self.nums, self.den, *((f.nums, f.den) for f in outer))]
         return tuple(out) if outer else out[0]

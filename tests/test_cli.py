@@ -14,6 +14,17 @@ from mirrorcalc.lattice import enriques_invariant_gram
 
 # JSON nested past the parser's recursion limit
 DEEP = "[" * 50000 + "]" * 50000
+# A "cubic" that is no array of [i, j, k, value] rows, and the row that
+# the error must name.
+BAD_CUBIC = {"lattice-row-short": ([[0, 0, 0]], "[0, 0, 0]"),
+             "lattice-row-long": ([[0, 0, 0, 1, 2]], "[0, 0, 0, 1, 2]"),
+             "lattice-cubic-string": ("abc", "'abc'"),
+             "lattice-cubic-object": ({"a": 1}, "{'a': 1}"),
+             "lattice-row-scalar": ([5], "5")}
+
+
+def lattice_text(cubic):
+    return json.dumps({"rank": 1, "cubic": cubic, "kappa": ["1"]})
 
 
 def reference_chart(order):
@@ -356,6 +367,7 @@ class TestLatticeCommands:
          "[" * 30000 + "]" * 30000),
         ("covolume", DEEP, None),
         ("bcov-factor", DEEP, None),
+        *(("covolume", lattice_text(c), None) for c, _ in BAD_CUBIC.values()),
     ], ids=["h-scalar", "h-nested", "h-long-entry", "gram-scalar",
             "gram-float", "gram-ragged", "lattice-no-cubic", "lattice-array",
             "lattice-index-too-large", "lattice-index-negative",
@@ -364,7 +376,7 @@ class TestLatticeCommands:
             "lattice-value-float", "lattice-value-bool",
             "lattice-repeated-triple", "lattice-permuted-triple",
             "lattice-kappa-string", "gram-deep", "h-deep", "lattice-deep",
-            "family-deep"])
+            "family-deep", *BAD_CUBIC])
     def test_malformed_input_exits_1(self, capsys, tmp_path, command, text,
                                      h):
         path = tmp_path / "input.json"
@@ -382,6 +394,15 @@ class TestLatticeCommands:
         assert "Traceback" not in err
         assert len(err) < 1024  # an echoed value is cut short
 
+
+    @pytest.mark.parametrize("cubic, row", BAD_CUBIC.values(),
+                             ids=list(BAD_CUBIC))
+    def test_malformed_cubic_row_is_named(self, capsys, tmp_path, cubic, row):
+        path = tmp_path / "lattice.json"
+        path.write_text(lattice_text(cubic))
+        code, _, err = invoke(capsys, "covolume", "--lattice", str(path))
+        assert code == 1
+        assert err == f"error: cubic row {row} is not [i, j, k, value]\n"
 
     @pytest.mark.parametrize("command, text, h", [
         ("fhsv", json.dumps([["1/0"] * 10] * 10), json.dumps([1] * 10)),

@@ -37,6 +37,22 @@ def test_out_of_range():
         delta(0, 0)
 
 
+@pytest.mark.parametrize("n, p, named", [
+    (True, 0, "True"), (3.0, 1, "3.0"), ("3", 1, "'3'"),
+    (3, True, "True"), (3, 1.0, "1.0"), (3, None, "None"),
+], ids=["bool-n", "float-n", "string-n", "bool-p", "float-p", "none-p"])
+def test_non_int_arguments_rejected(n, p, named):
+    with pytest.raises(ValueError, match=f"got {named}$"):
+        delta(n, p)
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3"], ids=["bool", "float",
+                                                      "string"])
+def test_row_needs_an_int_dimension(n):
+    with pytest.raises(ValueError, match=f"got {n!r}$"):
+        delta_row(n)
+
+
 def test_big_dimension_exact():
     # (n+2)! overflows 64-bit integers near n = 18; stays exact here
     v = delta(25, 0)

@@ -215,6 +215,20 @@ class TestResidueBalance:
         v1 = residue_balance_check(data, (1, 1, 2))
         assert v1 - v0 == 48 + data.chi
 
+    @pytest.mark.parametrize("boundary, named", [
+        ((0.1, 0, 0), "0.1"), ((True, "1/2", 0), "True"),
+        (("x", 0, 0), "'x'"), ((0, None, 0), "None"), ((0, 0, "1/0"), "'1/0'"),
+    ], ids=["float", "bool", "word", "none", "zero-denominator"])
+    def test_inexact_boundary_entry_rejected(self, boundary, named):
+        with pytest.raises(FamilyError, match=f"^boundary entry {named} is "
+                           "not an exact rational"):
+            residue_balance_check(FamilyData.quintic_mirror(), boundary)
+
+    def test_rational_string_boundary_entry(self):
+        data = FamilyData.quintic_mirror()
+        assert (residue_balance_check(data, ("1/2", 0, 0))
+                == residue_balance_check(data, (F(1, 2), 0, 0)) == 268)
+
 
 def test_family_json_ingestion():
     doc = {

@@ -56,17 +56,15 @@ ENTRANCES = {
     "from_maps_n1": lambda v: GWTable.from_maps({}, {1: v}).n1[1],
     "extract_n1": lambda v: extract_n1(G, {1: v}).n0[1],
     "instanton_numbers": _integral_n1(_n0_file_instanton),
-    # a table as genus0_pipeline builds it: its column and n_d
-    "genus0_table": _integral_n1(lambda v: GWTable.from_maps(
-        {1: v}, {}, instanton_n0={1: _n0_file_instanton(v)}).n0[1]),
 }
 
 # Each degree entrance maps a column to the table it builds.
 DEGREE_ENTRANCES = {
     "from_maps_n0": lambda column: GWTable.from_maps(column, {}),
     "from_maps_n1": lambda column: GWTable.from_maps({}, column),
+    # the max_degree that from_maps derives from both columns' keys
     "from_maps_max_degree": lambda column: GWTable.from_maps(
-        column, column, max_degree=1),
+        column, column).max_degree,
     "extract_n1": lambda column: extract_n1(G, column),
 }
 
@@ -76,7 +74,7 @@ DEGREE_ENTRANCES = {
                          ids=["string", "bool", "float", "zero", "negative",
                               "none"])
 def test_degree_keys_must_be_ints_from_one(entrance, key):
-    # "1" would read as degree 1 holding 0, True as max_degree True
+    # "1" would read as degree 1 holding 0, and fail max() beside an int
     with pytest.raises(SeriesError, match=r"^degree .* must be an int >= 1$"
                        ) as info:
         DEGREE_ENTRANCES[entrance]({2: 5, key: 12})
@@ -84,8 +82,6 @@ def test_degree_keys_must_be_ints_from_one(entrance, key):
 
 
 def test_degrees_above_the_table_are_truncated():
-    assert GWTable.from_maps({1: 12, 5: 2}, {}, max_degree=2).n0 == {
-        1: 12, 2: 0}
     table = extract_n1(ExactSeries([F(25, 6), -4], tag="q"), {1: 12, 9: 1})
     assert (table.n0, table.n1) == ({1: 12}, {1: 1})
 

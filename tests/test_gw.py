@@ -27,7 +27,7 @@ def random_table(rng, max_degree=6):
           for d in range(1, max_degree + 1)}
     n1 = {d: F(rng.randint(-30, 30), rng.randint(1, 6))
           for d in range(1, max_degree + 1)}
-    return GWTable.from_maps(n0, n1, max_degree=max_degree)
+    return GWTable.from_maps(n0, n1)
 
 
 class TestLambert:
@@ -36,7 +36,7 @@ class TestLambert:
         assert got == ExactSeries.constant(F(50, 12), 5, "q")
 
     def test_hand_expansion_degree_one(self):
-        table = GWTable.from_maps({1: F(12)}, {1: F(1)}, max_degree=1)
+        table = GWTable.from_maps({1: F(12)}, {1: F(1)})
         got = lambert_series(table, 1)
         assert got[0] == F(25, 6)
         assert got[1] == -4  # 2*N1(1) + 2*12/12 = 4 with a minus sign
@@ -44,9 +44,8 @@ class TestLambert:
     def test_triangularity(self):
         rng = random.Random(7)
         t = random_table(rng, max_degree=8)
-        low = GWTable.from_maps({d: t.n0[d] for d in range(1, 4)},
-                                {d: t.n1[d] for d in range(1, 4)},
-                                max_degree=8)
+        low = GWTable.from_maps({d: t.n0[d] * (d < 4) for d in range(1, 9)},
+                                {d: t.n1[d] * (d < 4) for d in range(1, 9)})
         full = lambert_series(t, 3)
         trunc = lambert_series(low, 3)
         assert full == trunc  # coefficients of q^d see only degrees <= d
@@ -58,7 +57,7 @@ class TestEtaProduct:
         assert got == ExactSeries.constant(F(50, 12), 4, "q")
 
     def test_hand_expansion(self):
-        table = GWTable.from_maps({1: F(12)}, {1: F(1)}, max_degree=1)
+        table = GWTable.from_maps({1: F(12)}, {1: F(1)})
         got = eta_product_log_derivative(table, 1)
         assert got[0] == F(25, 6) and got[1] == -4
 
@@ -124,6 +123,8 @@ class TestGenus0:
         n0 = {d: K[d] / d ** 3 for d in range(1, order + 1)}
         t = genus0_pipeline(chart)
         assert t.n0 == n0
+        assert t.max_degree == order
+        assert t.n1 == dict.fromkeys(range(1, order + 1), 0)
         assert t.instanton_n0 == kernels.instanton_numbers(list(K.nums), K.den)
         assert t.instanton_n0 == reference_instanton(n0, order)[0]
 
@@ -258,7 +259,7 @@ def tables_and_orders(draw):
                                 st.lists(rationals, min_size=md, max_size=md)))
         return dict(enumerate(values, 1))
 
-    table = GWTable.from_maps(column(), column(), max_degree=md)
+    table = GWTable.from_maps(column(), column())
     return table, max(0, md + draw(st.integers(-4, 4)))
 
 

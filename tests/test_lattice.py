@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from mirrorcalc import lattice
 from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det, _det,
                                 l2_pairing, covolume, fhsv_covolume,
-                                fhsv_volume, fhsv_constant_check,
-                                rank1_update_det_check,
+                                fhsv_volume, fhsv_constant,
+                                fhsv_constant_check, rank1_update_det_check,
                                 enriques_invariant_gram, LatticeError)
 
 
@@ -525,6 +525,19 @@ class TestFHSV:
         expected = PiScaled(F(2 ** 50), 42)
         assert fhsv_constant_check(self.A, self.h) == expected
         assert fhsv_constant_check(self.A, [2, 3] + [0] * 8) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions().filter(bool), st.fractions().filter(bool),
+           st.integers(-50, 50), st.integers(-50, 50))
+    def test_constant_is_vol_cov_hh_product(self, v, c, ev, ec):
+        # Vol^-3 cov^-1 <H,H>^4 with <H,H> = 2^5 v, by Fraction powers
+        got = fhsv_constant(PiScaled(v, ev), PiScaled(c, ec))
+        assert got == PiScaled(v ** -3 / c * (2 ** 5 * v) ** 4, -3 * ev - ec)
+
+    @pytest.mark.parametrize("vol, cov", [(0, 1), (F(1, 8), 0), (0, 0)])
+    def test_constant_zero_mantissa_raises(self, vol, cov):
+        with pytest.raises(ZeroDivisionError):
+            fhsv_constant(PiScaled(F(vol), -3), PiScaled(F(cov), -33))
 
     def test_rational_gram(self):
         # P^T A P for P = diag(1, 1, 1, 1/3, 3, 1, ...) has det A = -2^10

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorcalc import kernels
+from mirrorcalc.divisor import FamilyData, Point, assemble_factor
 from mirrorcalc.series import ExactSeries, NonUnitError, SeriesError
 from mirrorcalc.kernels import (LOG_X_MULTIPLE, _harmonic_gaps, period,
                                 picard_fuchs_check)
@@ -25,12 +26,33 @@ def check(chart):
         getattr(chart, name) for name in FIELDS[1:])))
 
 
+def divisor_side():
+    """G's coefficients read from the quintic mirror's divisor factor:
+    its log x multiple (infinity_exponent + vector_field_power) *
+    overall_root / 2 / 5, the 5 from x = (5 psi)^-5, then those of
+    L(y0(x(q))), L(1 - 3125 x(q)) and L(u), each |exponent| *
+    overall_root / 2: the entry at psi = 0, a double point and the
+    vector field."""
+    factor = assemble_factor(FamilyData.quintic_mirror())
+    half = factor.overall_root / 2
+
+    def at(point):
+        return next(e for pt, e in factor.entries if pt.same_as(point))
+
+    return [(factor.infinity_exponent + factor.vector_field_power) * half / 5,
+            *(abs(e) * half for e in (at(Point.of(0)),
+                                      at(Point.root_of_unity(5, 0)),
+                                      factor.vector_field_power))]
+
+
 def f1_reference(chart):
-    """G as a sum of ExactSeries log-derivatives over Fraction."""
+    """G as a sum of ExactSeries log-derivatives over Fraction, with the
+    coefficients of ``divisor_side``."""
+    log_x, c_y, c_w, c_u = divisor_side()
     u = chart.u_of_q
-    return (u * F(50, 12) + chart.y0_of_q.log_derivative() * F(62, 3)
-            + (1 - 3125 * chart.x_of_q).log_derivative() / 6
-            - u.log_derivative())
+    return (u * log_x + chart.y0_of_q.log_derivative() * c_y
+            + (1 - 3125 * chart.x_of_q).log_derivative() * c_w
+            - u.log_derivative() * c_u)
 
 
 @st.composite
@@ -117,8 +139,8 @@ class TestMirrorMap:
         chart = mirror_map(order)
         x_q = chart.x_of_q
         assert chart.y0_of_q == chart.y0.compose(x_q)
-        assert ExactSeries.from_nums(kernels.one_minus_3125x(x_q.nums), 1,
-                                     "q") == ExactSeries(
+        # 1 - 3125 x(q), as f1_reference and yukawa_reference form it
+        assert 1 - 3125 * x_q == ExactSeries(
             [1, -3125], tag="x", order=order).compose(x_q)
 
     def test_order_precondition(self):
@@ -185,6 +207,12 @@ class TestF1:
         bad = replace(chart, u_of_q=chart.u_of_q + 1)
         with pytest.raises(SeriesError, match="50/12"):
             f1_log_derivative(bad)
+
+    def test_coefficients_match_the_divisor_factor(self):
+        # one formula from both sides: the kernels' G and the paper's
+        # divisor factor for the quintic mirror
+        assert divisor_side() == [F(25, 6), F(62, 3), F(1, 6), 1]
+        assert F(*LOG_X_MULTIPLE) == divisor_side()[0]
 
     def test_degenerate_limit_is_constant(self):
         # all instanton corrections off: u = 1, y0 = 1, x(q) = q with
