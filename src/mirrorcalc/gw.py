@@ -1,11 +1,13 @@
 """Gromov-Witten bookkeeping for the genus-one amplitude identity:
 Lambert-series assembly, the equivalent eta-product log-derivative,
 extraction of the degree-d exponents N1(d), and the standard
-genus-zero pipeline producing N0(d).  Each kernel is a Dirichlet
-convolution or its inverse on ints, a series' nums or a degree column
-over one denominator, striding over the multiples of each degree;
-they live in ``kernels``, and the functions here check and wrap them;
-the CLI runs the kernels itself and takes only its n0 parser from here.
+genus-zero pipeline producing N0(d).  Each genus-one stage is one
+two-pair Dirichlet convolution, h = f * g + f2 * g2, on int columns
+over one denominator: the table's columns, scaled once per table,
+against order columns memoised per order, or, to extract N1, G and N0
+against the inverses sigma_1^-1 and mu id.  The kernels live in
+``kernels``, and the functions here check and wrap them; the CLI runs
+the kernels itself and takes only its n0 parser from here.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -16,8 +18,7 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
-from functools import cache
-from operator import add
+from functools import cache, cached_property
 from typing import Dict, Mapping
 
 from . import kernels
@@ -43,6 +44,8 @@ class GWTable:
     was given the n_d.  from_maps and extract_n1 check each key
     (_check_degrees) and value (series._exact) and fill every degree; the
     constructor trusts its arguments (genus0_pipeline's are kernel output).
+    The genus-one forms scale the columns to ints once per table
+    (_columns), so a table is not to be altered once a form has read it.
     """
 
     def __init__(self, max_degree: int, n0: Mapping[int, Fraction],
@@ -51,7 +54,19 @@ class GWTable:
         self.instanton_n0 = instanton_n0
 
     def __eq__(self, other):
-        return type(other) is GWTable and vars(self) == vars(other)
+        return type(other) is GWTable and all(
+            getattr(self, a) == getattr(other, a)
+            for a in ("max_degree", "n0", "n1", "instanton_n0"))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """A = 12 d N1(d) and B = d N0(d), d = 1..max_degree, as ints over
+        their lcd, and lcd: scaled once, read by both genus-one forms."""
+        n = self.max_degree
+        nums, lcd = _scaled([*(self.n0[d] for d in range(1, n + 1)),
+                             *(self.n1[d] for d in range(1, n + 1))])
+        return ((0, *(12 * d * v for d, v in enumerate(nums[n:], 1))),
+                (0, *(d * v for d, v in enumerate(nums[:n], 1))), lcd)
 
     @classmethod
     def from_maps(cls, n0: Mapping[int, Fraction],
@@ -64,13 +79,10 @@ class GWTable:
 
 def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
     """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for int
-    lists E, U, the columns scaled to ints over 6 lcm(denominators)."""
-    n = min(order, table.max_degree)
-    nums, lcd = _scaled([*(table.n0[d] for d in range(1, n + 1)),
-                         *(table.n1[d] for d in range(1, n + 1))])
-    A = [0, *(12 * d * v for d, v in enumerate(nums[n:], 1))]
-    B = [0, *(d * v for d, v in enumerate(nums[:n], 1))]
-    out = list(map(add, _dirichlet(A, E, order), _dirichlet(B, U, order)))
+    columns E, U, in one sweep over the table's columns (degrees past
+    order are not read; from_nums reduces away the lcd of the unread)."""
+    A, B, lcd = table._columns
+    out = _dirichlet(order, A, E, B, U)
     p, q = kernels.LOG_X_MULTIPLE
     out[0] = 6 * p // q * lcd                   # 6 * 50/12 = 25
     return ExactSeries.from_nums(out, 6 * lcd, "q")
@@ -93,6 +105,13 @@ def _eta_columns(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                  (eta_series(order).nums, [1, -1] + [0] * (order - 1)))
 
 
+@cache
+def _lambert_columns(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """-sigma_1 and the constant -1, to q^order, once per order, as tuples
+    read as ``_eta_columns`` is read."""
+    return tuple(-v for v in _sigma(order)), (0, *[-1] * order)
+
+
 def lambert_series(table: GWTable, order: int) -> ExactSeries:
     """50/12 - sum_{n,d} N1(d) 2nd q^{nd}/(1-q^{nd})
              - sum_d N0(d) 2d q^d / (12 (1-q^d)).
@@ -101,8 +120,7 @@ def lambert_series(table: GWTable, order: int) -> ExactSeries:
     -sum_{d|m} (2d sigma_1(m/d) N1(d) + d N0(d)/6).
     """
     _check_order(order)
-    return _genus_one(table, order, [-v for v in _sigma(order)],
-                      [0] + [-1] * order)
+    return _genus_one(table, order, *_lambert_columns(order))
 
 
 def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:

@@ -9,7 +9,7 @@ writes; a rational value is a pair (p, q), written by ``ratio``.
 
 from functools import cache
 from math import factorial, gcd, isqrt, lcm
-from operator import add, itemgetter, mul, sub
+from operator import itemgetter, mul, sub
 
 
 class SeriesError(ValueError):
@@ -159,20 +159,23 @@ def reverse(a, D: int, *outer) -> list[tuple[list[int], int]]:
     return out
 
 
-def _dirichlet(f, g, n: int) -> list[int]:
-    """(f * g)(m) = sum_{dk=m} f(d) g(k), m = 1..n, for int sequences
-    indexed from 1 (f may stop before n), by the hyperbola split at
-    r = isqrt(n): a pair with dk <= n has d <= r or k <= r, so one slice
-    per d <= r spreads over all k and one per k <= r over d in (r, n//k].
-    Each slice has an explicit stop, so a step of 1 cannot resize h."""
-    h, r, top = [0] * (n + 1), isqrt(n), min(n, len(f) - 1)
+def _dirichlet(n: int, f, g, f2=(), g2=()) -> list[int]:
+    """h = f * g + f2 * g2 at 1..n for one or two pairs of int sequences
+    indexed from 1 (f, f2 may stop before n; g, g2 reach it), in one sweep
+    split at r = isqrt(n): a pair with dk <= n has d <= r or k <= r, so one
+    slice per d <= r spreads over all k and one per k <= r over d in
+    (r, n//k], each with an explicit stop, adding both pairs' products."""
+    r, top = isqrt(n), min(n, max(len(f), len(f2)) - 1)
+    h, g2 = [0] * (n + 1), g2 or g          # one pair: f2 pads to 0s
+    f, f2 = ([*s[:top + 1], *[0] * (top + 1 - len(s))] for s in (f, f2))
     for d in range(1, min(r, top) + 1):
-        h[d:n + 1:d] = map(add, h[d:n + 1:d],
-                           [f[d] * v for v in g[1:n // d + 1]])
-    for k in range(1, r + 1):
+        a, b, s = f[d], f2[d], slice(1, n // d + 1)
+        h[d:n + 1:d] = [z + a * x + b * y
+                        for z, x, y in zip(h[d:n + 1:d], g[s], g2[s])]
+    for k, a, b in zip(range(1, r + 1), g[1:r + 1], g2[1:r + 1]):
         m = min(n // k, top)                # d = r+1..m
-        h[(r + 1) * k:m * k + 1:k] = map(add, h[(r + 1) * k:m * k + 1:k],
-                                         [g[k] * v for v in f[r + 1:m + 1]])
+        s, t = slice(r + 1, m + 1), slice((r + 1) * k, m * k + 1, k)
+        h[t] = [z + a * x + b * y for z, x, y in zip(h[t], f[s], f2[s])]
     return h
 
 
@@ -188,7 +191,15 @@ def _dirichlet_divide(c, f, n: int) -> list[int]:
 @cache
 def _sigma(n: int) -> tuple[int, ...]:
     """sigma_1(m), m = 1..n, as 1 * id: once per n, as a tuple."""
-    return tuple(_dirichlet([0] + [1] * n, range(n + 1), n))
+    return tuple(_dirichlet(n, [0] + [1] * n, range(n + 1)))
+
+
+@cache
+def _inverses(n: int) -> tuple[tuple[int, ...], ...]:
+    """mu, mu id, sigma_1^-1: the inverses of 1, id, sigma_1, once per n."""
+    unit = [int(m == 1) for m in range(n + 1)]
+    return tuple(tuple(_dirichlet_divide(unit, f, n))
+                 for f in ([0] + [1] * n, range(n + 1), _sigma(n)))
 
 
 def integral(pairs, what: str) -> dict[int, int]:
@@ -297,9 +308,9 @@ def f1_log_derivative(x, u, y) -> tuple[list[int], int]:
 
 def instanton_numbers(c, den: int) -> dict[int, int]:
     """Genus-zero GV numbers n_d, d = 1..len(c) - 1, from c[d] = d^3 N0(d)
-    den: the multicover rule d^3 N0 = (d^3 n) * 1 divided by 1."""
+    den: the multicover rule d^3 N0 = (d^3 n) * 1 inverted as c * mu."""
     n = len(c) - 1
-    h = _dirichlet_divide([0, *c[1:]], [0] + [1] * n, n)
+    h = _dirichlet(n, c, _inverses(n)[0])
     return integral([(h[d], den * d ** 3) for d in range(1, n + 1)],
                     "genus-zero instanton number")
 
@@ -317,19 +328,18 @@ def genus_zero(x, u, y) -> tuple[list[int], int]:
 
 def extract_n1(G, dG: int, n0, d0: int) -> list[tuple[int, int]]:
     """N1(m) = p/q as pairs, m = 1..len(G) - 1, from G/dG and N0(d) =
-    n0[d]/d0.  With c_m = G_m + (1/6) sum_{d|m} d N0(d) the Lambert form
-    reads -c/2 = (d N1) * sigma_1, one Dirichlet division."""
+    n0[d]/d0.  The Lambert form reads -2 (d N1) * sigma_1 = G + (d N0/6) * 1,
+    so, as 1 * sigma_1^-1 = mu id, one sweep gives -12 den d N1 =
+    (6 den G) * sigma_1^-1 + (den d N0) * mu id, den = lcm(d0, dG)."""
     if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
         raise ExtractionError(
             f"constant term of G must be 50/12, got {ratio(G[0], dG)}")
     order = len(G) - 1
     den = lcm(d0, dG)
     k0, k = den // d0, 6 * (den // dG)
-    # 6 den c_m = 6 den G_m + ((den d N0) * 1)(m)
-    c = map(add, [0, *(k * v for v in G[1:])], _dirichlet(
-        [0, *(k0 * d * n0[d] for d in range(1, order + 1))],
-        [0] + [1] * order, order))
-    h = _dirichlet_divide(c, _sigma(order), order)
+    _, mu_id, sigma_inv = _inverses(order)
+    h = _dirichlet(order, [k * v for v in G], sigma_inv,
+                   [0, *(k0 * d * n0[d] for d in range(1, order + 1))], mu_id)
     return [(-h[m], 12 * den * m) for m in range(1, order + 1)]
 
 

@@ -9,7 +9,8 @@ from mirrorcalc import kernels, modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
                            extract_n1, genus0_pipeline, ExtractionError,
                            n0_map_from_json_dict, _eta_columns)
-from mirrorcalc.kernels import _dirichlet, _dirichlet_divide, _sigma
+from mirrorcalc.kernels import (_dirichlet, _dirichlet_divide, _inverses,
+                               _sigma)
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
 from mirrorcalc.series import ExactSeries, SeriesError, _scaled
@@ -49,6 +50,15 @@ class TestLambert:
         full = lambert_series(t, 3)
         trunc = lambert_series(low, 3)
         assert full == trunc  # coefficients of q^d see only degrees <= d
+
+    def test_table_that_fed_a_form_equals_a_fresh_one(self):
+        """The scaled columns a form caches on the table leave == alone."""
+        t = random_table(random.Random(11), max_degree=9)
+        lambert_series(t, 5)
+        lambert_series(t, 9)
+        fresh = GWTable.from_maps(dict(t.n0), dict(t.n1))
+        assert t == fresh and fresh == t
+        assert t != GWTable.from_maps(dict(t.n0), {**t.n1, 9: t.n1[9] + 1})
 
 
 class TestEtaProduct:
@@ -322,7 +332,7 @@ class TestIntegerKernels:
         assert list(sigma[1:]) == [sigma1(m) for m in range(1, n + 1)]
         delta = [int(m == 1) for m in range(n + 1)]
         inverse = _dirichlet_divide(delta, sigma, n)
-        assert _dirichlet(sigma, inverse, n) == delta
+        assert _dirichlet(n, sigma, inverse) == delta
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
@@ -332,7 +342,7 @@ class TestIntegerKernels:
         f_tail, c_tail = case
         n = len(c_tail)
         f, c = [0, 1, *f_tail[1:]], [0, *c_tail]
-        assert _dirichlet(f, _dirichlet_divide(c, f, n), n) == c
+        assert _dirichlet(n, f, _dirichlet_divide(c, f, n)) == c
 
     def test_sigma_inverse_at_prime_powers(self):
         inverse = _dirichlet_divide([0, 1] + [0] * 249, _sigma(250), 250)
@@ -381,25 +391,47 @@ def naive_dirichlet(f, g, n):
                       if m % d == 0) for m in range(1, n + 1)]
 
 
+def long_enough(n):
+    """An int list or a range that reaches n, as g and g2 must."""
+    return st.one_of(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1,
+                              max_size=n + 6),
+                     st.integers(n + 1, n + 6).map(range))
+
+
+def up_to(n):
+    """An int list of length 1..n + 1, as f and f2 may stop early."""
+    return st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                    max_size=n + 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 80).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=n + 1),
-    st.one_of(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n + 1,
-                       max_size=n + 6),
-              st.integers(n + 1, n + 6).map(range)))))
-@example((0, [0], [0]))
-@example((1, [0, 3], [0, 5]))
-@example((3, [0, 1, 2, 3], [0, 4, 5, 6]))
-@example((49, [0, 2], list(range(50))))
-@example((64, [0] + [1] * 64, list(range(70))))
-@example((80, [0] + [1] * 80, range(81)))
+    st.just(n), up_to(n), long_enough(n),
+    st.one_of(st.none(), st.tuples(up_to(n), long_enough(n))))))
+@example((0, [0], [0], None))
+@example((0, [0], [0], ([0], [0])))
+@example((1, [0, 3], [0, 5], None))
+@example((1, [0, 3], [0, 5], ([0, -2], [0, 7])))
+@example((3, [0, 1, 2, 3], [0, 4, 5, 6], ([0, 7], [0, 1, 0, -1])))
+@example((49, [0, 2], list(range(50)), None))
+@example((49, [0] + [3] * 49, list(range(50)), ([0, 5, 0, 2], range(50))))
+@example((36, [0, 2], list(range(40)), ([0] + [5] * 36, range(37))))
+@example((64, [0] + [1] * 64, list(range(70)), ([0, 1] * 10, range(65))))
+@example((80, [0] + [1] * 80, range(81), None))
+@example((81, [0, 4] * 41, [1] * 82, ([0] + [-1] * 81, range(82))))
 def test_dirichlet_matches_double_sum(case):
     """The hyperbola split against the naive double sum, n = 0..80
-    (perfect squares and n <= 3 among them), f shorter than n and g
+    (perfect squares and n <= 3 among them), for one pair (None) or two:
+    f and f2 shorter than n and either shorter than the other, g and g2
     longer than n or a range, as ``_sigma`` passes it."""
-    n, f, g = case
-    assert kernels._dirichlet(f, g, n) == naive_dirichlet(f, g, n)
+    n, f, g, pair = case
+    want = naive_dirichlet(f, g, n)
+    if pair is None:
+        assert kernels._dirichlet(n, f, g) == want
+    else:
+        f2, g2 = pair
+        want = [a + b for a, b in zip(want, naive_dirichlet(f2, g2, n))]
+        assert kernels._dirichlet(n, f, g, f2, g2) == want
 
 
 def fresh_eta_columns(order):
@@ -416,6 +448,13 @@ class TestOrderColumns:
         assert (type(sigma), type(E), type(U)) == (tuple, tuple, tuple)
         assert sigma == tuple([0] + [sigma1(m) for m in range(1, order + 1)])
         assert (E, U[:order + 1]) == fresh_eta_columns(order)
+        # mu, mu id, sigma_1^-1 invert 1, id, sigma_1: f * inverse = unit
+        unit = [int(m == 1) for m in range(order + 1)]
+        for inverse, f in zip(_inverses(order), ([0] + [1] * order,
+                                                 range(order + 1), sigma)):
+            assert type(inverse) is tuple
+            assert inverse == tuple(_dirichlet_divide(unit, f, order))
+            assert _dirichlet(order, inverse, f) == unit
 
     def test_orders_interleave(self):
         for order in (24, 10, 24):
