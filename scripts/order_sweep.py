@@ -4,9 +4,11 @@
 
 Each order in ORDERS runs in a freshly spawned process on the ``src/``
 next to this script, through the ``kernels`` calls that ``extract-gw``
-makes, one stage each: ``mirror_map``, ``f1_log_derivative``,
-``genus0_pipeline`` (``genus_zero`` and ``instanton_numbers``) and
-``extract_gv`` (``extract_n1`` and ``extract_gv``).
+makes, one stage each: ``mirror_map``, ``f1_log_derivative``
+(``log_derivatives``, the q-chart log-derivatives that both genus stages
+read, and ``f1_log_derivative``), ``genus0_pipeline`` (``genus_zero``
+and ``instanton_numbers``) and ``extract_gv`` (``extract_n1`` and
+``extract_gv``).
 Per order it records each stage's wall time, the largest bit length of
 a coefficient of the integral x(q) (``max_coeff_bits``, as the
 benchmark's traced runs define it) and the process's peak RSS.
@@ -49,9 +51,10 @@ def measure(order: int) -> dict:
         return result
 
     _, _, x, u, y = stage("mirror_map_s", k.mirror_map, order)
-    G = stage("f1_log_derivative_s", k.f1_log_derivative, x, u, y)
+    logs, G = stage("f1_log_derivative_s", lambda: (
+        logs := k.log_derivatives(x, u, y), k.f1_log_derivative(u, logs)))
     inst = stage("genus0_pipeline_s",
-                 lambda: k.instanton_numbers(*k.genus_zero(x, u, y)))
+                 lambda: k.instanton_numbers(*k.genus_zero(u, y, logs)))
     stage("extract_gv_s",
           lambda: k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1)))
     bits = max(v.bit_length() for v in x)       # x(q) has denominator 1

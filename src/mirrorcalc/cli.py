@@ -79,7 +79,7 @@ def _cmd_f1(order) -> dict:
     from . import kernels as k
 
     _, _, x, u, y = k.mirror_map(order)
-    G = k.f1_log_derivative(x, u, y)
+    G = k.f1_log_derivative(u, k.log_derivatives(x, u, y))
     return {"G": k.series_json(*G, "q")}
 
 
@@ -87,7 +87,8 @@ def _cmd_extract_gw(order, n0_file) -> dict:
     from . import kernels as k
 
     _, _, x, u, y = k.mirror_map(order)
-    G = k.f1_log_derivative(x, u, y)
+    logs = k.log_derivatives(x, u, y)       # read by both genus stages
+    G = k.f1_log_derivative(u, logs)
     if n0_file:        # c[d] = d^3 N0(d) den, as the Yukawa K holds it
         from .gw import n0_map_from_json_dict
         from .series import _scaled
@@ -96,7 +97,7 @@ def _cmd_extract_gw(order, n0_file) -> dict:
         nums, den = _scaled([n0.get(d, 0) for d in range(1, order + 1)])
         c = [0, *(d ** 3 * v for d, v in enumerate(nums, 1))]
     else:
-        c, den = k.genus_zero(x, u, y)
+        c, den = k.genus_zero(u, y, logs)
     inst = k.instanton_numbers(c, den)
     n1 = k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1))
     return {"max_degree": order,

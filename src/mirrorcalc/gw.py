@@ -12,6 +12,8 @@ the kernels itself and takes only its n0 parser from here.
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
 independent count of lines on a quintic (see schubert.count_lines).
+The Yukawa coupling comes from L(K) = q K'/K, a combination of the same
+q-chart log-derivatives (``kernels.log_derivatives``) that G combines.
 """
 
 from __future__ import annotations
@@ -151,10 +153,11 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
 
 def genus0_pipeline(chart) -> GWTable:
     """The quintic's genus-zero table at degrees 1..chart.order from a
-    quintic.MirrorChart, by ``kernels.genus_zero``: N0(d) is the q^d
-    coefficient of the Yukawa coupling K over d^3."""
-    K, dK = kernels.genus_zero(
-        *(s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q)))
+    quintic.MirrorChart, by ``kernels.genus_zero`` on the chart's
+    ``kernels.log_derivatives``: N0(d) is the q^d coefficient of the
+    Yukawa coupling K over d^3."""
+    x, u, y = (s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q))
+    K, dK = kernels.genus_zero(u, y, kernels.log_derivatives(x, u, y))
     n0 = {d: Fraction(K[d], dK * d ** 3) for d in range(1, chart.order + 1)}
     return GWTable(chart.order, n0, dict.fromkeys(n0, Fraction(0)),
                    kernels.instanton_numbers(K, dK))

@@ -286,19 +286,19 @@ def mirror_map(order: int) -> tuple[list[int], ...]:
     return tuple(nums for nums, _ in chart)
 
 
-def _one_minus_3125x(x: list[int]) -> list[int]:
-    """w = 1 - 3125 x for an integral series x with x(0) = 0."""
-    return [1, *(-3125 * v for v in x[1:])]
+def log_derivatives(x, u, y) -> tuple:
+    """L(y), L(w), L(u) over their lcd, and it (L(f) = q f'/f), for the
+    integral x(q), u(q), y = y0(x(q)); w = 1 - 3125 x is formed here."""
+    ls = [log_derivative(f) for f in (y, [1, *(-3125 * v for v in x[1:])], u)]
+    den = lcm(*(d for _, d in ls))
+    return (*([v * (den // d) for v in nums] for nums, d in ls), den)
 
 
-def f1_log_derivative(x, u, y) -> tuple[list[int], int]:
-    """G = (25 u + 124 L(y) + L(w) - 6 L(u)) / 6, L(f) = q f'/f, from the
-    integral x(q), u(q), y0(x(q)) and w = 1 - 3125 x; G(0) != 50/12 raises."""
-    w = _one_minus_3125x(x)
-    (ly, dy), (lw, dw), (lu, du) = map(log_derivative, (y, w, u))
-    den = lcm(dy, dw, du)
-    ky, kw, ku = 124 * (den // dy), den // dw, 6 * (den // du)
-    G, dG = reduced([25 * den * a + ky * b + kw * c - ku * e
+def f1_log_derivative(u, logs) -> tuple[list[int], int]:
+    """G = (25 u + 124 L(y) + L(w) - 6 L(u)) / 6 from u(q) and the
+    ``log_derivatives`` logs; G(0) != 50/12 raises."""
+    ly, lw, lu, den = logs
+    G, dG = reduced([25 * den * a + 124 * b + c - 6 * e
                      for a, b, c, e in zip(u, ly, lw, lu)], 6 * den)
     if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
         raise SeriesError(
@@ -309,18 +309,19 @@ def f1_log_derivative(x, u, y) -> tuple[list[int], int]:
 def instanton_numbers(c, den: int) -> dict[int, int]:
     """Genus-zero GV numbers n_d, d = 1..len(c) - 1, from c[d] = d^3 N0(d)
     den: the multicover rule d^3 N0 = (d^3 n) * 1 inverted as c * mu."""
-    n = len(c) - 1
-    h = _dirichlet(n, c, _inverses(n)[0])
+    h = _dirichlet(n := len(c) - 1, c, _inverses(n)[0])
     return integral([(h[d], den * d ** 3) for d in range(1, n + 1)],
                     "genus-zero instanton number")
 
 
-def genus_zero(x, u, y) -> tuple[list[int], int]:
-    """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d,
-    x, u, y, w as in f1_log_derivative; K(0) != 5 raises."""
-    n = min(len(x), len(u), len(y)) - 1
-    K, dK = divide([5 * v for v in _convolve(_convolve(u, u, n), u, n)], 1,
-                   _convolve(_convolve(_one_minus_3125x(x), y, n), y, n), 1)
+def genus_zero(u, y, logs) -> tuple[list[int], int]:
+    """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d by
+    exp's recurrence m K_m = sum_{k=1}^m L(K)_k K_{m-k}, L(K) = 3 L(u) -
+    L(w) - 2 L(y), from K(0) = 5 u(0)^3/y(0)^2, w(0) = 1; K(0) != 5 raises."""
+    ly, lw, lu, den = logs
+    LK = [3 * e - c - 2 * b for b, c, e in zip(ly, lw, lu)]
+    K, dK = _solve([5 * u[0] ** 3] + [0] * (len(LK) - 1), 1, LK,
+                   [y[0] ** 2] + [m * den for m in range(1, len(LK))])
     if K[0] != 5 * dK:
         raise SeriesError(f"K must have constant term 5, not {ratio(K[0], dK)}")
     return K, dK
@@ -334,8 +335,7 @@ def extract_n1(G, dG: int, n0, d0: int) -> list[tuple[int, int]]:
     if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
         raise ExtractionError(
             f"constant term of G must be 50/12, got {ratio(G[0], dG)}")
-    order = len(G) - 1
-    den = lcm(d0, dG)
+    order, den = len(G) - 1, lcm(d0, dG)
     k0, k = den // d0, 6 * (den // dG)
     _, mu_id, sigma_inv = _inverses(order)
     h = _dirichlet(order, [k * v for v in G], sigma_inv,

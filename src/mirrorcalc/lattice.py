@@ -48,11 +48,15 @@ class PiScaled:
 
 
 def _rational(x) -> int | Fraction:
+    """x by the rule of ``series._exact`` (not imported here, to keep
+    ``series`` off the lattice paths), else LatticeError."""
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            _, e, exponent = x.lower().partition("e")
+            if not e or abs(int(exponent)) <= 4300:
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise LatticeError(f"entry {reprlib.repr(x)} is not an int, a "

@@ -12,13 +12,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import ExactSeries, SeriesError
+# ``series`` is imported where it is used: ``modular --tau`` runs
+# petersson_delta alone, which loads it (and ``kernels``) only to raise.
 
 
 def eta_series(order: int) -> ExactSeries:
     """Truncated prod_{n>=1} (1 - q^n), from Euler's pentagonal-number
     theorem: sum_k (-1)^k q^{k(3k-1)/2} over all integers k.
     """
+    from .series import ExactSeries, SeriesError
     if order < 0:
         raise SeriesError("order must be non-negative")
     coeffs = [0] * (order + 1)
@@ -39,6 +41,7 @@ def delta_series(order: int) -> ExactSeries:
     pentagonal coefficients a_k of eta; b is integral, so the division
     by m is exact.
     """
+    from .series import ExactSeries, SeriesError
     if order < 1:
         raise SeriesError("delta_series needs order >= 1")
     n = order - 1
@@ -74,11 +77,13 @@ def petersson_delta(tau: complex) -> PeterssonValue:
     exactly on Fractions.  A reduced Im tau > 1e307 (-log_norm_sq ~ 4 pi
     Im tau nears the float limit) raises SeriesError."""
     if tau.imag <= 0:
+        from .series import SeriesError
         raise SeriesError("tau must lie in the upper half-plane")
     x, y = Fraction(tau.real), Fraction(tau.imag)
     while (n := (x := x - round(x)) ** 2 + y * y) < 1:  # translate, invert
         x, y = -x / n, y / n
     if y > 1e307:
+        from .series import SeriesError
         raise SeriesError(f"tau = {tau} reduces to Im tau > 1e307, out of "
                           "float range for the log-norm")
     y = float(y)
@@ -98,5 +103,6 @@ def fhsv_assemble(phi_norm_sq: float, delta_norm_sq: float, C: float) -> float:
     for name, v in (("phi_norm_sq", phi_norm_sq),
                     ("delta_norm_sq", delta_norm_sq), ("C", C)):
         if not v > 0:
+            from .series import SeriesError
             raise SeriesError(f"{name} must be positive, got {v}")
     return C * phi_norm_sq * delta_norm_sq

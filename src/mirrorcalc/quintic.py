@@ -48,8 +48,10 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     q-chart, to the chart's order.
 
     Split as (50/12) u(q) minus L(f) = q f'/f of the unit series
-    y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q), as
-    ``kernels.f1_log_derivative`` computes it; G(0) != 50/12 raises.
+    y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q): the q-chart
+    log-derivatives of ``kernels.log_derivatives``, combined by
+    ``kernels.f1_log_derivative``; G(0) != 50/12 raises.
     """
+    x, u, y = (s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q))
     return ExactSeries.from_nums(*kernels.f1_log_derivative(
-        *(s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q))), "q")
+        u, kernels.log_derivatives(x, u, y)), "q")

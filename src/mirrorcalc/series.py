@@ -31,12 +31,18 @@ Scalar = Union[int, str, Fraction]
 
 def _exact(v) -> Fraction:
     """v as a Fraction if it is an int (not a bool), a Fraction or a
-    rational string; anything else raises SeriesError."""
+    rational string whose decimal exponent, which Fraction expands, is at
+    most 4300 in magnitude (CPython's int-string digit limit); else
+    SeriesError."""
     if type(v) is Fraction:
         return v
-    if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str):
         try:
-            return Fraction(v)
+            _, e, exponent = v.lower().partition("e")
+            if not e or abs(int(exponent)) <= 4300:
+                return Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
     raise SeriesError(f"{reprlib.repr(v)} is not an exact rational "

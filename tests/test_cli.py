@@ -192,13 +192,14 @@ class TestF1AndGW:
         '{"n0": {"01": 5, "1": 2875}}',
         '{"n0": {"1_0": 1, "1": 2875, "0": 9, "-3": 4}}',
         '{" 1": 2875}', '{"+1": 2875}', '{"\u0661": 2875}', '{"0": 9}',
-        '{"-3": 4}', '{"": 1}',
+        '{"-3": 4}', '{"": 1}', '{"1": "1e5000"}', '{"1": "1e-5000"}',
     ], ids=["array", "scalar", "n0-array", "n0-string", "value-array",
             "value-bool", "value-float", "value-null", "value-word",
             "value-zero-denominator", "degree-word", "deep-nesting",
             "degree-leading-zero", "degree-underscore", "degree-space",
             "degree-plus", "degree-arabic-indic", "degree-zero",
-            "degree-negative", "degree-empty"])
+            "degree-negative", "degree-empty", "value-huge-exponent",
+            "value-huge-negative-exponent"])
     def test_extract_gw_malformed_n0_file(self, capsys, tmp_path, text):
         path = tmp_path / "n0.json"
         path.write_text(text)
@@ -414,6 +415,16 @@ class TestLatticeCommands:
     def test_zero_denominator_exits_1(self, capsys, tmp_path, command, text,
                                       h):
         self.test_malformed_input_exits_1(capsys, tmp_path, command, text, h)
+
+    @pytest.mark.parametrize("value", ["1e100000", "1e-100000"])
+    def test_huge_exponent_is_refused_by_name(self, capsys, tmp_path, value):
+        # refused before Fraction forms a 100001-digit power of ten
+        path = tmp_path / "lattice.json"
+        path.write_text(lattice_text([[0, 0, 0, value]]))
+        code, out, err = invoke(capsys, "covolume", "--lattice", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: entry '{value}' is not an int, a Fraction "
+                       "or a rational string\n")
 
 
 class TestModular:

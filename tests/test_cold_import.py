@@ -86,7 +86,7 @@ SUBCOMMANDS = [
     (["covolume", "--lattice", "LATTICE"], ["cli", "lattice"]),
     (["fhsv", "--gram", "GRAM", "--h", "[1,1,0,0,0,0,0,0,0,0]"],
      ["cli", "lattice"]),
-    (["modular", "--tau", "1i"], ["cli", "kernels", "modular", "series"]),
+    (["modular", "--tau", "1i"], ["cli", "modular"]),
     (["bcov-factor", "--family", "FAMILY"], ["cli", "divisor"]),
 ]
 

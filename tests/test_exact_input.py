@@ -14,6 +14,7 @@ import pytest
 from mirrorcalc import kernels
 from mirrorcalc.gw import (ExtractionError, GWTable, extract_n1,
                            n0_map_from_json_dict)
+from mirrorcalc.lattice import LatticeError, _rational
 from mirrorcalc.series import ExactSeries, SeriesError, _exact, _scaled
 
 ONE = ExactSeries([1, 0], tag="q")
@@ -96,9 +97,11 @@ def test_entrance_accepts_exact_values(entrance, value, exact):
 
 
 @pytest.mark.parametrize("entrance", sorted(ENTRANCES))
-@pytest.mark.parametrize("value", [0.1, True, float("nan"), None, "abc", "1/0"],
+@pytest.mark.parametrize("value", [0.1, True, float("nan"), None, "abc", "1/0",
+                                   "1e5000", "1e-5000"],
                          ids=["float", "bool", "nan", "none", "word",
-                              "zero-denominator"])
+                              "zero-denominator", "huge-exponent",
+                              "huge-negative-exponent"])
 def test_entrance_rejects_inexact_values(entrance, value):
     with pytest.raises(SeriesError, match="is not an exact rational"):
         ENTRANCES[entrance](value)
@@ -188,3 +191,31 @@ def scaled_by_properties(coeffs):
 ])
 def test_scaled_matches_the_property_reads(coeffs):
     assert _scaled(coeffs) == scaled_by_properties(coeffs)
+
+
+def _read(reader, error, value):
+    """The reader's value, or None when it refuses with its own error."""
+    try:
+        return reader(value)
+    except error:
+        return None
+
+
+# One table for both exact readers: series._exact, and lattice._rational,
+# which cannot share it without loading series and kernels on covolume.
+READER_TABLE = {
+    "int": (7, F(7)), "subclass": (Half(7, 2), F(7, 2)),
+    "ratio": ("7/2", F(7, 2)), "decimal": ("1.5", F(3, 2)),
+    "exponent": ("2e3", F(2000)),
+    "float": (0.5, None), "bool": (True, None), "none": (None, None),
+    "word": ("abc", None), "zero-denominator": ("1/0", None),
+    "huge-exponent": ("1e5000", None),
+}
+
+
+@pytest.mark.parametrize("value, expected", READER_TABLE.values(),
+                         ids=list(READER_TABLE))
+def test_series_and_lattice_readers_agree(value, expected):
+    got = (_read(_exact, SeriesError, value),
+           _read(_rational, LatticeError, value))
+    assert got == (expected, expected)

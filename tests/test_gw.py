@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,6 +138,24 @@ class TestGenus0:
         assert t.n1 == dict.fromkeys(range(1, order + 1), 0)
         assert t.instanton_n0 == kernels.instanton_numbers(list(K.nums), K.den)
         assert t.instanton_n0 == reference_instanton(n0, order)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), *(
+        st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n)
+        for _ in "uy"))))
+    def test_perturbed_chart_matches_reference(self, case):
+        # u(q) and y0(x(q)) move above degree 0 by integer multiples of
+        # M = lcm(1..n)^3: K moves by multiples of M, so each d^3 still
+        # divides (K * mu)(d) and the multicover inversion accepts it
+        n, du, dy = case
+        chart, M = mirror_map(n), lcm(*range(1, n + 1)) ** 3
+        for name, terms in (("u_of_q", du), ("y0_of_q", dy)):
+            setattr(chart, name, getattr(chart, name) + ExactSeries(
+                [0, *(M * v for v in terms)], tag="q"))
+        K = yukawa_reference(chart)
+        t = genus0_pipeline(chart)
+        assert t.n0 == {d: K[d] / d ** 3 for d in range(1, n + 1)}
+        assert t.instanton_n0 == kernels.instanton_numbers(list(K.nums), K.den)
 
     def test_line_count_anchor(self):
         chart = mirror_map(4)

@@ -320,9 +320,12 @@ class TestCovolume:
         (2, (0, 0, 0), 1, ["1", "1/0"]),
         (10 ** 6, (0, 0, 0), 1, [1]),
         (2, (0, 0, 0), 1, "10"),
+        (2, (0, 0, 0), "1e5000", [1, 0]),
+        (2, (0, 0, 0), 1, ["1", "1e-5000"]),
     ], ids=["rank-float", "rank-bool", "index-float", "index-bool",
             "value-float", "value-bool", "kappa-float", "kappa-1/0",
-            "rank-beyond-kappa", "kappa-string"])
+            "rank-beyond-kappa", "kappa-string", "value-1e5000",
+            "kappa-1e-5000"])
     def test_malformed_input_rejected(self, rank, index, value, kappa):
         # rank-beyond-kappa must fail before a rank^3 tensor is built
         with pytest.raises(LatticeError):
