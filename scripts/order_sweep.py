@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))  # inherited by the spawned children
 OUT = ROOT / "BENCH_order_sweep.json"
-ORDERS = (10, 30, 50, 100, 200, 300)
+ORDERS = (10, 30, 50, 100, 200, 300, 500)
 
 
 def measure(order: int) -> dict:

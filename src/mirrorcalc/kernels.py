@@ -7,9 +7,10 @@ returned reduced (den > 0, gcd(den, *nums) = 1), which ``series_json``
 writes; a rational value is a pair (p, q), written by ``ratio``.
 """
 
+import reprlib
 from functools import cache
 from math import factorial, gcd, isqrt, lcm
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 
 class SeriesError(ValueError):
@@ -115,50 +116,6 @@ def log_derivative(a) -> tuple[list[int], int]:
                   [a[0]] * len(a))
 
 
-def reverse(a, D: int, *outer) -> list[tuple[list[int], int]]:
-    """The inverse g of a/D = a1*t + O(t^2), a1 != 0, then f(g) for each
-    f = (nums, den) in ``outer``.  Rescales to the monic h(s) = (a/D)(s/a1) = s + sum_{k>=2} H_k s^k / L
-    with integers H_k and L, and solves h(g(t)) = t for g degree by
-    degree; the inverse is g/a1.  Weighted homogeneity makes
-    G_m = g_m L^(m-1) and P_k[m] = [t^m] g^k L^(m-k) integers, and the
-    power table P costs O(n^3) integer products.  Each transport is read
-    from it in O(n^2): [t^m] f(g/a1) = sum_k f_k P_k[m] / (a1^k L^(m-k)).
-    """
-    n = len(a) - 1
-    if a[0]:
-        raise CompositionError("reversion needs zero constant term")
-    if n < 1 or not a[1]:
-        raise CompositionError("reversion needs nonzero linear term")
-    # a_k / a1^k = a[k] D^(k-1) / a[1]^k, over a[1]^n
-    H, L = reduced([0, *(a[k] * D ** (k - 1) * a[1] ** (n - k)
-                         for k in range(1, n + 1))], a[1] ** n)
-    HL = [0, 0] + [H[k] * L ** (k - 2) for k in range(2, n + 1)]
-    G = [0, 1]
-    P = [None, G] + [[0] * (n + 1) for _ in range(2, n + 1)]
-    for m in range(2, n + 1):
-        # [t^m] g^k = sum_{j>=1} g_j [t^(m-j)] g^(k-1); g_1 = 1
-        for k in range(2, m):
-            P[k][m] = sum(map(mul, G[1:m - k + 2], P[k - 1][m - 1:k - 2:-1]))
-        P[m][m] = 1
-        G.append(-sum(HL[k] * P[k][m] for k in range(2, m + 1)))
-    g = gcd(a[1], D)
-    p, r = a[1] // g, D // g          # a1 = p/r, r > 0
-    out = [reduced([0, *(G[m] * r * L ** (n - m) for m in range(1, n + 1))],
-                   L ** (n - 1) * p)]
-    for c, dc in outer:
-        # over the common denominator dc p^N L^N, the k-th term of
-        # [t^m] is c_k r^k L^k p^(N-k) P_k[m] L^(N-m)
-        N = min(len(c) - 1, n)
-        scale = p ** N * L ** N
-        w = [v * (r * L) ** k * p ** (N - k) for k, v in enumerate(c[:N + 1])]
-        out.append(reduced(
-            [c[0] * scale, *(sum(map(mul, w[1:m + 1],
-                                     map(itemgetter(m), P[1:m + 1])))
-                             * L ** (N - m) for m in range(1, N + 1))],
-            dc * scale))
-    return out
-
-
 def _dirichlet(n: int, f, g, f2=(), g2=()) -> list[int]:
     """h = f * g + f2 * g2 at 1..n for one or two pairs of int sequences
     indexed from 1 (f, f2 may stop before n; g, g2 reach it), in one sweep
@@ -203,25 +160,31 @@ def _inverses(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def integral(pairs, what: str) -> dict[int, int]:
-    """{d: p/q} for pairs (p, q), q > 0, d = 1, 2, ..., or ExtractionError."""
+    """{d: p/q} for pairs (p, q), q > 0, d = 1, 2, ..., or ExtractionError
+    naming p/q in lowest terms, each part shortened by ``reprlib``."""
     out = {}
     for d, (p, q) in enumerate(pairs, 1):
         if p % q:
-            raise ExtractionError(
-                f"{what} at degree {d} is not an integer: {ratio(p, q)}")
+            (p,), q = reduced([p], q)
+            raise ExtractionError(f"{what} at degree {d} is not an integer: "
+                                  f"{reprlib.repr(p)}/{reprlib.repr(q)}")
         out[d] = p // q
     return out
 
 
 # Rational multiple of log x in the log of the genus-one amplitude:
 #   (62/3)*log psi  -> -62/15 * log x   (log psi = -(1/5) log x + const)
-#   -(1/6)*log(psi^5 - 1) -> +1/6 * log x  (psi^5 - 1 = (1-3125x)/(3125x))
+#   -(1/6)*log(psi^5 - 1) -> +1/6 * log x  (psi^5 - 1 = (1 - mu x)/(mu x))
 #   log(q dpsi/dq) = log psi + log u + const -> -1/5 * log x
 # totalling -25/6, the constant term of q d/dq F1.  G = -q d/dq F1
 # negates all of it, so the log x multiple of G is +25/6 = 50/12.  It
 # is also the constant term of G, since u(0) = 1 and every q f'/f
 # vanishes at q = 0.
 LOG_X_MULTIPLE = (50, 12)
+# The quintic's Picard-Fuchs operator theta^4 - x P(theta), theta = x d/dx,
+# as (mu, p3, p2, p1, p0), P = mu theta^4 + p3 theta^3 + ... + p0 =
+# 5 (5 theta + 1)(5 theta + 2)(5 theta + 3)(5 theta + 4).
+OPERATOR = (3125, 6250, 4375, 1250, 120)
 CHART = ("y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q")
 
 
@@ -234,11 +197,12 @@ def period(order: int) -> list[int]:
 
 
 def picard_fuchs_check(a) -> bool:
-    """True iff (theta^4 - 5x(5theta+1)(5theta+2)(5theta+3)(5theta+4)) y0
-    vanishes to truncation for y0 = a/den, theta = x d/dx; the recursion
-    n^4 a_n = 5 (5n-1)(5n-2)(5n-3)(5n-4) a_{n-1} is homogeneous."""
-    return all(n ** 4 * a[n] == 5 * (5 * n - 1) * (5 * n - 2) * (5 * n - 3)
-               * (5 * n - 4) * a[n - 1] for n in range(1, len(a)))
+    """True iff (theta^4 - x P(theta)) y0 vanishes to truncation for
+    y0 = a/den, theta = x d/dx and P of OPERATOR; the recursion
+    n^4 a_n = P(n-1) a_{n-1} is homogeneous."""
+    return all(n ** 4 * a[n] == a[n - 1] * sum(
+        k * (n - 1) ** i for i, k in enumerate(reversed(OPERATOR)))
+        for n in range(1, len(a)))
 
 
 def _harmonic_gaps(order: int) -> tuple[list[int], int]:
@@ -265,11 +229,49 @@ def check_chart(*chart) -> None:
             raise SeriesError(f"{name} must have integral coefficients")
 
 
+def _quotient(a: int, m: int) -> int:
+    """a / m, exact in an integral q-chart, else SeriesError."""
+    if a % m:
+        raise SeriesError(f"the q-chart solve divides by {m} with a remainder")
+    return a // m
+
+
+def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
+    """x(q), u(q) = q d(log x)/dq and y0(x(q)) to q^order, integral, one
+    coefficient at a time from OPERATOR.  For X = x(q), R = X/q, V =
+    X/(1 - mu X), Y_i = (theta_x^i y0)(X) and Y_i log q + Z_i = (theta_x^i
+    y0 log q(x))(X): theta_q Y_i = u Y_{i+1}, Y_4 = V (p . Y), u Z_{i+1} =
+    Y_i + theta_q Z_i, Z_0 = 0, Z_4 = V (p . Z), theta_q R = (u - 1) R.  At
+    q^m, u_m enters Z_i as -m^(i-1) u_m, so the two Z_4 fix it; each
+    division by m or m^3 is exact (else SeriesError)."""
+    mu, c = OPERATOR[0], OPERATOR[:0:-1]        # c[i]: theta^i in P
+    X, V, R, u = [0], [0], [1], [1]
+    Y = [[1], [0], [0], [0], [0]]
+    Z = [[0] * (order + 1), [1], [0], [0], [0]]
+    PY, PZ = [c[0]], [c[1]]                     # p . Y, p . Z
+    for m in range(1, order + 1):
+        X.append(R[-1])
+        V.append(X[m] + mu * sum(map(mul, X[1:], V[::-1])))
+        Y[4].append(sum(map(mul, V[1:], PY[::-1])))
+        for i in (3, 2, 1, 0):
+            Y[i].append(_quotient(sum(map(mul, u, Y[i + 1][:0:-1])), m))
+        for i in range(4):                      # Z_{i+1} at u_m = 0
+            Z[i + 1].append(Y[i][m] + m * Z[i][m]
+                            - sum(map(mul, u[1:], Z[i + 1][:0:-1])))
+        u.append(_quotient(Z[4][m] - sum(map(mul, V[1:], PZ[::-1])), m ** 3))
+        for i in range(1, 5):
+            Z[i][m] -= m ** (i - 1) * u[m]
+        PY.append(sum(map(mul, c, (y[m] for y in Y))))
+        PZ.append(sum(map(mul, c, (z[m] for z in Z))))
+        R.append(_quotient(sum(map(mul, u[1:], R[::-1])), m))
+    return X, u, Y[0]
+
+
 def mirror_map(order: int) -> tuple[list[int], ...]:
     """The integral y0, q_of_x, x_of_q, u_of_q, y0_of_q to x^order or
-    q^order.  q(x) = x E(x), E = exp((5/y0) sum a_n H_n x^n); one
-    reversion gives x(q), y0(x(q)) and E(x(q)), and u = q d(log x)/dq =
-    1 + L(x(q)/q) = 1 - L(E(x(q))), L(f) = q f'/f."""
+    q^order.  q(x) = x E(x), E = exp((5/y0) sum a_n H_n x^n); x(q),
+    u = q d(log x)/dq and y0(x(q)) come from ``q_chart``, and
+    ``check_chart`` checks all five."""
     if order < 1:
         raise SeriesError("mirror_map needs order >= 1")
     y0 = period(order)
@@ -278,18 +280,16 @@ def mirror_map(order: int) -> tuple[list[int], ...]:
     gaps, D = _harmonic_gaps(order)
     E = exp(*divide([5 * a * h for a, h in zip(y0, gaps)], D, y0, 1))
     q_of_x = reduced([0, *E[0][:order]], E[1])
-    x_of_q, y0_of_q, (E_of_q, _) = reverse(*q_of_x, (y0, 1), E)
-    L, dL = log_derivative(E_of_q)
-    u_of_q = reduced([dL - L[0], *(-v for v in L[1:])], dL)
-    chart = (y0, 1), q_of_x, x_of_q, u_of_q, y0_of_q
+    chart = (y0, 1), q_of_x, *((s, 1) for s in q_chart(order))
     check_chart(*chart)
     return tuple(nums for nums, _ in chart)
 
 
 def log_derivatives(x, u, y) -> tuple:
     """L(y), L(w), L(u) over their lcd, and it (L(f) = q f'/f), for the
-    integral x(q), u(q), y = y0(x(q)); w = 1 - 3125 x is formed here."""
-    ls = [log_derivative(f) for f in (y, [1, *(-3125 * v for v in x[1:])], u)]
+    integral x(q), u(q), y = y0(x(q)); w = 1 - mu x is formed here."""
+    w = [1, *(-OPERATOR[0] * v for v in x[1:])]
+    ls = [log_derivative(f) for f in (y, w, u)]
     den = lcm(*(d for _, d in ls))
     return (*([v * (den // d) for v in nums] for nums, d in ls), den)
 

@@ -56,7 +56,9 @@ def _rational(x) -> int | Fraction:
         try:
             _, e, exponent = x.lower().partition("e")
             if not e or abs(int(exponent)) <= 4300:
-                return Fraction(x)
+                f = Fraction(x)
+                if max(abs(f.numerator), f.denominator) < 10 ** 4300:
+                    return f
         except (ValueError, ZeroDivisionError):
             pass
     raise LatticeError(f"entry {reprlib.repr(x)} is not an int, a "
@@ -385,19 +387,8 @@ def enriques_invariant_gram() -> List[List[int]]:
     """A concrete rank-10 even lattice with determinant -2^10: the
     hyperbolic plane scaled by 2 plus E8 scaled by -2.
     """
-    e8 = [
-        [2, -1, 0, 0, 0, 0, 0, 0],
-        [-1, 2, -1, 0, 0, 0, 0, 0],
-        [0, -1, 2, -1, 0, 0, 0, -1],
-        [0, 0, -1, 2, -1, 0, 0, 0],
-        [0, 0, 0, -1, 2, -1, 0, 0],
-        [0, 0, 0, 0, -1, 2, -1, 0],
-        [0, 0, 0, 0, 0, -1, 2, 0],
-        [0, 0, -1, 0, 0, 0, 0, 2],
-    ]
-    out = [[0] * 10 for _ in range(10)]
-    out[0][1] = out[1][0] = 2
-    for i in range(8):
-        for j in range(8):
-            out[2 + i][2 + j] = -2 * e8[i][j]
+    out = [[-4 * (i == j > 1) for j in range(10)] for i in range(10)]
+    # U(2) on 0, 1; on 2..9 the E8 Dynkin edges, the chain 2..8 and 4-9
+    for i, j in [(0, 1), *((k, k + 1) for k in range(2, 8)), (4, 9)]:
+        out[i][j] = out[j][i] = 2
     return out

@@ -31,8 +31,9 @@ Scalar = Union[int, str, Fraction]
 
 def _exact(v) -> Fraction:
     """v as a Fraction if it is an int (not a bool), a Fraction or a
-    rational string whose decimal exponent, which Fraction expands, is at
-    most 4300 in magnitude (CPython's int-string digit limit); else
+    rational string whose numerator and denominator have at most 4300
+    digits (CPython's int-string limit, so the value can be written back;
+    the decimal exponent, which Fraction expands, is bounded first); else
     SeriesError."""
     if type(v) is Fraction:
         return v
@@ -42,7 +43,9 @@ def _exact(v) -> Fraction:
         try:
             _, e, exponent = v.lower().partition("e")
             if not e or abs(int(exponent)) <= 4300:
-                return Fraction(v)
+                f = Fraction(v)
+                if max(abs(f.numerator), f.denominator) < 10 ** 4300:
+                    return f
         except (ValueError, ZeroDivisionError):
             pass
     raise SeriesError(f"{reprlib.repr(v)} is not an exact rational "
@@ -258,9 +261,15 @@ class ExactSeries:
         return ExactSeries.from_nums(acc, self.den * scale, inner.tag)
 
     def reverse(self, *outer: "ExactSeries"):
-        """Compositional inverse of a series a1*t + O(t^2), a1 != 0, or
-        with series f_1, ... the tuple (inverse, f_1(inverse), ...), all
-        in this series' tag, by ``kernels.reverse``."""
-        out = [ExactSeries.from_nums(*s, self.tag) for s in kernels.reverse(
-            self.nums, self.den, *((f.nums, f.den) for f in outer))]
-        return tuple(out) if outer else out[0]
+        """Compositional inverse g of f = a1 t + O(t^2), a1 != 0, or with
+        series f_1, ... the tuple (g, f_1(g), ...), all in this tag: each
+        ``compose`` in g = (t - (f - a1 t)(g)) / a1 fixes one more term."""
+        if self.nums[0]:
+            raise CompositionError("reversion needs zero constant term")
+        if self.order < 1 or not self.nums[1]:
+            raise CompositionError("reversion needs nonzero linear term")
+        t, a1 = ExactSeries.identity(self.order, self.tag), self[1]
+        g, rest = t / a1, self - t * a1
+        for _ in range(self.order - 1):
+            g = (t - rest.compose(g)) / a1
+        return (g, *(f.compose(g) for f in outer)) if outer else g

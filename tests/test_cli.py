@@ -29,7 +29,7 @@ def lattice_text(cubic):
 
 def reference_chart(order):
     """The mirror map's chart with y0(x(q)) recomputed by ExactSeries
-    compose, not by the kernel's transport through the reversion."""
+    compose, not by the kernel's online solve in the q-chart."""
     from mirrorcalc.quintic import MirrorChart, mirror_map
     c = mirror_map(order)
     return MirrorChart(order, c.y0, c.q_of_x, c.x_of_q, c.u_of_q,
@@ -193,13 +193,14 @@ class TestF1AndGW:
         '{"n0": {"1_0": 1, "1": 2875, "0": 9, "-3": 4}}',
         '{" 1": 2875}', '{"+1": 2875}', '{"\u0661": 2875}', '{"0": 9}',
         '{"-3": 4}', '{"": 1}', '{"1": "1e5000"}', '{"1": "1e-5000"}',
+        '{"n0": {"1": "1e4300"}}',
     ], ids=["array", "scalar", "n0-array", "n0-string", "value-array",
             "value-bool", "value-float", "value-null", "value-word",
             "value-zero-denominator", "degree-word", "deep-nesting",
             "degree-leading-zero", "degree-underscore", "degree-space",
             "degree-plus", "degree-arabic-indic", "degree-zero",
             "degree-negative", "degree-empty", "value-huge-exponent",
-            "value-huge-negative-exponent"])
+            "value-huge-negative-exponent", "value-over-4300-digits"])
     def test_extract_gw_malformed_n0_file(self, capsys, tmp_path, text):
         path = tmp_path / "n0.json"
         path.write_text(text)
@@ -209,6 +210,20 @@ class TestF1AndGW:
         assert out == ""
         assert err.startswith("error: ") and "n0" in err
         assert "Traceback" not in err
+        assert len(err) < 300
+
+    def test_extract_gw_non_integral_instanton_is_shortened(
+            self, capsys, tmp_path):
+        """A 4300-digit value the multicover rule leaves non-integral is
+        named in one short line, not written out in full."""
+        path = tmp_path / "n0.json"
+        path.write_text('{"n0": {"1": "9e4299", "2": "9e4299"}}')
+        code, out, err = invoke(capsys, "extract-gw", "--order", "3",
+                                "--n0-file", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: genus-zero instanton number at "
+                              "degree 3 is not an integer: -1000")
+        assert err.endswith("/3\n") and len(err) < 300
 
     @pytest.mark.parametrize("n0_file", [False, True])
     def test_extract_gw_inverts_the_multicover_rule_once(

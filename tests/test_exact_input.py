@@ -210,6 +210,11 @@ READER_TABLE = {
     "float": (0.5, None), "bool": (True, None), "none": (None, None),
     "word": ("abc", None), "zero-denominator": ("1/0", None),
     "huge-exponent": ("1e5000", None),
+    # at most 4300 digits in numerator and denominator
+    "most-digits": ("9e4299", F(9 * 10 ** 4299)),
+    "too-many-digits": ("1e4300", None),
+    "too-many-digits-negative": ("-1e4300", None),
+    "too-many-denominator-digits": ("1e-4300", None),
 }
 
 

@@ -195,6 +195,34 @@ class TestMirrorMap:
         with pytest.raises(SeriesError, match="Picard-Fuchs"):
             mirror_map(5)
 
+    def test_operator_is_the_quintic_product(self):
+        """OPERATOR lists P = 5 (5t+1)(5t+2)(5t+3)(5t+4) from theta^4 down."""
+        for t in range(-3, 4):
+            assert sum(c * t ** i for i, c in enumerate(
+                reversed(kernels.OPERATOR))) == 5 * (5 * t + 1) * (
+                    5 * t + 2) * (5 * t + 3) * (5 * t + 4)
+
+    @pytest.mark.parametrize("entry", range(5))
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_solve_enforces_integrality(self, monkeypatch, entry, step):
+        """One unit off in any entry of the operator, the q-chart solve
+        meets an inexact division, and the factorial period fails the
+        Picard-Fuchs check against the same constant."""
+        operator = list(kernels.OPERATOR)
+        operator[entry] += step
+        monkeypatch.setattr(kernels, "OPERATOR", tuple(operator))
+        with pytest.raises(SeriesError, match="remainder"):
+            kernels.q_chart(12)
+        with pytest.raises(SeriesError, match="^the period y0 fails its "
+                           "Picard-Fuchs equation$"):
+            kernels.mirror_map(12)
+
+    def test_chart_needs_no_log_derivative(self, monkeypatch):
+        """u(q) comes out of the solve: no log-derivative is taken."""
+        chart = kernels.mirror_map(10)
+        monkeypatch.setattr(kernels, "log_derivative", None)
+        assert kernels.mirror_map(10) == chart
+
 
 class TestF1:
     def test_constant_term(self):
