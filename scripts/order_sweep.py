@@ -4,7 +4,7 @@
 
 Each order in ORDERS runs in a freshly spawned process on the ``src/``
 next to this script, through the ``kernels`` calls that ``extract-gw``
-makes, one stage each: ``mirror_map``, ``f1_log_derivative``
+makes, one stage each: ``q_chart``, ``f1_log_derivative``
 (``log_derivatives``, the q-chart log-derivatives that both genus stages
 read, and ``f1_log_derivative``), ``genus0_pipeline`` (``genus_zero``
 and ``instanton_numbers``) and ``extract_gv`` (``extract_n1`` and
@@ -50,7 +50,7 @@ def measure(order: int) -> dict:
         times[name] = round(time.perf_counter() - start, 6)
         return result
 
-    _, _, x, u, y = stage("mirror_map_s", k.mirror_map, order)
+    x, u, y = stage("q_chart_s", k.q_chart, order)
     logs, G = stage("f1_log_derivative_s", lambda: (
         logs := k.log_derivatives(x, u, y), k.f1_log_derivative(u, logs)))
     inst = stage("genus0_pipeline_s",

@@ -9,40 +9,29 @@ argument errors.
 
 import io
 import json
-import math
 import reprlib
 import sys
 
 # Each handler imports the modules it runs, so a cold process loads only
-# what its subcommand needs: ``kernels`` for the pipeline subcommands.
+# what its subcommand needs: ``kernels`` for the pipeline subcommands,
+# and ``inputs`` where a value is read from a file or a flag.
 
 
 class UsageError(Exception):
     """Bad flags; maps to exit code 2."""
 
 
-def _parse_complex(text: str) -> complex:
-    """text as a finite complex ("i" for "j", spaces dropped), else ValueError."""
-    try:
-        z = complex(text.replace(" ", "").replace("i", "j"))
-    except (AttributeError, ValueError):
-        raise ValueError(f"{reprlib.repr(text)} is not a complex number "
-                         "such as 1.5-2i") from None
-    # hypot, unlike abs, gives inf rather than raising when |z| overflows
-    if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise ValueError(f"{reprlib.repr(text)} is not finite")
-    return z
-
-
 def _load_json(what: str, path: str | None = None, text: str | None = None):
-    """JSON from the file ``path`` or ``text``; too deep is a ValueError."""
-    if path is not None:
-        with open(path) as fh:
-            text = fh.read()
+    """JSON from the UTF-8 file ``path`` or ``text``; any error names ``what``."""
     try:
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _emit(payload: dict, fmt: str) -> str:
@@ -78,7 +67,7 @@ def _cmd_mirror_map(order) -> dict:
 def _cmd_f1(order) -> dict:
     from . import kernels as k
 
-    _, _, x, u, y = k.mirror_map(order)
+    x, u, y = k.q_chart(order)
     G = k.f1_log_derivative(u, k.log_derivatives(x, u, y))
     return {"G": k.series_json(*G, "q")}
 
@@ -86,15 +75,14 @@ def _cmd_f1(order) -> dict:
 def _cmd_extract_gw(order, n0_file) -> dict:
     from . import kernels as k
 
-    _, _, x, u, y = k.mirror_map(order)
+    x, u, y = k.q_chart(order)
     logs = k.log_derivatives(x, u, y)       # read by both genus stages
     G = k.f1_log_derivative(u, logs)
     if n0_file:        # c[d] = d^3 N0(d) den, as the Yukawa K holds it
-        from .gw import n0_map_from_json_dict
-        from .series import _scaled
+        from .inputs import n0_map_from_json_dict, scaled
 
         n0 = n0_map_from_json_dict(_load_json("--n0-file", n0_file))
-        nums, den = _scaled([n0.get(d, 0) for d in range(1, order + 1)])
+        nums, den = scaled([n0.get(d, 0) for d in range(1, order + 1)])
         c = [0, *(d ** 3 * v for d, v in enumerate(nums, 1))]
     else:
         c, den = k.genus_zero(u, y, logs)
@@ -165,18 +153,20 @@ def _cmd_fhsv(gram, h) -> dict:
 
 def _cmd_modular(tau) -> dict:
     from . import modular
+    from .inputs import parse_complex
 
-    return modular.petersson_delta(_parse_complex(tau)).to_json_dict()
+    return modular.petersson_delta(parse_complex(tau)).to_json_dict()
 
 
 def _cmd_bcov_factor(family, eval_at) -> dict:
     from . import divisor
+    from .inputs import parse_complex
 
     data = divisor.family_from_json_dict(_load_json("--family", family))
     factor = divisor.assemble_factor(data)
     out = {"factor": factor.to_json_dict()}
     if eval_at:
-        psi = _parse_complex(eval_at)
+        psi = parse_complex(eval_at)
         out["green_potential"] = divisor.green_potential(data, psi)
     return out
 

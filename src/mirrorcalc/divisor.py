@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .cli import _parse_complex     # a point value reads as --eval-at
+from .inputs import exact, parse_complex    # as the CLI reads --eval-at
 
 REL_TOL = 1e-12  # relative tolerance of _coincide
 
@@ -115,7 +115,7 @@ class Point:
                                      _json_int(k, "root index"))
         if isinstance(obj, dict) and "value" in obj:
             try:
-                return cls.of(_parse_complex(obj["value"]))
+                return cls.of(parse_complex(obj["value"]))
             except ValueError as exc:
                 raise FamilyError(f"point value {exc}") from None
         raise FamilyError(f"unrecognized point: {reprlib.repr(obj)}")
@@ -291,15 +291,14 @@ def residue_balance_check(data: FamilyData,
     + (48+chi) deg Xi, with chi(S) = 2 for the projective line.
 
     Returns the exact value; zero iff the boundary triple (a, b, c)
-    satisfies the balance.  An entry ``series._exact`` refuses raises
+    satisfies the balance.  An entry ``inputs.exact`` refuses raises
     FamilyError.
     """
-    from .series import SeriesError, _exact   # bcov-factor loads no series
-
     try:
-        a_inf, b_inf, c_inf = map(_exact, boundary)
-    except SeriesError as exc:
+        entries = [exact(v) for v in boundary]
+    except ValueError as exc:
         raise FamilyError(f"boundary entry {exc}") from None
+    a_inf, b_inf, c_inf = entries
     w = 48 + data.chi
     deg_dstar = sum(r for _, r in data.odp_points)
     deg_ram = sum(r - 1 for _, r in data.ramification)

@@ -7,7 +7,7 @@ over one denominator: the table's columns, scaled once per table,
 against order columns memoised per order, or, to extract N1, G and N0
 against the inverses sigma_1^-1 and mu id.  The kernels live in
 ``kernels``, and the functions here check and wrap them; the CLI runs
-the kernels itself and takes only its n0 parser from here.
+the kernels itself and loads no part of this module.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -21,11 +21,12 @@ from __future__ import annotations
 import reprlib
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Dict, Mapping
+from typing import Mapping
 
 from . import kernels
-from .kernels import ExtractionError, SeriesError, _dirichlet, _sigma
-from .series import ExactSeries, _exact, _scaled
+from .inputs import scaled
+from .kernels import SeriesError, _dirichlet, _sigma
+from .series import ExactSeries, _exact
 
 
 def _check_degrees(*columns: Mapping) -> None:
@@ -65,8 +66,8 @@ class GWTable:
         """A = 12 d N1(d) and B = d N0(d), d = 1..max_degree, as ints over
         their lcd, and lcd: scaled once, read by both genus-one forms."""
         n = self.max_degree
-        nums, lcd = _scaled([*(self.n0[d] for d in range(1, n + 1)),
-                             *(self.n1[d] for d in range(1, n + 1))])
+        nums, lcd = scaled([*(self.n0[d] for d in range(1, n + 1)),
+                            *(self.n1[d] for d in range(1, n + 1))])
         return ((0, *(12 * d * v for d, v in enumerate(nums[n:], 1))),
                 (0, *(d * v for d, v in enumerate(nums[:n], 1))), lcd)
 
@@ -145,7 +146,7 @@ def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:
     _check_degrees(n0)
     order = G.order
     n0_full = {d: _exact(n0.get(d, 0)) for d in range(1, order + 1)}
-    nums, den = _scaled(list(n0_full.values()))
+    nums, den = scaled(list(n0_full.values()))
     n1 = kernels.extract_n1(G.nums, G.den, [0, *nums], den)
     return GWTable(max_degree=order, n0=n0_full,
                    n1={m: Fraction(p, q) for m, (p, q) in enumerate(n1, 1)})
@@ -161,21 +162,3 @@ def genus0_pipeline(chart) -> GWTable:
     n0 = {d: Fraction(K[d], dK * d ** 3) for d in range(1, chart.order + 1)}
     return GWTable(chart.order, n0, dict.fromkeys(n0, Fraction(0)),
                    kernels.instanton_numbers(K, dK))
-
-
-def n0_map_from_json_dict(d: dict) -> Dict[int, Fraction]:
-    """Parse the {"n0": {"1": "2875", ...}} schema (n1 ignored if present).
-    Anything but an object mapping degrees str(d), d >= 1, to ints or
-    rational strings (no bools, floats or nulls) raises ExtractionError,
-    which names the first inexact value.
-    """
-    src = d.get("n0", d) if isinstance(d, dict) else d
-    if isinstance(src, dict) and all(
-            type(k) is str and k.isascii() and k.isdigit() and k[0] != "0"
-            for k in src):
-        try:
-            return {int(k): _exact(v) for k, v in src.items()}
-        except SeriesError as exc:
-            raise ExtractionError(f"n0 value {exc}") from None
-    raise ExtractionError('n0 must be an object mapping each degree ("1", '
-                          '"2", ...) to an int or a rational string')

@@ -161,13 +161,16 @@ def _inverses(n: int) -> tuple[tuple[int, ...], ...]:
 
 def integral(pairs, what: str) -> dict[int, int]:
     """{d: p/q} for pairs (p, q), q > 0, d = 1, 2, ..., or ExtractionError
-    naming p/q in lowest terms, each part shortened by ``reprlib``."""
+    naming p/q in lowest terms, each part shortened by ``reprlib`` or, past
+    the 4300 digits CPython writes (2^14284 < 10^4300), by its bit length."""
     out = {}
     for d, (p, q) in enumerate(pairs, 1):
         if p % q:
             (p,), q = reduced([p], q)
+            p, q = (reprlib.repr(v) if v.bit_length() <= 14284 else
+                    f"{'-' * (v < 0)}<{v.bit_length()}-bit int>" for v in (p, q))
             raise ExtractionError(f"{what} at degree {d} is not an integer: "
-                                  f"{reprlib.repr(p)}/{reprlib.repr(q)}")
+                                  f"{p}/{q}")
         out[d] = p // q
     return out
 
@@ -190,9 +193,7 @@ CHART = ("y0", "q_of_x", "x_of_q", "u_of_q", "y0_of_q")
 
 def period(order: int) -> list[int]:
     """y0 = sum_n (5n)!/(n!)^5 x^n, x = (5 psi)^-5, the holomorphic
-    period normalized by y0(0) = 1."""
-    if order < 0:
-        raise SeriesError("order must be non-negative")
+    period normalized by y0(0) = 1 (no term for an order below 0)."""
     return [factorial(5 * n) // factorial(n) ** 5 for n in range(order + 1)]
 
 
@@ -244,6 +245,8 @@ def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
     Y_i + theta_q Z_i, Z_0 = 0, Z_4 = V (p . Z), theta_q R = (u - 1) R.  At
     q^m, u_m enters Z_i as -m^(i-1) u_m, so the two Z_4 fix it; each
     division by m or m^3 is exact (else SeriesError)."""
+    if order < 1:
+        raise SeriesError("mirror_map needs order >= 1")
     mu, c = OPERATOR[0], OPERATOR[:0:-1]        # c[i]: theta^i in P
     X, V, R, u = [0], [0], [1], [1]
     Y = [[1], [0], [0], [0], [0]]
@@ -272,15 +275,14 @@ def mirror_map(order: int) -> tuple[list[int], ...]:
     q^order.  q(x) = x E(x), E = exp((5/y0) sum a_n H_n x^n); x(q),
     u = q d(log x)/dq and y0(x(q)) come from ``q_chart``, and
     ``check_chart`` checks all five."""
-    if order < 1:
-        raise SeriesError("mirror_map needs order >= 1")
     y0 = period(order)
     if not picard_fuchs_check(y0):
         raise SeriesError("the period y0 fails its Picard-Fuchs equation")
+    in_q = q_chart(order)           # before the x-chart: it checks the order
     gaps, D = _harmonic_gaps(order)
     E = exp(*divide([5 * a * h for a, h in zip(y0, gaps)], D, y0, 1))
     q_of_x = reduced([0, *E[0][:order]], E[1])
-    chart = (y0, 1), q_of_x, *((s, 1) for s in q_chart(order))
+    chart = (y0, 1), q_of_x, *((s, 1) for s in in_q)
     check_chart(*chart)
     return tuple(nums for nums, _ in chart)
 

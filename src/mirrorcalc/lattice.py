@@ -20,9 +20,11 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Iterable, List, Mapping, Sequence, Tuple
+
+from .inputs import exact, scaled
 
 Vector = Sequence[Fraction]
 Triple = Tuple[int, int, int]
@@ -47,22 +49,13 @@ class PiScaled:
                 "pi_exponent": self.pi_exponent}
 
 
-def _rational(x) -> int | Fraction:
-    """x by the rule of ``series._exact`` (not imported here, to keep
-    ``series`` off the lattice paths), else LatticeError."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return x
-    if isinstance(x, str):
-        try:
-            _, e, exponent = x.lower().partition("e")
-            if not e or abs(int(exponent)) <= 4300:
-                f = Fraction(x)
-                if max(abs(f.numerator), f.denominator) < 10 ** 4300:
-                    return f
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise LatticeError(f"entry {reprlib.repr(x)} is not an int, a "
-                       "Fraction or a rational string")
+def _entry(x) -> Fraction:
+    """x by ``inputs.exact``, its refusal raised as LatticeError."""
+    try:
+        return exact(x)
+    except ValueError:
+        raise LatticeError(f"entry {reprlib.repr(x)} is not an int, a "
+                           "Fraction or a rational string") from None
 
 
 def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
@@ -78,10 +71,10 @@ def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
         raise LatticeError("expected a matrix given as a list of rows")
     if any(len(row) != len(rows[0]) for row in rows):
         raise LatticeError("matrix rows differ in length")
-    m = [[(x if type(x) is int or type(x) is Fraction
-           else _rational(x)).as_integer_ratio() for x in row] for row in rows]
-    d = lcm(*(q for row in m for _, q in row))
-    return [[p * (d // q) for p, q in row] for row in m], d
+    m, d = scaled([x if type(x) is int or type(x) is Fraction else _entry(x)
+                   for row in rows for x in row])
+    w = len(rows[0]) if rows else 0
+    return [m[i * w:(i + 1) * w] for i in range(len(rows))], d
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -166,7 +159,7 @@ class CubicLattice:
             raise LatticeError(f"rank {reprlib.repr(rank)} is not an integer")
         if not isinstance(kappa, (list, tuple)):
             raise LatticeError(f"kappa {reprlib.repr(kappa)} is not a list")
-        kappa = tuple(Fraction(_rational(v)) for v in kappa)
+        kappa = tuple(_entry(v) for v in kappa)
         if len(kappa) != rank:  # before the rank^3 tensor is allocated
             raise LatticeError("dimension mismatch")
         t = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
@@ -181,7 +174,7 @@ class CubicLattice:
             if triple in seen:
                 raise LatticeError(f"index triple {triple} given twice")
             seen.add(triple)
-            v = Fraction(_rational(v))
+            v = _entry(v)
             perms = {(i, j, k), (i, k, j), (j, i, k),
                      (j, k, i), (k, i, j), (k, j, i)}
             for (a, b, c) in perms:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # ``series`` is imported where it is used: ``modular --tau`` runs
-# petersson_delta alone, which loads it (and ``kernels``) only to raise.
+# petersson_delta alone, which loads ``kernels`` only to raise.
 
 
 def eta_series(order: int) -> ExactSeries:
@@ -77,13 +77,13 @@ def petersson_delta(tau: complex) -> PeterssonValue:
     exactly on Fractions.  A reduced Im tau > 1e307 (-log_norm_sq ~ 4 pi
     Im tau nears the float limit) raises SeriesError."""
     if tau.imag <= 0:
-        from .series import SeriesError
+        from .kernels import SeriesError
         raise SeriesError("tau must lie in the upper half-plane")
     x, y = Fraction(tau.real), Fraction(tau.imag)
     while (n := (x := x - round(x)) ** 2 + y * y) < 1:  # translate, invert
         x, y = -x / n, y / n
     if y > 1e307:
-        from .series import SeriesError
+        from .kernels import SeriesError
         raise SeriesError(f"tau = {tau} reduces to Im tau > 1e307, out of "
                           "float range for the log-norm")
     y = float(y)
@@ -103,6 +103,6 @@ def fhsv_assemble(phi_norm_sq: float, delta_norm_sq: float, C: float) -> float:
     for name, v in (("phi_norm_sq", phi_norm_sq),
                     ("delta_norm_sq", delta_norm_sq), ("C", C)):
         if not v > 0:
-            from .series import SeriesError
+            from .kernels import SeriesError
             raise SeriesError(f"{name} must be positive, got {v}")
     return C * phi_norm_sq * delta_norm_sq

@@ -23,6 +23,7 @@ from operator import mul
 from typing import Iterable, Union
 
 from . import kernels
+from .inputs import exact, scaled
 from .kernels import (CompositionError, NonUnitError, SeriesError,
                       TagMismatchError, _convolve)
 
@@ -30,34 +31,11 @@ Scalar = Union[int, str, Fraction]
 
 
 def _exact(v) -> Fraction:
-    """v as a Fraction if it is an int (not a bool), a Fraction or a
-    rational string whose numerator and denominator have at most 4300
-    digits (CPython's int-string limit, so the value can be written back;
-    the decimal exponent, which Fraction expands, is bounded first); else
-    SeriesError."""
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            _, e, exponent = v.lower().partition("e")
-            if not e or abs(int(exponent)) <= 4300:
-                f = Fraction(v)
-                if max(abs(f.numerator), f.denominator) < 10 ** 4300:
-                    return f
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SeriesError(f"{reprlib.repr(v)} is not an exact rational "
-                      "(an int, a Fraction or a rational string)")
-
-
-def _scaled(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` (ints or Fractions) over their
-    least common denominator, and that denominator."""
-    pairs = [c.as_integer_ratio() for c in coeffs]
-    den = lcm(*(q for _, q in pairs))
-    return [p * (den // q) for p, q in pairs], den
+    """``inputs.exact(v)``, its ValueError raised as SeriesError."""
+    try:
+        return exact(v)
+    except ValueError as exc:
+        raise SeriesError(str(exc)) from None
 
 
 class ExactSeries:
@@ -81,7 +59,7 @@ class ExactSeries:
         if order < 0:
             raise SeriesError("order must be non-negative")
         return cls.from_nums(
-            *_scaled(cs[:order + 1] + [0] * (order + 1 - len(cs))), tag)
+            *scaled(cs[:order + 1] + [0] * (order + 1 - len(cs))), tag)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("ExactSeries is immutable")

@@ -225,6 +225,32 @@ class TestF1AndGW:
                               "degree 3 is not an integer: -1000")
         assert err.endswith("/3\n") and len(err) < 300
 
+    def test_extract_gw_instanton_past_the_digit_limit_is_shortened(
+            self, capsys, tmp_path):
+        """n_2 = N0(2) - N0(1)/8 has a 4301-digit denominator, which CPython
+        will not write as a string; it is named by its bit length."""
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps({"n0": {"1": "1", "2": "1/" + "9" * 4300}}))
+        code, out, err = invoke(capsys, "extract-gw", "--order", "3",
+                                "--n0-file", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: genus-zero instanton number at "
+                              "degree 2 is not an integer: ")
+        assert "-bit int>" in err and len(err) < 300
+
+    @pytest.mark.parametrize("argv", [
+        ["f1", "--order", "40"], ["extract-gw", "--order", "40"],
+        ["--output", "csv", "extract-gw", "--order", "20"]])
+    def test_genus_stages_build_no_x_chart(self, capsys, monkeypatch, argv):
+        """f1 and extract-gw read only the q-chart: the period, its
+        harmonic gaps and the exp and division that build q(x) never run."""
+        from mirrorcalc import kernels
+        expected = invoke(capsys, *argv)
+        for name in ("period", "_harmonic_gaps", "exp", "divide"):
+            monkeypatch.setattr(kernels, name, lambda *args, name=name:
+                                pytest.fail(f"{name} ran"))
+        assert invoke(capsys, *argv) == expected
+
     @pytest.mark.parametrize("n0_file", [False, True])
     def test_extract_gw_inverts_the_multicover_rule_once(
             self, capsys, tmp_path, monkeypatch, n0_file):
@@ -247,6 +273,40 @@ class TestF1AndGW:
                               "--n0-file", str(tmp_path / "nope.json"))
         assert code == 1
         assert err
+
+
+# Each flag that reads JSON, in an argv where FILE is a file of the fault's
+# text or bytes, or, for --h, TEXT is its text; GRAM is a valid Gram file.
+JSON_FLAGS = {
+    "--n0-file": ["extract-gw", "--order", "3", "--n0-file", "FILE"],
+    "--lattice": ["covolume", "--lattice", "FILE"],
+    "--gram": ["fhsv", "--gram", "FILE", "--h", "[1]"],
+    "--h": ["fhsv", "--gram", "GRAM", "--h", "TEXT"],
+    "--family": ["bcov-factor", "--family", "FILE"],
+}
+# A str can also be an --h text; the rest are faults of a file.
+JSON_FAULTS = {"malformed": '{"a": x}', "long-int": "[" + "1" * 5000 + "]",
+               "not-utf8": b'["\xff"]', "missing": None, "directory": None}
+
+
+@pytest.mark.parametrize("flag, fault", [
+    (flag, fault) for flag in JSON_FLAGS for fault in JSON_FAULTS
+    if flag != "--h" or isinstance(JSON_FAULTS[fault], str)])
+def test_json_error_names_its_flag(capsys, tmp_path, flag, fault):
+    data, path = JSON_FAULTS[fault], tmp_path / "input.json"
+    if isinstance(data, str):
+        path.write_text(data)
+    elif data:
+        path.write_bytes(data)
+    elif fault == "directory":
+        path.mkdir()
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps(enriques_invariant_gram()))
+    argv = [{"FILE": str(path), "GRAM": str(gram), "TEXT": data}.get(a, a)
+            for a in JSON_FLAGS[flag]]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}: ") and len(err) < 300
 
 
 class TestDelta:

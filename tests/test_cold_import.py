@@ -44,14 +44,19 @@ HEAVY = {"extract-gw": [], "extract-gw-n0-file": ["fractions", "decimal"],
          "mirror-map": [], "f1": []}
 
 
-def _python(*args):
+def _run(*args):
+    """``python *args`` on this checkout's ``src``; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, *args], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    return result
+
+
+def _python(*args):
+    return json.loads(_run(*args).stdout)
 
 
 def test_import_loads_no_submodule():
@@ -77,17 +82,18 @@ def inputs(tmp_path):
 
 SUBCOMMANDS = [
     (["extract-gw", "--order", "3"], ["cli", "kernels"]),
-    # the --n0-file parser adds gw and the series it imports
+    # the --n0-file parser adds inputs, and no part of gw or series
     (["extract-gw", "--order", "3", "--n0-file", "N0"],
-     ["cli", "gw", "kernels", "series"]),
+     ["cli", "inputs", "kernels"]),
     (["mirror-map", "--order", "3"], ["cli", "kernels"]),
     (["f1", "--order", "3"], ["cli", "kernels"]),
     (["delta", "--table", "3"], ["cli", "deltacoeff"]),
-    (["covolume", "--lattice", "LATTICE"], ["cli", "lattice"]),
+    (["covolume", "--lattice", "LATTICE"], ["cli", "inputs", "lattice"]),
     (["fhsv", "--gram", "GRAM", "--h", "[1,1,0,0,0,0,0,0,0,0]"],
-     ["cli", "lattice"]),
-    (["modular", "--tau", "1i"], ["cli", "modular"]),
-    (["bcov-factor", "--family", "FAMILY"], ["cli", "divisor"]),
+     ["cli", "inputs", "lattice"]),
+    (["modular", "--tau", "1i"], ["cli", "inputs", "modular"]),
+    (["bcov-factor", "--family", "FAMILY", "--eval-at", "2"],
+     ["cli", "divisor", "inputs"]),
 ]
 
 
@@ -107,6 +113,28 @@ def test_subcommand_loads_only_its_modules(inputs, argv, modules):
     assert parser == []
     if _name(argv) in HEAVY:
         assert heavy == HEAVY[_name(argv)]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
+                         ids=[_name(argv) for argv, _ in SUBCOMMANDS])
+def test_main_module_is_not_imported_again(inputs, argv, modules):
+    """Under ``python -m mirrorcalc.cli`` the CLI runs as ``__main__``, and
+    no module it loads imports ``mirrorcalc.cli`` as a second copy."""
+    stderr = _run("-X", "importtime", "-m", "mirrorcalc.cli",
+                  *(inputs.get(a, a) for a in argv)).stderr
+    imported = {line.rpartition("|")[2].strip()
+                for line in stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "mirrorcalc.cli" not in imported
+    assert {f"mirrorcalc.{m}" for m in modules if m != "cli"} <= imported
+
+
+def test_modular_error_loads_no_series():
+    """A tau off the upper half-plane raises kernels' SeriesError without
+    compiling ``series``."""
+    code, loaded, *_ = _python("-c", RUN_PROBE, "modular", "--tau", "-1i")
+    assert code == 1
+    assert loaded == ["cli", "inputs", "kernels", "modular"]
 
 
 def test_csv_loaded_only_for_csv_output():

@@ -68,8 +68,8 @@ class TestPoint:
     @pytest.mark.parametrize("text, z", [("1 + 2i", 1 + 2j), ("-3j", -3j),
                                          (" 0.5 ", 0.5)])
     def test_from_json_reads_a_value_as_eval_at_does(self, text, z):
-        from mirrorcalc.cli import _parse_complex
-        assert Point.from_json({"value": text}).value == z == _parse_complex(
+        from mirrorcalc.inputs import parse_complex
+        assert Point.from_json({"value": text}).value == z == parse_complex(
             text)
 
 

@@ -1,8 +1,9 @@
-"""One rule for exact input: every entrance to ``series`` and ``gw`` reads
-an int, a Fraction or a rational string exactly, and refuses anything
-else (floats, bools, None, malformed strings) with SeriesError; a degree
-is an int >= 1.  A series survives pickle, copy and deepcopy, and stays
-immutable, and its order and tag must be an int and a str."""
+"""One rule for exact input, ``inputs.exact``: every entrance reads an
+int, a Fraction or a rational string exactly, and refuses anything else
+(floats, bools, None, malformed strings) with its own error class,
+SeriesError for ``series`` and ``gw``; a degree is an int >= 1.  A series
+survives pickle, copy and deepcopy, and stays immutable, and its order
+and tag must be an int and a str."""
 
 import copy
 import pickle
@@ -11,11 +12,12 @@ from math import lcm
 
 import pytest
 
-from mirrorcalc import kernels
-from mirrorcalc.gw import (ExtractionError, GWTable, extract_n1,
-                           n0_map_from_json_dict)
-from mirrorcalc.lattice import LatticeError, _rational
-from mirrorcalc.series import ExactSeries, SeriesError, _exact, _scaled
+from mirrorcalc import inputs, kernels
+from mirrorcalc.divisor import FamilyData, FamilyError, residue_balance_check
+from mirrorcalc.gw import GWTable, extract_n1
+from mirrorcalc.kernels import ExtractionError
+from mirrorcalc.lattice import CubicLattice, LatticeError, bareiss_det
+from mirrorcalc.series import ExactSeries, SeriesError
 
 ONE = ExactSeries([1, 0], tag="q")
 G = ExactSeries.constant(F(50, 12), 1, "q")
@@ -36,27 +38,48 @@ def _integral_n1(read):
 
 def _n0_file_instanton(v):
     """n_1 of the --n0-file column N0(1) = v: its reader, then the kernel."""
-    n = n0_map_from_json_dict({"1": v})[1]
+    n = inputs.n0_map_from_json_dict({"1": v})[1]
     return kernels.instanton_numbers([0, n.numerator], n.denominator)[1]
 
 
-# Each entrance maps a caller's value v to the Fraction it stored.
+QUINTIC = FamilyData.quintic_mirror()
+BALANCE = residue_balance_check(QUINTIC, (0, 0, 0))
+
+# Each entrance maps a caller's value v to the Fraction it stored, and
+# refuses an inexact one with the error class beside it.
 ENTRANCES = {
-    "ExactSeries": lambda v: ExactSeries([1, v])[1],
+    "exact": (inputs.exact, ValueError),
+    "ExactSeries": (lambda v: ExactSeries([1, v])[1], SeriesError),
     # the JSON entrance: an --n0-file value
-    "from_json_dict": lambda v: n0_map_from_json_dict({"n0": {"1": v}})[1],
-    "constant": lambda v: ExactSeries.constant(v, 2)[0],
-    "add": lambda v: (ONE + v)[0] - 1,
-    "radd": lambda v: (v + ONE)[0] - 1,
-    "sub": lambda v: 1 - (ONE - v)[0],
-    "rsub": lambda v: (v - ONE)[0] + 1,
-    "mul": lambda v: (ONE * v)[0],
-    "rmul": lambda v: (v * ONE)[0],
-    "truediv": lambda v: 1 / (ONE / v)[0],
-    "from_maps_n0": lambda v: GWTable.from_maps({1: v}, {}).n0[1],
-    "from_maps_n1": lambda v: GWTable.from_maps({}, {1: v}).n1[1],
-    "extract_n1": lambda v: extract_n1(G, {1: v}).n0[1],
-    "instanton_numbers": _integral_n1(_n0_file_instanton),
+    "from_json_dict": (
+        lambda v: inputs.n0_map_from_json_dict({"n0": {"1": v}})[1],
+        ValueError),
+    "constant": (lambda v: ExactSeries.constant(v, 2)[0], SeriesError),
+    "add": (lambda v: (ONE + v)[0] - 1, SeriesError),
+    "radd": (lambda v: (v + ONE)[0] - 1, SeriesError),
+    "sub": (lambda v: 1 - (ONE - v)[0], SeriesError),
+    "rsub": (lambda v: (v - ONE)[0] + 1, SeriesError),
+    "mul": (lambda v: (ONE * v)[0], SeriesError),
+    "rmul": (lambda v: (v * ONE)[0], SeriesError),
+    "truediv": (lambda v: 1 / (ONE / v)[0], SeriesError),
+    "from_maps_n0": (lambda v: GWTable.from_maps({1: v}, {}).n0[1],
+                     SeriesError),
+    "from_maps_n1": (lambda v: GWTable.from_maps({}, {1: v}).n1[1],
+                     SeriesError),
+    "extract_n1": (lambda v: extract_n1(G, {1: v}).n0[1], SeriesError),
+    "instanton_numbers": (_integral_n1(_n0_file_instanton), ValueError),
+    # 12 a is the only term of the balance that the boundary's a enters
+    "residue_balance": (lambda v: (residue_balance_check(QUINTIC, (v, 0, 0))
+                                   - BALANCE) / 12, FamilyError),
+}
+
+# lattice's entrances say "is not an int, a Fraction or a rational string"
+LATTICE_ENTRANCES = {
+    "bareiss_det": (lambda v: bareiss_det([[v]]), LatticeError),
+    "cubic_entry": (lambda v: CubicLattice.from_entries(
+        1, {(0, 0, 0): v}, [1]).cubic[0][0][0], LatticeError),
+    "kappa": (lambda v: CubicLattice.from_entries(
+        1, {(0, 0, 0): 1}, [v]).kappa[0], LatticeError),
 }
 
 # Each degree entrance maps a column to the table it builds.
@@ -92,7 +115,7 @@ def test_degrees_above_the_table_are_truncated():
     (3, F(3)), (F(1, 3), F(1, 3)), ("1/3", F(1, 3)), ("-2", F(-2)),
 ], ids=["int", "fraction", "string", "negative-string"])
 def test_entrance_accepts_exact_values(entrance, value, exact):
-    got = ENTRANCES[entrance](value)
+    got = ENTRANCES[entrance][0](value)
     assert type(got) is F and got == exact
 
 
@@ -103,8 +126,10 @@ def test_entrance_accepts_exact_values(entrance, value, exact):
                               "zero-denominator", "huge-exponent",
                               "huge-negative-exponent"])
 def test_entrance_rejects_inexact_values(entrance, value):
-    with pytest.raises(SeriesError, match="is not an exact rational"):
-        ENTRANCES[entrance](value)
+    read, error = ENTRANCES[entrance]
+    with pytest.raises(error, match="is not an exact rational") as info:
+        read(value)
+    assert info.type is error
 
 
 def test_rejection_names_the_value_briefly():
@@ -167,20 +192,21 @@ def test_tag_must_be_a_str():
 
 
 class Half(F):
-    """A Fraction subclass, which _exact must not pass through as is."""
+    """A Fraction subclass, which inputs.exact must not pass as is."""
 
 
 @pytest.mark.parametrize("value", [Half(1, 2), F(1, 2), 3, "7/4"],
                          ids=["subclass", "fraction", "int", "string"])
 def test_exact_returns_a_plain_fraction(value):
-    got = _exact(value)
+    got = inputs.exact(value)
     assert type(got) is F and got == F(value)
     if type(value) is F:
         assert got is value
 
 
 def scaled_by_properties(coeffs):
-    """``_scaled`` as the numerator and denominator properties read it."""
+    """``inputs.scaled`` as the numerator and denominator properties read
+    it."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -190,19 +216,21 @@ def scaled_by_properties(coeffs):
     [F(2 ** 70, 3 ** 40), -(2 ** 90), F(7, 12)], [Half(1, 2), F(1, 3)],
 ])
 def test_scaled_matches_the_property_reads(coeffs):
-    assert _scaled(coeffs) == scaled_by_properties(coeffs)
+    assert inputs.scaled(coeffs) == scaled_by_properties(coeffs)
 
 
 def _read(reader, error, value):
-    """The reader's value, or None when it refuses with its own error."""
+    """The reader's value, or None when it refuses with its own error
+    class (not a subclass of it)."""
     try:
         return reader(value)
-    except error:
+    except error as exc:
+        assert type(exc) is error
         return None
 
 
-# One table for both exact readers: series._exact, and lattice._rational,
-# which cannot share it without loading series and kernels on covolume.
+# One table for the reader and every entrance, each refusing with its own
+# error class.
 READER_TABLE = {
     "int": (7, F(7)), "subclass": (Half(7, 2), F(7, 2)),
     "ratio": ("7/2", F(7, 2)), "decimal": ("1.5", F(3, 2)),
@@ -221,6 +249,6 @@ READER_TABLE = {
 @pytest.mark.parametrize("value, expected", READER_TABLE.values(),
                          ids=list(READER_TABLE))
 def test_series_and_lattice_readers_agree(value, expected):
-    got = (_read(_exact, SeriesError, value),
-           _read(_rational, LatticeError, value))
-    assert got == (expected, expected)
+    readers = {**ENTRANCES, **LATTICE_ENTRANCES}
+    got = {name: _read(*reader, value) for name, reader in readers.items()}
+    assert got == dict.fromkeys(readers, expected)

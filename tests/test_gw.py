@@ -8,19 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from mirrorcalc import kernels, modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
-                           extract_n1, genus0_pipeline, ExtractionError,
-                           n0_map_from_json_dict, _eta_columns)
-from mirrorcalc.kernels import (_dirichlet, _dirichlet_divide, _inverses,
-                               _sigma)
+                           extract_n1, genus0_pipeline, _eta_columns)
+from mirrorcalc.inputs import n0_map_from_json_dict, scaled
+from mirrorcalc.kernels import (ExtractionError, _dirichlet, _dirichlet_divide,
+                               _inverses, _sigma)
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
-from mirrorcalc.series import ExactSeries, SeriesError, _scaled
+from mirrorcalc.series import ExactSeries, SeriesError
 
 
 def column(n0, max_degree):
     """The kernel column of N0(d), d = 1..max_degree: c[d] = d^3 N0(d) den
     over den, as ``kernels.instanton_numbers`` reads it."""
-    nums, den = _scaled([F(n0.get(d, 0)) for d in range(1, max_degree + 1)])
+    nums, den = scaled([F(n0.get(d, 0)) for d in range(1, max_degree + 1)])
     return [0, *(d ** 3 * v for d, v in enumerate(nums, 1))], den
 
 

@@ -16,7 +16,7 @@ def test_measure_small_order():
     row = module.measure(5)
     assert sorted(row) == ["extract_gv_s", "f1_log_derivative_s",
                            "genus0_pipeline_s", "max_coeff_bits",
-                           "mirror_map_s", "peak_rss_mib"]
+                           "peak_rss_mib", "q_chart_s"]
     assert row["max_coeff_bits"] > 0
 
 
