@@ -21,13 +21,22 @@ class UsageError(Exception):
     """Bad flags; maps to exit code 2."""
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal as an int, refused past 4300 digits as the
+    exact readers refuse a longer numerator or denominator."""
+    if (digits := len(literal.lstrip("-"))) > 4300:
+        raise ValueError(f"an integer literal has {digits} digits, "
+                         "more than 4300")
+    return int(literal)
+
+
 def _load_json(what: str, path: str | None = None, text: str | None = None):
     """JSON from the UTF-8 file ``path`` or ``text``; any error names ``what``."""
     try:
         if path is not None:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
     except (OSError, ValueError) as exc:

@@ -31,7 +31,7 @@ def scaled(coeffs) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` (ints or Fractions) over their
     least common denominator, and that denominator."""
     pairs = [c.as_integer_ratio() for c in coeffs]
-    den = math.lcm(*(q for _, q in pairs))
+    den = math.lcm(*{q for _, q in pairs})
     return [p * (den // q) for p, q in pairs], den
 
 

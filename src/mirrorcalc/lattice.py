@@ -8,11 +8,14 @@ the cubic form is absorbed into that exponent, so cubic tensors are
 rational.
 
 The exact kernels run on Python ``int``: each rational input is scaled
-to integers over one common denominator once, _det (two-step
-fraction-free Bareiss elimination, Math. Comp. 22, 1968: one exact
-division per entry per two pivots) is the only elimination kernel, the
-L2 Gram matrix comes from one integer contraction of the cubic form with
-kappa, and a basis change contracts one tensor index at a time.
+to integers over one common denominator once, and every determinant is
+_det, two-step fraction-free Bareiss elimination (Math. Comp. 22, 1968:
+one exact division per entry per two pivots).  _det eliminates a
+symmetric matrix (every Gram matrix here, and A and its rank-1 update)
+on its upper triangle, about half the entries of the full square that a
+basis change and its Cramer matrices take.  The L2 Gram matrix comes
+from one integer contraction of the cubic form with kappa, and a basis
+change contracts one tensor index at a time.
 """
 
 from __future__ import annotations
@@ -77,15 +80,26 @@ def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     return [m[i * w:(i + 1) * w] for i in range(len(rows))], d
 
 
+def _symmetric(m: Sequence[Sequence[int]]) -> bool:
+    """True iff m is a list of list rows equal to its transpose."""
+    return m == [*map(list, zip(*m))]
+
+
 def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix; m is left unchanged and the
+    0x0 determinant is 1.  A symmetric m (list rows) is eliminated on
+    its upper triangle, any other on the full square."""
+    return _det_symmetric(m) if _symmetric(m) else _det_general(m)
+
+
+def _det_general(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square int matrix by two-step fraction-free
     Bareiss elimination.  Each pass takes pivot rows (a, b, y1..), a != 0,
     and (c, d, y2..), c0 = (a d - b c) / prev != 0, and replaces each other
     row (p, q, x..) by (x c0 + y1 e1 + y2 e2) / prev, e1 = (c q - d p) / prev,
     e2 = (b p - a q) / prev: one exact division per entry per two pivots,
     prev the last c0.  With no such (c, d) the first two columns are
-    proportional, so the determinant is 0 and no one-step pass is needed.
-    m is left unchanged; the 0x0 determinant is 1."""
+    proportional, so the determinant is 0 and no one-step pass is needed."""
     sign = prev = 1
     while len(m) > 1:
         for i, (a, b, *y1) in enumerate(m):
@@ -107,6 +121,35 @@ def _det(m: Sequence[Sequence[int]]) -> int:
              for e1, e2 in [((c * q - d * p) // prev, (b * p - a * q) // prev)]]
         prev = c0
     return sign * (m[0][0] if m else prev)
+
+
+def _det_symmetric(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a symmetric int matrix by the passes of
+    _det_general on the rows u[i] = m[i][i:] of its upper triangle, the
+    first two rows always the pivots: with pivot rows (a, b, p..) and
+    (b, d, q..), row i becomes (x c0 + p_j e1_i + q_j e2_i) / prev,
+    which is symmetric again.  When a leading 2x2 minor a d - b^2 is 0,
+    the remaining block T (its entries are bordered minors of m) goes
+    whole to _det_general, and det m = det T / prev^(len T - 1) exactly
+    by Sylvester's identity."""
+    u = [row[i:] for i, row in enumerate(m)]
+    prev = 1
+    while len(u) > 1:
+        (a, b, *p), (d, *q) = u[0], u[1]
+        c0 = a * d - b * b
+        if not c0:
+            n = len(u)
+            t = [[u[min(i, j)][abs(i - j)] for j in range(n)]
+                 for i in range(n)]
+            return _det_general(t) // prev ** (n - 1)
+        c0 //= prev
+        u = [[(x * c0 + pj * e1 + qj * e2) // prev
+              for x, pj, qj in zip(row, p[k:], q[k:])]
+             for k, row in enumerate(u[2:])
+             for e1, e2 in [((b * q[k] - d * p[k]) // prev,
+                             (b * p[k] - a * q[k]) // prev)]]
+        prev = c0
+    return u[0][0] if u else prev
 
 
 def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -303,7 +346,8 @@ def _int_pairing(A: Sequence[Sequence], h: Sequence):
 def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
                            h: Vector) -> bool:
     """True iff det(A - 2 (Ah)(h^T A)/(h^T A h)) = -det(A) exactly,
-    for symmetric invertible A and h with h^T A h != 0.
+    for symmetric invertible A and h with h^T A h != 0; any other A or
+    h raises LatticeError.
 
     On A_i = D A, a = A_i h_i and s = h_i^T A_i h_i (see _int_pairing;
     the update does not change when h is scaled), the updated matrix
@@ -311,6 +355,8 @@ def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
     reads det(s A_i - 2 a a^T) = -s^n det(A_i).
     """
     Ai, _, _, a, s = _int_pairing(A, h)
+    if not _symmetric(Ai):
+        raise LatticeError("A must be symmetric")
     det_a = _det(Ai)
     if not det_a:
         raise LatticeError("A must be invertible")
@@ -335,7 +381,7 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
     Ai, d, c, a, s = _int_pairing(A, h)
     if len(Ai) != 10:
         raise LatticeError("A must be 10x10")
-    if any(Ai[i][j] != Ai[j][i] for i in range(10) for j in range(10)):
+    if not _symmetric(Ai):
         raise LatticeError("A must be symmetric")
     if _det(Ai) != -(2 ** 10) * d ** 10:  # det(D A) = D^10 det A
         raise LatticeError("det A must equal -2^10")

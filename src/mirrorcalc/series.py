@@ -102,6 +102,8 @@ class ExactSeries:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, built on each read."""
+        if self.den == 1:
+            return tuple(map(Fraction, self.nums))
         return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __repr__(self):

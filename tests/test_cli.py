@@ -309,6 +309,27 @@ def test_json_error_names_its_flag(capsys, tmp_path, flag, fault):
     assert err.startswith(f"error: {flag}: ") and len(err) < 300
 
 
+@pytest.mark.parametrize("flag, literal", [
+    ("--n0-file", '{"n0": {"1": 1' + "0" * 4999 + "}}"),
+    ("--gram", "[[-" + "9" * 5000 + "]]"),
+], ids=["n0-file", "gram"])
+def test_json_int_past_4300_digits(capsys, tmp_path, flag, literal):
+    """Refused with the 4300-digit bound of the exact readers, not with
+    advice to call a Python function."""
+    path = tmp_path / "input.json"
+    path.write_text(literal)
+    argv = [str(path) if a == "FILE" else a for a in JSON_FLAGS[flag]]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {flag}: an integer literal has 5000 digits, "
+                   "more than 4300\n")
+
+
+def test_json_int_of_4300_digits_read():
+    from mirrorcalc.cli import _load_json
+    assert _load_json("--h", text="[-" + "9" * 4300 + "]") == [1 - 10 ** 4300]
+
+
 class TestDelta:
     def test_value(self, capsys):
         code, out, _ = invoke(capsys, "delta", "--n", "3", "--p", "2")

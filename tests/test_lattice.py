@@ -104,6 +104,45 @@ def int_matrices(draw, max_n=6):
     return m
 
 
+@st.composite
+def symmetric_int_matrices(draw, max_n=6):
+    """Symmetric int matrices (list rows) of size 0..max_n, some with a
+    zero leading block, so that a leading 2x2 minor vanishes at the
+    first pass, and some with a row and column that are a multiple of
+    another, so that the matrix is singular."""
+    n = draw(st.integers(0, max_n))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-4, 4))
+    if n >= 2:
+        shape = draw(st.sampled_from(["plain", "zero-block", "multiple"]))
+        if shape == "zero-block":
+            k = draw(st.integers(1, n))
+            for i in range(k):
+                m[i][:k] = [0] * k
+        elif shape == "multiple":
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-2, 2))
+            m[i] = [c * x for x in m[j]]
+            for row in m:
+                row[i] = c * row[j]
+    return m
+
+
+def spy_paths(monkeypatch):
+    """(path, size) for every call of the two elimination kernels from
+    now on, in call order."""
+    seen = []
+    for path in ("symmetric", "general"):
+        kernel = getattr(lattice, f"_det_{path}")
+        monkeypatch.setattr(
+            lattice, f"_det_{path}",
+            lambda m, path=path, kernel=kernel:
+                seen.append((path, len(m))) or kernel(m))
+    return seen
+
+
 def gauss_det(m):
     """Determinant by Gaussian elimination on Fraction, with the first
     nonzero entry of each column as the pivot."""
@@ -261,6 +300,71 @@ class TestDet:
         assert [len(m) for m in seen] == sizes
         for m in seen:
             assert _det(m) == gauss_det(m)
+
+
+class TestSymmetricDet:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_int_matrices())
+    def test_matches_leibniz(self, m):
+        det = _det(m)
+        assert type(det) is int
+        assert det == leibniz_det(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_int_matrices(max_n=13))
+    def test_matches_fraction_gauss(self, m):
+        """Sizes up to 13, where Leibniz is too slow."""
+        before = [row[:] for row in m]
+        assert _det(m) == gauss_det(m)
+        assert m == before
+
+    @pytest.mark.parametrize("m, det, paths", [
+        # every 2x2 principal minor is 0: the whole matrix goes general
+        ([[1, 1, 1], [1, 1, -1], [1, -1, 1]], -4,
+         [("symmetric", 3), ("general", 3)]),
+        # leading minors 2, 5, 5, 0, -20: the 4x4 one vanishes in the
+        # second pass, and the 3x3 block left over goes general
+        ([[2, 1, 1, 2, -1], [1, 3, -2, 6, 2], [1, -2, 4, -2, 0],
+          [2, 6, -2, 16, 8], [-1, 2, 0, 8, 4]], -20,
+         [("symmetric", 5), ("general", 3)]),
+        ([[2, 1, 3], [1, 1, 2], [3, 2, 5]], 0, [("symmetric", 3)]),
+        ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 0,
+         [("symmetric", 3), ("general", 3)]),
+        ([], 1, [("symmetric", 0)]),
+        ([[-7]], -7, [("symmetric", 1)]),
+        (enriques_invariant_gram(), -(2 ** 10), [("symmetric", 10)]),
+        (((1, 2), (2, 5)), 1, [("general", 2)]),
+        ([[1, 2], [3, 5]], -1, [("general", 2)]),
+    ], ids=["no-nonzero-2x2-minor", "zero-minor-in-second-pass",
+            "singular", "singular-at-first-pass", "0x0", "1x1", "enriques",
+            "tuple-rows", "not-symmetric"])
+    def test_paths(self, monkeypatch, m, det, paths):
+        """A symmetric list-row matrix takes the upper-triangle kernel
+        and hands the block left at a vanishing leading 2x2 minor to the
+        general one; every other matrix takes the general one."""
+        seen = spy_paths(monkeypatch)
+        assert _det(m) == det == gauss_det(m)
+        assert seen == paths
+
+    @pytest.mark.parametrize("caller, args, paths", [
+        (rank1_update_det_check,
+         lambda: symmetric_rank1_input(random.Random(1), 12),
+         [("symmetric", 12)] * 2),
+        (fhsv_covolume, lambda: (enriques_invariant_gram(), [1, 1] + [0] * 8),
+         [("symmetric", 10), ("symmetric", 11)]),
+        (lambda: covolume(random_lattice(random.Random(2))), list,
+         [("symmetric", 3)]),
+        (lambda: random_lattice(random.Random(3)).basis_change(
+            random_unimodular(random.Random(3), 3)), list,
+         [("general", 3)] * 4),
+    ], ids=["rank1-update", "fhsv", "covolume", "basis-change"])
+    def test_caller_paths(self, monkeypatch, caller, args, paths):
+        """Every Gram matrix, A and its rank-1 update are symmetric; a
+        basis change's U and its Cramer matrices are not."""
+        args = args()
+        seen = spy_paths(monkeypatch)
+        caller(*args)
+        assert seen == paths
 
 
 class TestL2Pairing:
@@ -623,3 +727,20 @@ class TestRank1Update:
             rank1_update_det_check([[1, 1], [1, 1]], [1, 0])
         with pytest.raises(LatticeError):
             rank1_update_det_check([[1, 0], [0, -1]], [1, 1])
+
+    @pytest.mark.parametrize("A", [
+        [[1, 2], [0, 1]],
+        [[2, 1, 0], [1, 3, 1], [0, 2, 5]],
+        [["1/2", F(1, 3)], [F(1, 4), 2]],
+    ], ids=["upper-unitriangular", "one-entry-off", "rational"])
+    def test_non_symmetric_rejected(self, monkeypatch, A):
+        """An invertible A that is not symmetric would give a wrong a =
+        A h; it is refused before any determinant is taken."""
+        seen = spy_det(monkeypatch)
+        with pytest.raises(LatticeError, match="A must be symmetric"):
+            rank1_update_det_check(A, [1] + [0] * (len(A) - 1))
+        assert seen == [] and bareiss_det(A)
+
+    def test_symmetric_once_scaled(self):
+        """Entries written differently but equal as rationals."""
+        assert rank1_update_det_check([["1/2", F(1, 3)], ["2/6", 2]], [1, 0])
