@@ -104,15 +104,21 @@ def _cmd_extract_gw(order, n0_file) -> dict:
 
 
 def _cmd_delta(n, p, table) -> dict:
+    from math import factorial
     from .deltacoeff import delta, delta_row
 
-    if table is not None:
-        if n is not None or p is not None:
-            raise UsageError("delta takes --table N or --n and --p, not both")
-        row = delta_row(table)
-        return {"n": table, "row": [str(v) for v in row]}
-    if n is None or p is None:
+    if table is not None and (n is not None or p is not None):
+        raise UsageError("delta takes --table N or --n and --p, not both")
+    if table is None and (n is None or p is None):
         raise UsageError("delta needs either --table N or both --n and --p")
+    # delta(n, p) is in [0, 1] over a divisor of (n+2)!, and delta(n, 0) =
+    # 1/(n+2)!: all are written within 4300 digits iff (n+2)! is; 2000! is not
+    dim = n if table is None else table
+    if dim > 0 and factorial(min(dim + 2, 2000)) >= 10 ** 4300:
+        raise ValueError(f"dimension n = {dim} gives delta the denominator "
+                         "(n+2)!, which has more than 4300 digits")
+    if table is not None:
+        return {"n": table, "row": [str(v) for v in delta_row(table)]}
     return {"value": str(delta(n, p))}
 
 

@@ -83,7 +83,8 @@ class Point:
         if self.kind == "inf":
             raise FamilyError("infinity has no finite coordinate")
         if self.kind == "zeta":
-            return cmath.exp(2j * math.pi * self.k / self.n)
+            # k / n first: int division is correctly rounded at any size
+            return cmath.exp(2j * math.pi * (self.k / self.n))
         return self.value
 
     def same_as(self, other: "Point") -> bool:
@@ -277,7 +278,10 @@ def green_potential(data: FamilyData, psi: complex) -> float:
         if _coincide(complex(psi), z := pt.to_complex()):
             raise FamilyError(
                 f"psi hits a divisor point with local exponent {exp}")
-        total += float(exp) * math.log(_distance(complex(psi), z))
+        try:
+            total += float(exp) * math.log(_distance(complex(psi), z))
+        except OverflowError:       # an exponent past float range
+            total = math.inf
     if not math.isfinite(total):
         raise FamilyError(f"the Green potential at psi = {psi} is not finite")
     return total

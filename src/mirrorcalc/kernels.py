@@ -1,6 +1,7 @@
 """Integer kernels of the series arithmetic and the quintic BCOV
 pipeline, wrapped by ``series.ExactSeries``, ``quintic`` and ``gw``; the
-CLI's pipeline subcommands run on this module, without ``fractions``.
+CLI's pipeline subcommands run on this module, without ``fractions``;
+both charts of the mirror map are solved online from ``OPERATOR``.
 
 A rational series is int numerators over one denominator, ``nums, den``,
 returned reduced (den > 0, gcd(den, *nums) = 1), which ``series_json``
@@ -197,44 +198,48 @@ def period(order: int) -> list[int]:
     return [factorial(5 * n) // factorial(n) ** 5 for n in range(order + 1)]
 
 
+def _p_values(n: int) -> list[int]:
+    """P(t) at t = 0..n, for P of OPERATOR, by Horner's rule."""
+    mu, p3, p2, p1, p0 = OPERATOR
+    return [(((mu * t + p3) * t + p2) * t + p1) * t + p0 for t in range(n + 1)]
+
+
 def picard_fuchs_check(a) -> bool:
     """True iff (theta^4 - x P(theta)) y0 vanishes to truncation for
-    y0 = a/den, theta = x d/dx and P of OPERATOR; the recursion
+    y0 = a, theta = x d/dx and P of OPERATOR; the recursion
     n^4 a_n = P(n-1) a_{n-1} is homogeneous."""
-    return all(n ** 4 * a[n] == a[n - 1] * sum(
-        k * (n - 1) ** i for i, k in enumerate(reversed(OPERATOR)))
-        for n in range(1, len(a)))
-
-
-def _harmonic_gaps(order: int) -> tuple[list[int], int]:
-    """H_n = sum_{j=n+1}^{5n} 1/j, n = 0..order, as int numerators over
-    D = lcm(1..5 order), and D: H_n = H_{n-1} - 1/n + sum_{j=5n-4}^{5n} 1/j."""
-    D = lcm(*range(1, 5 * order + 1))
-    gaps, h = [0], 0
-    for n in range(1, order + 1):
-        h += sum(D // j for j in range(5 * n - 4, 5 * n + 1)) - D // n
-        gaps.append(h)
-    return gaps, D
-
-
-def check_chart(*chart) -> None:
-    """The CHART series (nums, den) start y0 = 1 + ..., y0_of_q = 1 + ...,
-    x_of_q = O(q) (else NonUnitError), q_of_x = x + O(x^2), integral."""
-    (y0, dy), (qx, dq), (xq, _), _, (yq, dyq) = chart
-    if y0[0] != dy or yq[0] != dyq or xq[0]:
-        raise NonUnitError("y0, y0_of_q need constant term 1, x_of_q none")
-    if qx[0] or qx[1] != dq:
-        raise SeriesError("q_of_x must be x + O(x^2)")
-    for name, (_, den) in zip(CHART, chart):
-        if den != 1:
-            raise SeriesError(f"{name} must have integral coefficients")
+    P = _p_values(len(a))
+    return all(n ** 4 * a[n] == a[n - 1] * P[n - 1] for n in range(1, len(a)))
 
 
 def _quotient(a: int, m: int) -> int:
-    """a / m, exact in an integral q-chart, else SeriesError."""
+    """a / m, exact in an integral chart, else SeriesError."""
     if a % m:
-        raise SeriesError(f"the q-chart solve divides by {m} with a remainder")
+        raise SeriesError(f"the chart solve divides by {m} with a remainder")
     return a // m
+
+
+def x_chart(a) -> list[int]:
+    """q(x) = x E(x) to the order of the integral period a = y0, one
+    coefficient per step from OPERATOR.  T = theta_x log q = 1/u(q(x)) is
+    integral, T(0) = 1; y0 log q is the second period, and in (theta^4 -
+    x P(theta)) (y0 log q) = 0 the log q terms cancel, leaving at x^m
+    m^3 T_m = sum_{i<m} (a_i [P](i, m-1) - a_{i+1} D(i+1, m)) T_{m-1-i}
+    for D(l, m) = (m + l)(m^2 + l^2) = (m^4 - l^4)/(m - l) and [P](l, t) =
+    (P(t) - P(l))/(t - l), P'(t) at l = t; then m E_m = sum_{k<=m} T_k
+    E_{m-k}.  Each division by m^3 or m is exact (else SeriesError)."""
+    mu, p3, p2, p1, _ = OPERATOR
+    P, T, E = _p_values(len(a)), [1], [1]
+    for m in range(1, len(a) - 1):
+        t = m - 1
+        col = [a[i] * ((P[t] - P[i]) // (t - i))
+               - a[i + 1] * (m + i + 1) * (m * m + (i + 1) ** 2)
+               for i in range(t)]
+        col.append(a[t] * (((4 * mu * t + 3 * p3) * t + 2 * p2) * t + p1)
+                   - 4 * m ** 3 * a[m])
+        T.append(_quotient(sum(map(mul, col, reversed(T))), m ** 3))
+        E.append(_quotient(sum(map(mul, T[1:], reversed(E))), m))
+    return [0, *E][:len(a)]
 
 
 def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
@@ -246,7 +251,7 @@ def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
     q^m, u_m enters Z_i as -m^(i-1) u_m, so the two Z_4 fix it; each
     division by m or m^3 is exact (else SeriesError)."""
     if order < 1:
-        raise SeriesError("mirror_map needs order >= 1")
+        raise SeriesError(f"order must be >= 1, not {order}")
     mu, c = OPERATOR[0], OPERATOR[:0:-1]        # c[i]: theta^i in P
     X, V, R, u = [0], [0], [1], [1]
     Y = [[1], [0], [0], [0], [0]]
@@ -271,20 +276,13 @@ def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def mirror_map(order: int) -> tuple[list[int], ...]:
-    """The integral y0, q_of_x, x_of_q, u_of_q, y0_of_q to x^order or
-    q^order.  q(x) = x E(x), E = exp((5/y0) sum a_n H_n x^n); x(q),
-    u = q d(log x)/dq and y0(x(q)) come from ``q_chart``, and
-    ``check_chart`` checks all five."""
+    """y0, q_of_x, x_of_q, u_of_q, y0_of_q to x^order or q^order, integral:
+    the period with its Picard-Fuchs check, q(x) by ``x_chart``, and x(q),
+    u = q d(log x)/dq and y0(x(q)) by ``q_chart``, which checks the order."""
     y0 = period(order)
     if not picard_fuchs_check(y0):
         raise SeriesError("the period y0 fails its Picard-Fuchs equation")
-    in_q = q_chart(order)           # before the x-chart: it checks the order
-    gaps, D = _harmonic_gaps(order)
-    E = exp(*divide([5 * a * h for a, h in zip(y0, gaps)], D, y0, 1))
-    q_of_x = reduced([0, *E[0][:order]], E[1])
-    chart = (y0, 1), q_of_x, *((s, 1) for s in in_q)
-    check_chart(*chart)
-    return tuple(nums for nums, _ in chart)
+    return y0, x_chart(y0), *q_chart(order)
 
 
 def log_derivatives(x, u, y) -> tuple:

@@ -27,7 +27,8 @@ class MirrorChart:
     in x, their transports x_of_q (the inverse) and y0_of_q in q.
     u_of_q is q d(log x)/dq, the unit series carrying every rational
     multiple of log x through the q d/dq operator.  A record that trusts
-    its arguments: ``kernels.mirror_map`` checks every chart it builds.
+    its arguments: ``kernels.mirror_map`` checks its period against the
+    Picard-Fuchs equation and solves both charts with exact divisions.
     """
 
     def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):

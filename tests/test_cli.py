@@ -65,8 +65,7 @@ class TestMirrorMap:
         code, out, err = invoke(capsys, command, "--order", order)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert err == f"error: order must be >= 1, not {order}\n"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = invoke(capsys, "mirror-map", "--order", "4")
@@ -242,11 +241,11 @@ class TestF1AndGW:
         ["f1", "--order", "40"], ["extract-gw", "--order", "40"],
         ["--output", "csv", "extract-gw", "--order", "20"]])
     def test_genus_stages_build_no_x_chart(self, capsys, monkeypatch, argv):
-        """f1 and extract-gw read only the q-chart: the period, its
-        harmonic gaps and the exp and division that build q(x) never run."""
+        """f1 and extract-gw read only the q-chart: the period and the
+        x-chart solve never run, and neither does a series exp or division."""
         from mirrorcalc import kernels
         expected = invoke(capsys, *argv)
-        for name in ("period", "_harmonic_gaps", "exp", "divide"):
+        for name in ("period", "x_chart", "exp", "divide"):
             monkeypatch.setattr(kernels, name, lambda *args, name=name:
                                 pytest.fail(f"{name} ran"))
         assert invoke(capsys, *argv) == expected
@@ -359,6 +358,30 @@ class TestDelta:
         code, _, err = invoke(capsys, "delta", "--n", "3", "--p", "9")
         assert code == 1
         assert err
+
+    def test_digit_limit_both_sides(self, capsys):
+        """delta(n, 0) = 1/(n+2)!: 1558! has 4300 digits, 1559! has 4303."""
+        code, out, err = invoke(capsys, "delta", "--n", "1556", "--p", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == f"1/{math.factorial(1558)}"
+        for flags in (["--n", "1557", "--p", "0"], ["--n", "1557", "--p", "9"],
+                      ["--table", "1557"], ["--table", "10" * 200]):
+            code, out, err = invoke(capsys, "delta", *flags)
+            assert (code, out) == (1, "")
+            n = flags[1]
+            assert err == (f"error: dimension n = {n} gives delta the "
+                           "denominator (n+2)!, which has more than 4300 "
+                           "digits\n")
+
+    def test_table_at_the_digit_limit_runs(self, capsys, monkeypatch):
+        """--table 1556 passes the limit; its row (1557 values, minutes of
+        work) is stubbed to its first entry, the longest denominator."""
+        from mirrorcalc import deltacoeff
+        monkeypatch.setattr(deltacoeff, "delta_row",
+                            lambda n: [deltacoeff.delta(n, 0)])
+        code, out, err = invoke(capsys, "delta", "--table", "1556")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["row"] == [f"1/{math.factorial(1558)}"]
 
     @pytest.mark.parametrize("n", ["-2", "-1", "0"])
     def test_table_below_one_exits_1(self, capsys, n):
@@ -641,6 +664,37 @@ class TestBcovFactor:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"chi": 200, "xi_divisor": [{"point": {"value": "1"},
+                                     "multiplicity": 10 ** 400}]},
+        {"chi": 10 ** 400, "xi_divisor": [{"point": {"value": "1"},
+                                            "multiplicity": 1}]},
+    ], ids=["multiplicity", "chi"])
+    def test_exponent_past_float_range_exits_1(self, capsys, tmp_path, doc):
+        """A 401-digit int passes the JSON reader; the exponent it makes
+        has no float, so the Green potential is not finite."""
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(family),
+                                "--eval-at", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: the Green potential at psi = (2+0j) is not " \
+                      "finite\n"
+
+    def test_root_of_unity_of_huge_order(self, capsys, tmp_path):
+        """exp(2 pi i k/n) for a 401-digit n: k / n is formed first, so the
+        point is placed (next to 1, apart from 2) and --eval-at 2 hits 2."""
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"chi": 200, "odp_points": [
+            {"point": {"root_of_unity": [10 ** 400, 1]}, "r": 1},
+            {"point": {"value": "2"}, "r": 1}]}))
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(family))
+        assert (code, err) == (0, "") and json.loads(out)["factor"]
+        code, out, err = invoke(capsys, "bcov-factor", "--family", str(family),
+                                "--eval-at", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: psi hits a divisor point")
 
     @pytest.mark.parametrize("path, value", [
         (("chi",), 200.9),
