@@ -99,13 +99,14 @@ def _check_order(order) -> None:
 
 @cache
 def _eta_columns(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """E = q eta'/eta from the pentagonal ``modular.eta_series`` and
-    U = q (1-q)'/(1-q), integral, to q^order: built once per order by
-    the O(n^2) solver, as tuples that no caller can alter."""
+    """E = q eta'/eta from the pentagonal ``modular.eta_series`` by the
+    O(n^2) solver, and U = q (1-q)'/(1-q) = -sum_{m>=1} q^m, which is
+    ``_lambert_columns``' second column: integral, to q^order, once per
+    order, as tuples that no caller can alter."""
     from .modular import eta_series
 
-    return tuple(tuple(kernels.log_derivative(a)[0]) for a in
-                 (eta_series(order).nums, [1, -1] + [0] * (order - 1)))
+    E, _ = kernels.log_derivative(eta_series(order).nums)
+    return tuple(E), _lambert_columns(order)[1]
 
 
 @cache
@@ -156,8 +157,9 @@ def genus0_pipeline(chart) -> GWTable:
     """The quintic's genus-zero table at degrees 1..chart.order from a
     quintic.MirrorChart, by ``kernels.genus_zero`` on the chart's
     ``kernels.log_derivatives``: N0(d) is the q^d coefficient of the
-    Yukawa coupling K over d^3."""
-    x, u, y = (s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q))
+    Yukawa coupling K over d^3; a non-integral chart series raises
+    SeriesError (``MirrorChart.q_nums``)."""
+    x, u, y = chart.q_nums()
     K, dK = kernels.genus_zero(u, y, kernels.log_derivatives(x, u, y))
     n0 = {d: Fraction(K[d], dK * d ** 3) for d in range(1, chart.order + 1)}
     return GWTable(chart.order, n0, dict.fromkeys(n0, Fraction(0)),

@@ -11,7 +11,7 @@ writes; a rational value is a pair (p, q), written by ``ratio``.
 import reprlib
 from functools import cache
 from math import factorial, gcd, isqrt, lcm
-from operator import mul, sub
+from operator import mul
 
 
 class SeriesError(ValueError):
@@ -137,15 +137,6 @@ def _dirichlet(n: int, f, g, f2=(), g2=()) -> list[int]:
     return h
 
 
-def _dirichlet_divide(c, f, n: int) -> list[int]:
-    """x with f * x = c at 1..n, for f(1) = 1 and c of length n + 1, by a
-    sieve per degree: x(d) is final once its proper divisors are spread."""
-    x = list(c)
-    for d in range(1, n // 2 + 1):
-        x[2 * d::d] = map(sub, x[2 * d::d], [x[d] * v for v in f[2:n // d + 1]])
-    return x
-
-
 @cache
 def _sigma(n: int) -> tuple[int, ...]:
     """sigma_1(m), m = 1..n, as 1 * id: once per n, as a tuple."""
@@ -154,10 +145,15 @@ def _sigma(n: int) -> tuple[int, ...]:
 
 @cache
 def _inverses(n: int) -> tuple[tuple[int, ...], ...]:
-    """mu, mu id, sigma_1^-1: the inverses of 1, id, sigma_1, once per n."""
-    unit = [int(m == 1) for m in range(n + 1)]
-    return tuple(tuple(_dirichlet_divide(unit, f, n))
-                 for f in ([0] + [1] * n, range(n + 1), _sigma(n)))
+    """mu, mu id, sigma_1^-1: the inverses of 1, id, sigma_1, once per n.
+    mu by its sieve sum_{d|m} mu(d) = [m = 1]: mu(d) is final once its
+    proper divisors are spread; then sigma_1^-1 = mu * (mu id), as
+    sigma_1 = 1 * id."""
+    mu = [int(m == 1) for m in range(n + 1)]
+    for d in range(1, n // 2 + 1):
+        mu[2 * d::d] = [v - mu[d] for v in mu[2 * d::d]]
+    mu_id = [m * v for m, v in enumerate(mu)]
+    return tuple(mu), tuple(mu_id), tuple(_dirichlet(n, mu, mu_id))
 
 
 def integral(pairs, what: str) -> dict[int, int]:
@@ -244,35 +240,33 @@ def x_chart(a) -> list[int]:
 
 def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
     """x(q), u(q) = q d(log x)/dq and y0(x(q)) to q^order, integral, one
-    coefficient at a time from OPERATOR.  For X = x(q), R = X/q, V =
-    X/(1 - mu X), Y_i = (theta_x^i y0)(X) and Y_i log q + Z_i = (theta_x^i
-    y0 log q(x))(X): theta_q Y_i = u Y_{i+1}, Y_4 = V (p . Y), u Z_{i+1} =
-    Y_i + theta_q Z_i, Z_0 = 0, Z_4 = V (p . Z), theta_q R = (u - 1) R.  At
-    q^m, u_m enters Z_i as -m^(i-1) u_m, so the two Z_4 fix it; each
-    division by m or m^3 is exact (else SeriesError)."""
+    coefficient at a time from OPERATOR.  For X = x(q), Y_i = (theta_x^i
+    y0)(X) and Y_i log q + Z_i = (theta_x^i y0 log q(x))(X): theta_q Y_i =
+    u Y_{i+1}, Y_4 = X (P . Y), u Z_{i+1} = Y_i + theta_q Z_i, Z_0 = 0, Z_4 =
+    X (P . Z), theta_q X = u X.  As X(0) = 0, Y_4 and Z_4 at q^m read P . Y
+    and P . Z below m only.  At q^m, u_m enters Z_i as -m^(i-1) u_m, so the
+    two Z_4 fix it; each division by m or m^3 is exact (else SeriesError)."""
     if order < 1:
         raise SeriesError(f"order must be >= 1, not {order}")
-    mu, c = OPERATOR[0], OPERATOR[:0:-1]        # c[i]: theta^i in P
-    X, V, R, u = [0], [0], [1], [1]
+    c = OPERATOR[::-1]                          # c[i]: theta^i in P
+    X, u = [0, 1], [1]
     Y = [[1], [0], [0], [0], [0]]
     Z = [[0] * (order + 1), [1], [0], [0], [0]]
-    PY, PZ = [c[0]], [c[1]]                     # p . Y, p . Z
+    PY, PZ = [c[0]], [c[1]]                     # P . Y, P . Z
     for m in range(1, order + 1):
-        X.append(R[-1])
-        V.append(X[m] + mu * sum(map(mul, X[1:], V[::-1])))
-        Y[4].append(sum(map(mul, V[1:], PY[::-1])))
+        Y[4].append(sum(map(mul, X[1:], PY[::-1])))
         for i in (3, 2, 1, 0):
             Y[i].append(_quotient(sum(map(mul, u, Y[i + 1][:0:-1])), m))
         for i in range(4):                      # Z_{i+1} at u_m = 0
             Z[i + 1].append(Y[i][m] + m * Z[i][m]
                             - sum(map(mul, u[1:], Z[i + 1][:0:-1])))
-        u.append(_quotient(Z[4][m] - sum(map(mul, V[1:], PZ[::-1])), m ** 3))
+        u.append(_quotient(Z[4][m] - sum(map(mul, X[1:], PZ[::-1])), m ** 3))
         for i in range(1, 5):
             Z[i][m] -= m ** (i - 1) * u[m]
         PY.append(sum(map(mul, c, (y[m] for y in Y))))
         PZ.append(sum(map(mul, c, (z[m] for z in Z))))
-        R.append(_quotient(sum(map(mul, u[1:], R[::-1])), m))
-    return X, u, Y[0]
+        X.append(_quotient(sum(map(mul, u[1:], X[:0:-1])), m))
+    return X[:-1], u, Y[0]
 
 
 def mirror_map(order: int) -> tuple[list[int], ...]:

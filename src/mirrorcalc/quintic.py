@@ -28,12 +28,22 @@ class MirrorChart:
     u_of_q is q d(log x)/dq, the unit series carrying every rational
     multiple of log x through the q d/dq operator.  A record that trusts
     its arguments: ``kernels.mirror_map`` checks its period against the
-    Picard-Fuchs equation and solves both charts with exact divisions.
+    Picard-Fuchs equation and solves both charts with exact divisions;
+    ``q_nums`` hands the q-chart to the kernels only if it is integral.
     """
 
     def __init__(self, order, y0, q_of_x, x_of_q, u_of_q, y0_of_q):
         self.order, self.y0, self.q_of_x = order, y0, q_of_x
         self.x_of_q, self.u_of_q, self.y0_of_q = x_of_q, u_of_q, y0_of_q
+
+    def q_nums(self) -> tuple:
+        """The integral x_of_q, u_of_q and y0_of_q as the int numerators
+        the kernels read; a series with den != 1 raises SeriesError."""
+        for name in ("x_of_q", "u_of_q", "y0_of_q"):
+            if (den := getattr(self, name).den) != 1:
+                raise kernels.SeriesError(
+                    f"{name} must be integral, not over the denominator {den}")
+        return self.x_of_q.nums, self.u_of_q.nums, self.y0_of_q.nums
 
 
 def mirror_map(order: int) -> MirrorChart:
@@ -51,8 +61,9 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     Split as (50/12) u(q) minus L(f) = q f'/f of the unit series
     y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q): the q-chart
     log-derivatives of ``kernels.log_derivatives``, combined by
-    ``kernels.f1_log_derivative``; G(0) != 50/12 raises.
+    ``kernels.f1_log_derivative``; G(0) != 50/12 or a non-integral chart
+    series (``MirrorChart.q_nums``) raises.
     """
-    x, u, y = (s.nums for s in (chart.x_of_q, chart.u_of_q, chart.y0_of_q))
+    x, u, y = chart.q_nums()
     return ExactSeries.from_nums(*kernels.f1_log_derivative(
         u, kernels.log_derivatives(x, u, y)), "q")

@@ -240,10 +240,10 @@ class ExactSeries:
                                     for j in range(1, n - k + 1)]
         return ExactSeries.from_nums(acc, self.den * scale, inner.tag)
 
-    def reverse(self, *outer: "ExactSeries"):
-        """Compositional inverse g of f = a1 t + O(t^2), a1 != 0, or with
-        series f_1, ... the tuple (g, f_1(g), ...), all in this tag: each
-        ``compose`` in g = (t - (f - a1 t)(g)) / a1 fixes one more term."""
+    def reverse(self) -> "ExactSeries":
+        """Compositional inverse g of f = a1 t + O(t^2), a1 != 0, in this
+        tag: each ``compose`` in g = (t - (f - a1 t)(g)) / a1 fixes one
+        more term."""
         if self.nums[0]:
             raise CompositionError("reversion needs zero constant term")
         if self.order < 1 or not self.nums[1]:
@@ -252,4 +252,4 @@ class ExactSeries:
         g, rest = t / a1, self - t * a1
         for _ in range(self.order - 1):
             g = (t - rest.compose(g)) / a1
-        return (g, *(f.compose(g) for f in outer)) if outer else g
+        return g

@@ -696,22 +696,32 @@ class TestBcovFactor:
         assert (code, out) == (1, "")
         assert err.startswith("error: psi hits a divisor point")
 
-    @pytest.mark.parametrize("path, value", [
-        (("chi",), 200.9),
-        (("chi",), True),
-        (("chi",), "200"),
-        (("chi",), [1] * 20000),
-        (("odp_points", 0, "r"), 1.7),
-        (("odp_points", 1, "point", "root_of_unity"), [5.9, 1.2]),
-        (("xi_divisor", 0, "multiplicity"), 1.0),
-        (("xi_divisor", 0, "point", "value"), "nan"),
-        (("xi_divisor", 0, "point", "value"), "1e400"),
-        (("xi_divisor", 0, "point", "value"), "1.7e308+1.7e308i"),
+    @pytest.mark.parametrize("path, value, message", [
+        (("chi",), 200.9, None),
+        (("chi",), True, None),
+        (("chi",), "200", None),
+        (("chi",), [1] * 20000, None),
+        (("odp_points", 0, "r"), 1.7, None),
+        (("odp_points", 1, "point", "root_of_unity"), [5.9, 1.2], None),
+        (("xi_divisor", 0, "multiplicity"), 1.0, None),
+        (("xi_divisor", 0, "point", "value"), "nan", None),
+        (("xi_divisor", 0, "point", "value"), "1e400", None),
+        (("xi_divisor", 0, "point", "value"), "1.7e308+1.7e308i", None),
+        (("odp_points", 1, "point", "root_of_unity"), [0, 1],
+         "root order must be positive"),
+        (("odp_points", 1, "point", "root_of_unity"), [-5, 1],
+         "root order must be positive"),
+        (("ramification",), [{"point": {"value": "3"}, "r": 1}],
+         "ramification index must be >= 2"),
+        (("odp_points", 0, "r"), 0, "double-point index must be >= 1"),
+        (("xi_divisor", 0, "point"), "bogus", "unrecognized point: 'bogus'"),
     ], ids=["chi-float", "chi-bool", "chi-string", "chi-long-list",
             "r-float", "root-float",
             "multiplicity-float", "value-nan", "value-inf",
-            "value-modulus-overflow"])
-    def test_malformed_family_exits_1(self, capsys, tmp_path, path, value):
+            "value-modulus-overflow", "root-order-zero", "root-order-negative",
+            "ramification-below-2", "r-zero", "point-bogus"])
+    def test_malformed_family_exits_1(self, capsys, tmp_path, path, value,
+                                      message):
         doc = FamilyData.quintic_mirror().to_json_dict()
         target = doc
         for key in path[:-1]:
@@ -725,6 +735,8 @@ class TestBcovFactor:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert len(err) < 1024  # an echoed value is cut short
+        if message:
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["1 + 2x", True, [1, 2]],
                              ids=["word", "bool", "array"])

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -57,3 +57,18 @@ def test_big_dimension_exact():
     # (n+2)! overflows 64-bit integers near n = 18; stays exact here
     v = delta(25, 0)
     assert v == F(1, factorial(27))
+
+
+def paper_delta(n, p):
+    """The paper's sum, two powers per term:  (n+2)! delta(n, p) =
+    sum_{j=0}^{p} (-1)^j C(n+1, j) ((p-j+1)^{n+2} - (p-j)^{n+2})."""
+    return F(sum((-1) ** j * comb(n + 1, j) * ((p - j + 1) ** (n + 2)
+                                               - (p - j) ** (n + 2))
+                 for j in range(p + 1)), factorial(n + 2))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_row_matches_the_papers_sum(n):
+    want = [paper_delta(n, p) for p in range(n + 1)]
+    assert delta_row(n) == want
+    assert [delta(n, p) for p in range(n + 1)] == want

@@ -263,6 +263,17 @@ class TestF1:
     def test_random_integral_chart_matches_reference(self, chart):
         assert f1_log_derivative(chart) == f1_reference(chart)
 
+    @pytest.mark.parametrize("name", ["x_of_q", "u_of_q", "y0_of_q"])
+    def test_non_integral_chart_rejected(self, name):
+        """The kernels read numerators only: q^2/2 added to a chart series
+        must raise, not give a wrong G (x_of_q's would read -1000 at q)."""
+        chart = mirror_map(4)
+        bad = replace(chart, **{name: getattr(chart, name)
+                                + ExactSeries([0, 0, F(1, 2)], "q", 4)})
+        with pytest.raises(SeriesError, match=f"^{name} must be integral, "
+                           "not over the denominator 2$"):
+            f1_log_derivative(bad)
+
     def test_y0_of_q_must_be_unit(self):
         chart = mirror_map(4)
         with pytest.raises(NonUnitError):

@@ -196,19 +196,6 @@ def test_compose_reverse_roundtrip(a, linear):
     assert a.reverse().compose(a) == ident
 
 
-@settings(max_examples=40, deadline=None)
-@given(series_strategy(min_order=1, max_order=12),
-       rationals.filter(lambda c: c != 0),
-       st.lists(series_strategy(max_order=14), min_size=1, max_size=3))
-# a1 = 3/2 rescales to h = s + (8/9) s^2 + (8/9) s^3, so L = 9
-@example(S([0, 0, 2, 3]), F(3, 2), [S([F(1, 3), F(-5, 7), F(2, 9), 4, 1])])
-def test_reverse_transports_match_compose(a, linear, outer):
-    a = S([F(0), linear, *a.coeffs[2:]], order=a.order)
-    inverse, *transports = a.reverse(*outer)
-    assert inverse == a.reverse()
-    assert transports == [f.compose(inverse) for f in outer]
-
-
 # Integer series for the int kernels: order 0 up to long series, with
 # coefficients far beyond machine words.
 big_ints = st.integers(-2 ** 300, 2 ** 300)
@@ -328,12 +315,10 @@ def test_every_result_is_reduced_and_matches_fractions(a, b, k):
         (a.truncate(n - 1), A[:n]),
         (S(series_json(a.nums, a.den, "q")["coefficients"]), A),
     ]
-    inverse, *transports = inner.reverse(a, b)
+    inverse = inner.reverse()
     ident = [F(0), F(1)] + [F(0)] * (len(I) - 2)
     assert oracle_compose(I, list(inverse.coeffs)) == ident
-    cases += [(inverse, list(inverse.coeffs)),
-              *((t, oracle_compose(list(f.coeffs), list(inverse.coeffs)))
-                for t, f in zip(transports, (a, b)))]
+    cases.append((inverse, list(inverse.coeffs)))
     for got, want in cases:
         assert list(reduced(got).coeffs) == want
 
