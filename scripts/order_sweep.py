@@ -1,4 +1,5 @@
-"""Time the BCOV pipeline stage by stage over a fixed sweep of orders.
+"""Time the BCOV pipeline stage by stage over a fixed sweep of orders,
+and the lattice layer on fixed inputs.
 
     python3 scripts/order_sweep.py
 
@@ -8,15 +9,24 @@ makes, one stage each: ``q_chart``, ``f1_log_derivative``
 (``log_derivatives``, the q-chart log-derivatives that both genus stages
 read, and ``f1_log_derivative``), ``genus0_pipeline`` (``genus_zero``
 and ``instanton_numbers``) and ``extract_gv`` (``extract_n1`` and
-``extract_gv``).
-Per order it records each stage's wall time, the largest bit length of
-a coefficient of the integral x(q) (``max_coeff_bits``, as the
-benchmark's traced runs define it) and the process's peak RSS.
+``extract_gv``).  The child runs the pipeline once as a warm-up and then
+REPEATS times.  Per order it records each stage's median wall time under
+the stage's name and its lower and upper quartiles under
+``<stage>_quartiles``, the largest bit length of a coefficient of the
+integral x(q) (``max_coeff_bits``, as the benchmark's traced runs define
+it) and the process's peak RSS.
 
-The run is appended to ``BENCH_order_sweep.json`` at the repository
-root with its UTC start time and the SHA-256 of ``src/mirrorcalc``.
-Every run is kept, oldest first, so repeated runs of one source tree
-show the machine's run-to-run spread.
+The lattice layer runs in one more spawned process, with the same
+warm-up and repeats, on LATTICE_BATCH inputs per stage drawn from
+LATTICE_SEED: ``_det`` on symmetric and on general int matrices at each
+rank in LATTICE_RANKS, ``covolume`` at rank 4 and ``fhsv_covolume``.
+Each sample is the mean time per call over the batch, in microseconds.
+
+The runs are appended to ``BENCH_order_sweep.json`` and
+``BENCH_lattice.json`` at the repository root with their UTC start time
+and the SHA-256 of ``src/mirrorcalc``.  Every run is kept, oldest first,
+so repeated runs of one source tree show the machine's run-to-run
+spread.
 """
 
 import hashlib
@@ -24,7 +34,9 @@ import json
 import multiprocessing
 import os
 import platform
+import random
 import resource
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -34,12 +46,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))  # inherited by the spawned children
 OUT = ROOT / "BENCH_order_sweep.json"
+LATTICE_OUT = ROOT / "BENCH_lattice.json"
 ORDERS = (10, 30, 50, 100, 200, 300, 500)
+REPEATS = 5
+LATTICE_RANKS = (4, 8, 12, 16)
+LATTICE_BATCH = 20
+LATTICE_SEED = 7
 
 
-def measure(order: int) -> dict:
-    """Stage times in seconds, max_coeff_bits and peak RSS in MiB for
-    one pipeline run at ``order`` in this process."""
+def summarize(samples: list, digits: int) -> dict:
+    """Each key's median over the sample dicts, and its lower and upper
+    quartiles under ``<key>_quartiles``."""
+    out = {}
+    for name in samples[0]:
+        q1, median, q3 = statistics.quantiles(
+            [s[name] for s in samples], n=4, method="inclusive")
+        out[name] = round(median, digits)
+        out[f"{name}_quartiles"] = [round(q1, digits), round(q3, digits)]
+    return out
+
+
+def _pipeline(order: int) -> tuple:
+    """({stage: seconds}, max_coeff_bits) for one pipeline run."""
     from mirrorcalc import kernels as k
 
     times = {}
@@ -47,7 +75,7 @@ def measure(order: int) -> dict:
     def stage(name, fn, *args):
         start = time.perf_counter()
         result = fn(*args)
-        times[name] = round(time.perf_counter() - start, 6)
+        times[name] = time.perf_counter() - start
         return result
 
     x, u, y = stage("q_chart_s", k.q_chart, order)
@@ -57,14 +85,89 @@ def measure(order: int) -> dict:
                  lambda: k.instanton_numbers(*k.genus_zero(u, y, logs)))
     stage("extract_gv_s",
           lambda: k.extract_gv(k.extract_n1(*G, [0, *inst.values()], 1)))
-    bits = max(v.bit_length() for v in x)       # x(q) has denominator 1
+    return times, max(v.bit_length() for v in x)  # x(q) has denominator 1
+
+
+def measure(order: int) -> dict:
+    """Stage medians and quartiles in seconds over REPEATS runs after a
+    warm-up, max_coeff_bits and peak RSS in MiB, at ``order`` in this
+    process."""
+    _pipeline(order)
+    runs = [_pipeline(order) for _ in range(REPEATS)]
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {**times, "max_coeff_bits": bits, "peak_rss_mib": round(rss, 2)}
+    return {**summarize([t for t, _ in runs], 6),
+            "max_coeff_bits": runs[-1][1], "peak_rss_mib": round(rss, 2)}
 
 
-def _in_child(order: int) -> dict:
+def lattice_stages() -> dict:
+    """{stage: (function, its LATTICE_BATCH argument tuples)} on inputs
+    drawn from LATTICE_SEED."""
+    from mirrorcalc import lattice
+
+    rng = random.Random(LATTICE_SEED)
+    batch = range(LATTICE_BATCH)
+
+    def symmetric(n):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-5, 5)
+        return m
+
+    def cubic_lattice(rank):
+        while True:
+            entries = {(i, j, k): rng.randint(-3, 3) for i in range(rank)
+                       for j in range(i, rank) for k in range(j, rank)}
+            kappa = [rng.randint(-2, 2) for _ in range(rank)]
+            try:
+                return lattice.CubicLattice.from_entries(rank, entries, kappa)
+            except lattice.LatticeError:
+                pass
+
+    def kahler(A):
+        while True:
+            h = [rng.randint(1, 3), rng.randint(1, 3)] + [
+                rng.randint(-1, 1) for _ in range(8)]
+            if sum(h[i] * A[i][j] * h[j] for i in range(10)
+                   for j in range(10)) > 0:
+                return h
+
+    stages = {}
+    for n in LATTICE_RANKS:
+        stages[f"det_symmetric_r{n}_us"] = (
+            lattice._det, [(symmetric(n),) for _ in batch])
+        stages[f"det_general_r{n}_us"] = (lattice._det, [(
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)],)
+            for _ in batch])
+    stages["covolume_r4_us"] = (
+        lattice.covolume, [(cubic_lattice(4),) for _ in batch])
+    A = lattice.enriques_invariant_gram()
+    stages["fhsv_covolume_us"] = (
+        lattice.fhsv_covolume, [(A, kahler(A)) for _ in batch])
+    return stages
+
+
+def measure_lattice() -> dict:
+    """Per-call medians and quartiles in microseconds over REPEATS
+    passes through each lattice stage's batch, after a warm-up pass."""
+    stages = lattice_stages()
+
+    def sample():
+        times = {}
+        for name, (fn, args) in stages.items():
+            start = time.perf_counter()
+            for a in args:
+                fn(*a)
+            times[name] = (time.perf_counter() - start) / len(args) * 1e6
+        return times
+
+    sample()
+    return summarize([sample() for _ in range(REPEATS)], 2)
+
+
+def _in_child(fn, *args):
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        return pool.apply(measure, (order,))
+        return pool.apply(fn, args)
 
 
 def _src_sha256() -> str:
@@ -74,6 +177,13 @@ def _src_sha256() -> str:
     return digest.hexdigest()
 
 
+def _append(path: Path, head: dict, run: dict) -> None:
+    """Write ``head`` and the runs already in ``path`` plus ``run``."""
+    runs = json.loads(path.read_text())["runs"] if path.exists() else []
+    path.write_text(json.dumps({**head, "runs": runs + [run]}, indent=2)
+                    + "\n")
+
+
 def main() -> None:
     run = {
         "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -81,14 +191,17 @@ def main() -> None:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "orders": {},
+        "repeats": REPEATS,
     }
+    orders = {}
     for order in ORDERS:
-        run["orders"][str(order)] = _in_child(order)
-        print(order, run["orders"][str(order)], flush=True)
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    OUT.write_text(json.dumps({"orders": list(ORDERS), "runs": runs + [run]},
-                              indent=2) + "\n")
+        orders[str(order)] = _in_child(measure, order)
+        print(order, orders[str(order)], flush=True)
+    stages = _in_child(measure_lattice)
+    print("lattice", stages, flush=True)
+    _append(OUT, {"orders": list(ORDERS)}, {**run, "orders": orders})
+    _append(LATTICE_OUT, {"batch": LATTICE_BATCH, "seed": LATTICE_SEED},
+            {**run, "stages": stages})
 
 
 if __name__ == "__main__":

@@ -7,15 +7,14 @@ symbolically next to a rational mantissa; the (2pi)^-3 normalization of
 the cubic form is absorbed into that exponent, so cubic tensors are
 rational.
 
-The exact kernels run on Python ``int``: each rational input is scaled
-to integers over one common denominator once, and every determinant is
-_det, two-step fraction-free Bareiss elimination (Math. Comp. 22, 1968:
-one exact division per entry per two pivots).  _det eliminates a
-symmetric matrix (every Gram matrix here, and A and its rank-1 update)
-on its upper triangle, about half the entries of the full square that a
-basis change and its Cramer matrices take.  The L2 Gram matrix comes
-from one integer contraction of the cubic form with kappa, and a basis
-change contracts one tensor index at a time.
+The exact kernels run on Python ``int``, each input read once over one
+common denominator; determinants are two-step fraction-free Bareiss
+elimination (Math. Comp. 22, 1968: one exact division per entry per two
+pivots).  A symmetric matrix (every Gram matrix here, A and its rank-1
+update) is held and eliminated as its reversed upper-triangle rows, half
+the square that a basis change and its Cramer matrices take.  The Gram
+matrix is one integer contraction of the cubic form with kappa, a basis
+change contracts one index at a time, and Fractions are built on read.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
@@ -63,7 +63,9 @@ def _entry(x) -> Fraction:
 
 def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     """(D*M, D) for a rational matrix M given as a list of equally long
-    rows, D the least common denominator of its entries.
+    rows, D the least common denominator of its entries: all-int rows
+    are copied with D = 1, ints and Fractions go to ``inputs.scaled``,
+    and other entries to _entry first.
 
     Raises LatticeError for anything else: a non-list, a ragged
     matrix, or an entry that is not an int, a Fraction or a rational
@@ -74,9 +76,12 @@ def _integral(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
         raise LatticeError("expected a matrix given as a list of rows")
     if any(len(row) != len(rows[0]) for row in rows):
         raise LatticeError("matrix rows differ in length")
-    m, d = scaled([x if type(x) is int or type(x) is Fraction else _entry(x)
-                   for row in rows for x in row])
-    w = len(rows[0]) if rows else 0
+    flat = list(chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if kinds <= {int}:
+        return list(map(list, rows)), 1
+    m, d = scaled(flat if kinds <= {int, Fraction} else map(_entry, flat))
+    w = len(rows[0])
     return [m[i * w:(i + 1) * w] for i in range(len(rows))], d
 
 
@@ -85,11 +90,22 @@ def _symmetric(m: Sequence[Sequence[int]]) -> bool:
     return m == [*map(list, zip(*m))]
 
 
+def _triangle(m: Sequence[Sequence]) -> List[list]:
+    """The upper-triangle rows m[i][i:] of a square m, each reversed."""
+    return [row[:i - len(m) - 1:-1] for i, row in enumerate(m)]
+
+
+def _square(u: Sequence[Sequence]) -> Tuple[tuple, ...]:
+    """The symmetric matrix, tuple rows, whose _triangle is u."""
+    r = range(len(u))
+    return tuple(tuple(u[min(i, j)][~abs(i - j)] for j in r) for i in r)
+
+
 def _det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square int matrix; m is left unchanged and the
     0x0 determinant is 1.  A symmetric m (list rows) is eliminated on
     its upper triangle, any other on the full square."""
-    return _det_symmetric(m) if _symmetric(m) else _det_general(m)
+    return _det_symmetric(_triangle(m)) if _symmetric(m) else _det_general(m)
 
 
 def _det_general(m: Sequence[Sequence[int]]) -> int:
@@ -123,31 +139,25 @@ def _det_general(m: Sequence[Sequence[int]]) -> int:
     return sign * (m[0][0] if m else prev)
 
 
-def _det_symmetric(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a symmetric int matrix by the passes of
-    _det_general on the rows u[i] = m[i][i:] of its upper triangle, the
-    first two rows always the pivots: with pivot rows (a, b, p..) and
-    (b, d, q..), row i becomes (x c0 + p_j e1_i + q_j e2_i) / prev,
-    which is symmetric again.  When a leading 2x2 minor a d - b^2 is 0,
-    the remaining block T (its entries are bordered minors of m) goes
-    whole to _det_general, and det m = det T / prev^(len T - 1) exactly
-    by Sylvester's identity."""
-    u = [row[i:] for i, row in enumerate(m)]
+def _det_symmetric(u: Sequence[Sequence[int]]) -> int:
+    """Determinant of the symmetric int m whose _triangle is u by the
+    passes of _det_general, pivot rows (a, b, p..) and (b, d, q..) first:
+    row i becomes (x c0 + p_j e1_i + q_j e2_i) / prev, symmetric again;
+    ending on its diagonal, it zips with the tails of p and q it needs.
+    At a leading minor a d - b^2 = 0 the block T left (bordered minors of
+    m) goes to _det_general: det m = det T / prev^(len T - 1) (Sylvester)."""
     prev = 1
     while len(u) > 1:
-        (a, b, *p), (d, *q) = u[0], u[1]
+        (*p, b, a), (*q, d) = u[0], u[1]
         c0 = a * d - b * b
         if not c0:
-            n = len(u)
-            t = [[u[min(i, j)][abs(i - j)] for j in range(n)]
-                 for i in range(n)]
-            return _det_general(t) // prev ** (n - 1)
+            return _det_general(_square(u)) // prev ** (len(u) - 1)
         c0 //= prev
         u = [[(x * c0 + pj * e1 + qj * e2) // prev
-              for x, pj, qj in zip(row, p[k:], q[k:])]
-             for k, row in enumerate(u[2:])
-             for e1, e2 in [((b * q[k] - d * p[k]) // prev,
-                             (b * p[k] - a * q[k]) // prev)]]
+              for x, pj, qj in zip(row, p, q)]
+             for row, pk, qk in zip(u[2:], reversed(p), reversed(q))
+             for e1, e2 in [((b * qk - d * pk) // prev,
+                             (b * pk - a * qk) // prev)]]
         prev = c0
     return u[0][0] if u else prev
 
@@ -231,17 +241,9 @@ class CubicLattice:
 
     def c(self, a: Vector, b: Vector, g: Vector) -> Fraction:
         """Trilinear evaluation of the cubic form."""
-        total = Fraction(0)
-        for i in range(self.rank):
-            if not a[i]:
-                continue
-            for j in range(self.rank):
-                if not b[j]:
-                    continue
-                row = self.cubic[i][j]
-                total += a[i] * b[j] * sum(
-                    row[k] * g[k] for k in range(self.rank) if g[k])
-        return total
+        r = range(self.rank)
+        return sum((a[i] * b[j] * sum(map(mul, self.cubic[i][j], g))
+                    for i in r if a[i] for j in r if b[j]), Fraction(0))
 
     def basis_change(self, U: Sequence[Sequence[int]]) -> "CubicLattice":
         """Lattice in the new basis e'_j = sum_i U[i][j] e_i; kappa is
@@ -267,10 +269,11 @@ class CubicLattice:
         for _ in range(3):
             t = [[[sum(map(mul, tij, col)) for tij in ti] for ti in t]
                  for col in cols]
+        # t is totally symmetric: one Fraction per distinct value
         den = d * du ** 3
+        f = {x: Fraction(x, den) for p in t for row in p for x in row}
         return CubicLattice(rank=r,
-                            cubic=tuple(tuple(tuple(Fraction(x, den)
-                                                    for x in row)
+                            cubic=tuple(tuple(tuple(map(f.get, row))
                                               for row in p) for p in t),
                             kappa=tuple(kappa_new))
 
@@ -278,22 +281,28 @@ class CubicLattice:
 @dataclass(frozen=True)
 class GramResult:
     """Gram matrix of the integral basis under the L2 pairing (rational
-    part; the global pi power is tracked in covolume) and its Gram
-    determinant as an exact pi-scaled value.
-    """
+    part; the global pi power is tracked in covolume), kept as an int
+    _triangle over a denominator per row in lowest terms, ``gram``
+    building its Fractions on each read; and its Gram determinant as an
+    exact pi-scaled value."""
 
-    gram: Tuple[Tuple[Fraction, ...], ...]
+    rows: Tuple[Tuple[int, ...], ...]
+    dens: Tuple[int, ...]
     covolume: PiScaled
 
+    @property
+    def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return _square([[Fraction(x, e) for x in row]
+                        for row, e in zip(self.rows, self.dens)])
 
-def _gram_result(N: List[List[int]], dens: List[int]) -> GramResult:
-    """The Gram matrix whose row i is row i of the int matrix N over
-    dens[i], and its covolume det * (2 pi)^(-3r), r = len(N)."""
-    r = len(N)
-    det = Fraction(_det(N), prod(dens) * 8 ** r)
-    return GramResult(gram=tuple(tuple(Fraction(x, e) for x in row)
-                                 for row, e in zip(N, dens)),
-                      covolume=PiScaled(det, -3 * r))
+
+def _gram_result(u: List[List[int]], dens: List[int]) -> GramResult:
+    """The symmetric Gram matrix whose _triangle row i is u[i] over
+    dens[i] > 0, and its covolume det * (2 pi)^(-3r), r = len(u)."""
+    r, g = len(u), [gcd(e, *row) for row, e in zip(u, dens)]
+    rows = tuple(tuple(x // k for x in row) for row, k in zip(u, g))
+    return GramResult(rows, tuple(e // k for e, k in zip(dens, g)), PiScaled(
+        Fraction(_det_symmetric(u), prod(dens) * 8 ** r), -3 * r))
 
 
 def l2_pairing(L: CubicLattice, a: Vector, b: Vector) -> Fraction:
@@ -323,8 +332,8 @@ def covolume(L: CubicLattice) -> GramResult:
     M = [[sum(map(mul, row, k)) for row in p] for p in t]
     v = [sum(map(mul, row, k)) for row in M]
     c = sum(map(mul, v, k))
-    N = [[3 * vi * vj - 2 * c * mij for vj, mij in zip(v, row)]
-         for vi, row in zip(v, M)]
+    N = [[3 * vi * vj - 2 * c * mij for vj, mij in zip(v[::-1], row)]
+         for vi, row in zip(v, _triangle(M))]
     return _gram_result(N, [2 * c * d * dk] * r)
 
 
@@ -333,7 +342,10 @@ def _int_pairing(A: Sequence[Sequence], h: Sequence):
     scaled to integers, A_i = D A and h_i = c h, with a = A_i h_i and
     s = h_i^T A_i h_i (so A h = a / (D c) and h^T A h = s / (D c^2)).
     """
-    (Ai, d), ((hi,), c) = _integral(A), _integral([h])
+    Ai, d = _integral(A)
+    if not isinstance(h, (list, tuple)):
+        raise LatticeError("h must be a list of entries")
+    (hi,), c = _integral([h])
     n = len(Ai)
     if any(len(row) != n for row in Ai):
         raise LatticeError("A must be square")
@@ -357,14 +369,15 @@ def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
     Ai, _, _, a, s = _int_pairing(A, h)
     if not _symmetric(Ai):
         raise LatticeError("A must be symmetric")
-    det_a = _det(Ai)
+    u = _triangle(Ai)
+    det_a = _det_symmetric(u)
     if not det_a:
         raise LatticeError("A must be invertible")
     if not s:
         raise LatticeError("h^T A h must be nonzero")
-    B = [[s * x - 2 * ai * aj for x, aj in zip(row, a)]
-         for row, ai in zip(Ai, a)]
-    return _det(B) == -s ** len(Ai) * det_a
+    B = [[s * x - 2 * ai * aj for x, aj in zip(row, a[::-1])]
+         for row, ai in zip(u, a)]
+    return _det_symmetric(B) == -s ** len(u) * det_a
 
 
 def fhsv_covolume(A: Sequence[Sequence[int]],
@@ -383,14 +396,15 @@ def fhsv_covolume(A: Sequence[Sequence[int]],
         raise LatticeError("A must be 10x10")
     if not _symmetric(Ai):
         raise LatticeError("A must be symmetric")
-    if _det(Ai) != -(2 ** 10) * d ** 10:  # det(D A) = D^10 det A
+    u = _triangle(Ai)
+    if _det_symmetric(u) != -(2 ** 10) * d ** 10:  # det(D A) = D^10 det A
         raise LatticeError("det A must equal -2^10")
     if s <= 0:
         raise LatticeError("h^T A h must be positive")
     # Gram rows are N's over 2 D s (<e_i,H><e_j,H>/<H,H> - <e_i,e_j>/2 =
     # (2 a_i a_j - s A_i[i][j]) / (2 D s)), the last over 4 D c^2 (<H,H>/4).
-    N = [[2 * ai * aj - s * x for x, aj in zip(row, a)] + [0]
-         for row, ai in zip(Ai, a)] + [[0] * 10 + [s]]
+    N = [[0] + [2 * ai * aj - s * x for x, aj in zip(row, a[::-1])]
+         for row, ai in zip(u, a)] + [[s]]
     result = _gram_result(N, [2 * d * s] * 10 + [4 * d * c * c])
     expected = PiScaled(Fraction(s, d * c * c * 2 ** 35), -33)
     if result.covolume != expected:

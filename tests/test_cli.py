@@ -420,17 +420,24 @@ class TestLatticeCommands:
     def test_fhsv_computes_the_covolume_once(self, capsys, tmp_path,
                                              monkeypatch):
         # one rank-11 covolume: det A and the Gram determinant
-        from mirrorcalc import lattice
-        calls = []
-        det = lattice._det
-        monkeypatch.setattr(lattice, "_det",
-                            lambda m: calls.append(len(m)) or det(m))
+        from test_lattice import gauss_det, spy_kernels
+        seen = spy_kernels(monkeypatch)
         gram = tmp_path / "gram.json"
         gram.write_text(json.dumps(enriques_invariant_gram()))
         code, _, _ = invoke(capsys, "fhsv", "--gram", str(gram),
                             "--h", json.dumps([1, 1] + [0] * 8))
         assert code == 0
-        assert calls == [10, 11]
+        assert [len(m) for _, m, _ in seen] == [10, 11]
+        for _, m, det in seen:
+            assert det == gauss_det(m)
+
+    @pytest.mark.parametrize("h", ['"abc"', "null", "1"])
+    def test_fhsv_h_not_a_list(self, capsys, tmp_path, h):
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps(enriques_invariant_gram()))
+        code, out, err = invoke(capsys, "fhsv", "--gram", str(gram), "--h", h)
+        assert (code, out) == (1, "")
+        assert err == "error: h must be a list of entries\n"
 
     def test_fhsv_bad_gram(self, capsys, tmp_path):
         gram = tmp_path / "gram.json"

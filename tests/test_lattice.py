@@ -1,6 +1,8 @@
+import enum
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 from operator import mul
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mirrorcalc import lattice
+from mirrorcalc.inputs import exact
 from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det, _det,
                                 l2_pairing, covolume, fhsv_covolume,
                                 fhsv_volume, fhsv_constant,
@@ -130,16 +133,19 @@ def symmetric_int_matrices(draw, max_n=6):
     return m
 
 
-def spy_paths(monkeypatch):
-    """(path, size) for every call of the two elimination kernels from
-    now on, in call order."""
+def spy_kernels(monkeypatch):
+    """[path, m, det] for every call of the two elimination kernels from
+    now on, in call order: m the matrix as a full square (the symmetric
+    kernel's _triangle squared up) and det what the kernel returned."""
     seen = []
-    for path in ("symmetric", "general"):
+    for path, square in (("symmetric", lattice._square), ("general", list)):
         kernel = getattr(lattice, f"_det_{path}")
-        monkeypatch.setattr(
-            lattice, f"_det_{path}",
-            lambda m, path=path, kernel=kernel:
-                seen.append((path, len(m))) or kernel(m))
+
+        def spy(m, path=path, kernel=kernel, square=square):
+            seen.append(call := [path, [list(row) for row in square(m)]])
+            call.append(kernel(m))
+            return call[2]
+        monkeypatch.setattr(lattice, f"_det_{path}", spy)
     return seen
 
 
@@ -160,14 +166,6 @@ def gauss_det(m):
             f = row[k] / m[k][k]
             row[k:] = [x - f * y for x, y in zip(row[k:], m[k][k:])]
     return det
-
-
-def spy_det(monkeypatch):
-    """Every matrix handed to lattice._det from now on, in call order."""
-    seen, det = [], lattice._det
-    monkeypatch.setattr(lattice, "_det",
-                        lambda m: seen.append([row[:] for row in m]) or det(m))
-    return seen
 
 
 def symmetric_rank1_input(rng, n):
@@ -290,19 +288,30 @@ class TestDet:
          [10, 11]),
     ], ids=["rank1-update", "fhsv-h-1-1", "fhsv-h-2-3-0-1"])
     def test_caller_matrices(self, monkeypatch, caller, args, sizes):
-        """The matrices the callers hand to _det: A_i and s A_i - 2 a a^T
-        of rank1_update_det_check, and the Enriques Gram (zero leading
-        diagonal) and 11x11 FHSV Gram (zero mixed column) of
-        fhsv_covolume."""
+        """The matrices the callers eliminate, and their determinants:
+        A_i and s A_i - 2 a a^T of rank1_update_det_check, and the
+        Enriques Gram (zero leading diagonal) and 11x11 FHSV Gram (zero
+        mixed column) of fhsv_covolume."""
         args = args()
-        seen = spy_det(monkeypatch)
+        seen = spy_kernels(monkeypatch)
         caller(*args)
-        assert [len(m) for m in seen] == sizes
-        for m in seen:
-            assert _det(m) == gauss_det(m)
+        assert [len(m) for _, m, _ in seen] == sizes
+        for _, m, det in seen:
+            assert det == gauss_det(m)
 
 
 class TestSymmetricDet:
+    @settings(max_examples=50, deadline=None)
+    @given(symmetric_int_matrices())
+    def test_triangle_round_trip(self, m):
+        """_triangle keeps row i from the diagonal on, reversed, and
+        _square restores the whole symmetric matrix from it."""
+        n, u = len(m), lattice._triangle(m)
+        assert [len(row) for row in u] == list(range(n, 0, -1))
+        assert [row[-1] for row in u] == [m[i][i] for i in range(n)]
+        assert [row[0] for row in u] == [m[i][-1] for i in range(n)]
+        assert [list(row) for row in lattice._square(u)] == m
+
     @settings(max_examples=150, deadline=None)
     @given(symmetric_int_matrices())
     def test_matches_leibniz(self, m):
@@ -342,9 +351,9 @@ class TestSymmetricDet:
         """A symmetric list-row matrix takes the upper-triangle kernel
         and hands the block left at a vanishing leading 2x2 minor to the
         general one; every other matrix takes the general one."""
-        seen = spy_paths(monkeypatch)
+        seen = spy_kernels(monkeypatch)
         assert _det(m) == det == gauss_det(m)
-        assert seen == paths
+        assert [(path, len(m)) for path, m, _ in seen] == paths
 
     @pytest.mark.parametrize("caller, args, paths", [
         (rank1_update_det_check,
@@ -362,9 +371,9 @@ class TestSymmetricDet:
         """Every Gram matrix, A and its rank-1 update are symmetric; a
         basis change's U and its Cramer matrices are not."""
         args = args()
-        seen = spy_paths(monkeypatch)
+        seen = spy_kernels(monkeypatch)
         caller(*args)
-        assert seen == paths
+        assert [(path, len(m)) for path, m, _ in seen] == paths
 
 
 class TestL2Pairing:
@@ -671,6 +680,8 @@ class TestFHSV:
         block = fhsv_covolume(self.A, h)
         assert general.gram == block.gram
         assert general.covolume == block.covolume
+        # built from different int rows, equal as Gram matrices
+        assert general == block and hash(general) == hash(block)
 
     def test_pi_scaled_json(self):
         assert (PiScaled(F(-3, 4), -33).to_json_dict()
@@ -718,9 +729,11 @@ class TestRank1Update:
         """det(s A_i - 2 a a^T) is eliminated, not taken from the
         determinant lemma that the check is there to confirm."""
         A, h = symmetric_rank1_input(random.Random(n), n)
-        seen = spy_det(monkeypatch)
+        seen = spy_kernels(monkeypatch)
         assert rank1_update_det_check(A, h)
-        assert [len(m) for m in seen] == [n, n]
+        assert [len(m) for _, m, _ in seen] == [n, n]
+        for _, m, det in seen:
+            assert det == gauss_det(m)
 
     def test_preconditions(self):
         with pytest.raises(LatticeError):
@@ -736,7 +749,7 @@ class TestRank1Update:
     def test_non_symmetric_rejected(self, monkeypatch, A):
         """An invertible A that is not symmetric would give a wrong a =
         A h; it is refused before any determinant is taken."""
-        seen = spy_det(monkeypatch)
+        seen = spy_kernels(monkeypatch)
         with pytest.raises(LatticeError, match="A must be symmetric"):
             rank1_update_det_check(A, [1] + [0] * (len(A) - 1))
         assert seen == [] and bareiss_det(A)
@@ -744,3 +757,93 @@ class TestRank1Update:
     def test_symmetric_once_scaled(self):
         """Entries written differently but equal as rationals."""
         assert rank1_update_det_check([["1/2", F(1, 3)], ["2/6", 2]], [1, 0])
+
+    @pytest.mark.parametrize("h", ["abc", None, 1, F(1)])
+    def test_h_not_a_list_rejected(self, h):
+        with pytest.raises(LatticeError, match="^h must be a list of entries"):
+            rank1_update_det_check([[1, 0], [0, -1]], h)
+
+
+class Two(enum.IntEnum):
+    TWO = 2
+
+
+def scaled_per_entry(rows):
+    """(D*M, D) by inputs.exact on each entry, then each entry times D."""
+    m = [[exact(x) for x in row] for row in rows]
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[int(x * d) for x in row] for row in m], d
+
+
+def written_as(m, kind):
+    """The int matrix m with its entries written as one kind: ints, ints
+    and Fractions (every other entry), rational strings (each over 3),
+    tuple rows, or ints with each 2 an IntEnum member."""
+    if kind == "int":
+        return [row[:] for row in m]
+    if kind == "int-and-fraction":
+        return [[F(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+                for i, row in enumerate(m)]
+    if kind == "string":
+        return [[f"{3 * x}/3" for x in row] for row in m]
+    if kind == "tuple-rows":
+        return [tuple(row) for row in m]
+    assert any(2 in row for row in m)
+    return [[Two.TWO if x == 2 else x for x in row] for row in m]
+
+
+# caller: (the call on a matrix, an int matrix it accepts)
+ENTRY_CALLERS = {
+    "bareiss_det": (bareiss_det, [[2, 1, 3], [0, 2, 5], [1, 4, 2]]),
+    "rank1_update_det_check": (
+        lambda A: rank1_update_det_check(A, [1, 0, 0, 1]),
+        [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]),
+    "fhsv_covolume": (lambda A: fhsv_covolume(A, [2, 1] + [0] * 8),
+                      enriques_invariant_gram()),
+    "basis_change": (
+        lambda U: random_lattice(random.Random(4)).basis_change(U),
+        [[1, 2, 0], [0, 1, 0], [2, 3, 1]]),
+}
+
+
+class TestEntryKinds:
+    """Every caller reads its matrix through _integral, which picks its
+    path by the set of entry types; each way of writing the same matrix
+    gives the integers and result that inputs.exact and a per-entry
+    scaling give, and True or a float is refused whatever the path."""
+
+    @pytest.mark.parametrize("kind", ["int", "int-and-fraction", "string",
+                                      "tuple-rows", "int-enum"])
+    @pytest.mark.parametrize("caller", ENTRY_CALLERS)
+    def test_same_matrix_same_result(self, monkeypatch, caller, kind):
+        call, m = ENTRY_CALLERS[caller]
+        written = written_as(m, kind)
+        scaled, scaled_calls = lattice.scaled, []
+        monkeypatch.setattr(lattice, "scaled", lambda coeffs: scaled_calls
+                            .append(1) or scaled(coeffs))
+        ints, d = lattice._integral(written)
+        # an all-int matrix is copied; any other goes through scaled
+        assert scaled_calls == ([] if kind in ("int", "tuple-rows") else [1])
+        assert (ints, d) == scaled_per_entry(written) == (m, 1)
+        assert all(type(x) is int for row in ints for x in row)
+        assert call(written) == call([[F(x) for x in row] for row in m])
+
+    def test_rational_entries(self):
+        """An int, Fractions, rational strings and an IntEnum member in
+        one matrix with denominators 2, 3, 4 and 6."""
+        m = [[F(1, 2), 3, "2/3"], [0, Two.TWO, F(5, 4)], ["-1/6", 1, 2]]
+        ints, d = lattice._integral(m)
+        assert (ints, d) == scaled_per_entry(m)
+        assert d == 12 and bareiss_det(m) == gauss_det(ints) / d ** 3
+
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    @pytest.mark.parametrize("caller", ENTRY_CALLERS)
+    def test_refused(self, caller, bad):
+        call, m = ENTRY_CALLERS[caller]
+        for kind in ("int", "int-and-fraction", "string"):
+            written = written_as(m, kind)
+            written[0] = [bad, *written[0][1:]]
+            with pytest.raises(LatticeError, match=re.escape(
+                    f"entry {bad!r} is not an int, a Fraction or a "
+                    "rational string")):
+                call(written)
