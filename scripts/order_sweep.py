@@ -1,5 +1,5 @@
 """Time the BCOV pipeline stage by stage over a fixed sweep of orders,
-and the lattice layer on fixed inputs.
+and the lattice and modular layers on fixed inputs.
 
     python3 scripts/order_sweep.py
 
@@ -22,11 +22,17 @@ LATTICE_SEED: ``_det`` on symmetric and on general int matrices at each
 rank in LATTICE_RANKS, ``covolume`` at rank 4 and ``fhsv_covolume``.
 Each sample is the mean time per call over the batch, in microseconds.
 
-The runs are appended to ``BENCH_order_sweep.json`` and
-``BENCH_lattice.json`` at the repository root with their UTC start time
-and the SHA-256 of ``src/mirrorcalc``.  Every run is kept, oldest first,
-so repeated runs of one source tree show the machine's run-to-run
-spread.
+The modular layer runs the same way in one more spawned process:
+``eta_series`` and ``delta_series`` LATTICE_BATCH times at each order in
+MODULAR_ORDERS, and ``petersson_delta`` once at each of LATTICE_BATCH
+points tau of the strip |Re tau| <= 1/2, 0.01 <= Im tau <= 2, drawn from
+LATTICE_SEED.
+
+The runs are appended to ``BENCH_order_sweep.json``,
+``BENCH_lattice.json`` and ``BENCH_modular.json`` at the repository root
+with their UTC start time and the SHA-256 of ``src/mirrorcalc``.  Every
+run is kept, oldest first, so repeated runs of one source tree show the
+machine's run-to-run spread.
 """
 
 import hashlib
@@ -47,11 +53,13 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))  # inherited by the spawned children
 OUT = ROOT / "BENCH_order_sweep.json"
 LATTICE_OUT = ROOT / "BENCH_lattice.json"
+MODULAR_OUT = ROOT / "BENCH_modular.json"
 ORDERS = (10, 30, 50, 100, 200, 300, 500)
 REPEATS = 5
 LATTICE_RANKS = (4, 8, 12, 16)
 LATTICE_BATCH = 20
 LATTICE_SEED = 7
+MODULAR_ORDERS = (10, 30, 50, 100, 150)
 
 
 def summarize(samples: list, digits: int) -> dict:
@@ -147,10 +155,27 @@ def lattice_stages() -> dict:
     return stages
 
 
-def measure_lattice() -> dict:
+def modular_stages(orders) -> dict:
+    """{stage: (function, its LATTICE_BATCH argument tuples)}: the eta and
+    Delta series at each order, and the Petersson norm at points drawn
+    from LATTICE_SEED."""
+    from mirrorcalc import modular
+
+    rng = random.Random(LATTICE_SEED)
+    stages = {}
+    for name in ("eta_series", "delta_series"):
+        for n in orders:
+            stages[f"{name}_o{n}_us"] = (
+                getattr(modular, name), [(n,)] * LATTICE_BATCH)
+    stages["petersson_delta_us"] = (modular.petersson_delta, [
+        (complex(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 2.0)),)
+        for _ in range(LATTICE_BATCH)])
+    return stages
+
+
+def measure_stages(stages: dict) -> dict:
     """Per-call medians and quartiles in microseconds over REPEATS
-    passes through each lattice stage's batch, after a warm-up pass."""
-    stages = lattice_stages()
+    passes through each stage's batch, after a warm-up pass."""
 
     def sample():
         times = {}
@@ -163,6 +188,16 @@ def measure_lattice() -> dict:
 
     sample()
     return summarize([sample() for _ in range(REPEATS)], 2)
+
+
+def measure_lattice() -> dict:
+    """``measure_stages`` on the lattice stages."""
+    return measure_stages(lattice_stages())
+
+
+def measure_modular(orders) -> dict:
+    """``measure_stages`` on the modular stages at ``orders``."""
+    return measure_stages(modular_stages(orders))
 
 
 def _in_child(fn, *args):
@@ -199,9 +234,14 @@ def main() -> None:
         print(order, orders[str(order)], flush=True)
     stages = _in_child(measure_lattice)
     print("lattice", stages, flush=True)
+    modular = _in_child(measure_modular, MODULAR_ORDERS)
+    print("modular", modular, flush=True)
     _append(OUT, {"orders": list(ORDERS)}, {**run, "orders": orders})
     _append(LATTICE_OUT, {"batch": LATTICE_BATCH, "seed": LATTICE_SEED},
             {**run, "stages": stages})
+    _append(MODULAR_OUT, {"batch": LATTICE_BATCH, "seed": LATTICE_SEED,
+                          "orders": list(MODULAR_ORDERS)},
+            {**run, "stages": modular})
 
 
 if __name__ == "__main__":

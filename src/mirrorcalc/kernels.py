@@ -241,11 +241,12 @@ def x_chart(a) -> list[int]:
 def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
     """x(q), u(q) = q d(log x)/dq and y0(x(q)) to q^order, integral, one
     coefficient at a time from OPERATOR.  For X = x(q), Y_i = (theta_x^i
-    y0)(X) and Y_i log q + Z_i = (theta_x^i y0 log q(x))(X): theta_q Y_i =
-    u Y_{i+1}, Y_4 = X (P . Y), u Z_{i+1} = Y_i + theta_q Z_i, Z_0 = 0, Z_4 =
-    X (P . Z), theta_q X = u X.  As X(0) = 0, Y_4 and Z_4 at q^m read P . Y
-    and P . Z below m only.  At q^m, u_m enters Z_i as -m^(i-1) u_m, so the
-    two Z_4 fix it; each division by m or m^3 is exact (else SeriesError)."""
+    y0)(X) and Y_i log q + Z_i = (theta_x^i y0 log q(x))(X), each level F has
+    theta_q F_i = u F_{i+1} - S_i and F_4 = X (P . F), S = 0 for Y, Y for Z.
+    At q^m one downward step per level reads P . F below m (X(0) = 0), then
+    m F_i = (u F_{i+1})_m - S_i for i = 3, 2, 1 (and 0 for Y), free of u_m
+    as F_{i+1}(0) = 0; Z_0 = 0 and Z_1(0) = 1 give u_m = Y_0,m - sum_{k<m}
+    u_k Z_1,m-k.  Each division by m is exact (else SeriesError)."""
     if order < 1:
         raise SeriesError(f"order must be >= 1, not {order}")
     c = OPERATOR[::-1]                          # c[i]: theta^i in P
@@ -254,15 +255,13 @@ def q_chart(order: int) -> tuple[list[int], list[int], list[int]]:
     Z = [[0] * (order + 1), [1], [0], [0], [0]]
     PY, PZ = [c[0]], [c[1]]                     # P . Y, P . Z
     for m in range(1, order + 1):
-        Y[4].append(sum(map(mul, X[1:], PY[::-1])))
-        for i in (3, 2, 1, 0):
-            Y[i].append(_quotient(sum(map(mul, u, Y[i + 1][:0:-1])), m))
-        for i in range(4):                      # Z_{i+1} at u_m = 0
-            Z[i + 1].append(Y[i][m] + m * Z[i][m]
-                            - sum(map(mul, u[1:], Z[i + 1][:0:-1])))
-        u.append(_quotient(Z[4][m] - sum(map(mul, X[1:], PZ[::-1])), m ** 3))
-        for i in range(1, 5):
-            Z[i][m] -= m ** (i - 1) * u[m]
+        for F, PF, S in (Y, PY, [Z[0]] * 4), (Z, PZ, Y):    # S = 0 for Y
+            F[4].append(sum(map(mul, X[1:], PF[::-1])))
+            for i in (3, 2, 1):
+                F[i].append(_quotient(
+                    sum(map(mul, u, F[i + 1][:0:-1])) - S[i][m], m))
+        Y[0].append(_quotient(sum(map(mul, u, Y[1][:0:-1])), m))
+        u.append(Y[0][m] - sum(map(mul, u, Z[1][:0:-1])))
         PY.append(sum(map(mul, c, (y[m] for y in Y))))
         PZ.append(sum(map(mul, c, (z[m] for z in Z))))
         X.append(_quotient(sum(map(mul, u[1:], X[:0:-1])), m))

@@ -1,6 +1,6 @@
 """``scripts/order_sweep.py`` measures the pipeline stages and the
-lattice layer it names; small inputs in process keep it in step with the
-package."""
+lattice and modular layers it names; small inputs in process keep it in
+step with the package."""
 
 import importlib.util
 import json
@@ -13,6 +13,11 @@ STAGES = ["extract_gv_s", "f1_log_derivative_s", "genus0_pipeline_s",
 LATTICE_STAGES = (
     [f"det_{path}_r{n}_us" for path in ("symmetric", "general")
      for n in (4, 8, 12, 16)] + ["covolume_r4_us", "fhsv_covolume_us"])
+
+
+def modular_stages(orders):
+    return [f"{name}_o{n}_us" for name in ("eta_series", "delta_series")
+            for n in orders] + ["petersson_delta_us"]
 
 
 def load():
@@ -70,6 +75,29 @@ def test_lattice_inputs_are_fixed_and_take_both_paths(monkeypatch):
             assert len(m) == n and not lattice._symmetric(m)
 
 
+def test_measure_modular(monkeypatch):
+    module = load()
+    monkeypatch.setattr(module, "LATTICE_BATCH", 2)
+    row = module.measure_modular((4, 9))
+    assert sorted(k for k in row if not k.endswith("_quartiles")) == sorted(
+        modular_stages((4, 9)))
+    assert_summary(row, modular_stages((4, 9)))
+
+
+def test_modular_inputs_are_fixed_and_in_the_strip():
+    """Every order of the sweep is timed on both series, and the seeded
+    points tau are the same on every call, distinct, and in the strip."""
+    module = load()
+    assert module.MODULAR_ORDERS == (10, 30, 50, 100, 150)
+    stages = module.modular_stages(module.MODULAR_ORDERS)
+    assert sorted(stages) == sorted(modular_stages(module.MODULAR_ORDERS))
+    assert repr(stages) == repr(module.modular_stages(module.MODULAR_ORDERS))
+    assert stages["delta_series_o150_us"][1] == [(150,)] * 20
+    taus = [tau for (tau,) in stages["petersson_delta_us"][1]]
+    assert len(set(taus)) == 20
+    assert all(abs(t.real) <= 0.5 and 0.01 <= t.imag <= 2 for t in taus)
+
+
 def test_every_run_is_kept(tmp_path, monkeypatch):
     """Two runs of one source tree are two records in each file, each
     timestamped."""
@@ -79,6 +107,8 @@ def test_every_run_is_kept(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "order_sweep", module)
     monkeypatch.setattr(module, "OUT", tmp_path / "sweep.json")
     monkeypatch.setattr(module, "LATTICE_OUT", tmp_path / "lattice.json")
+    monkeypatch.setattr(module, "MODULAR_OUT", tmp_path / "modular.json")
+    monkeypatch.setattr(module, "MODULAR_ORDERS", (3,))
     monkeypatch.setattr(module, "ORDERS", (2,))
     module.main()
     module.main()
@@ -93,3 +123,10 @@ def test_every_run_is_kept(tmp_path, monkeypatch):
         r["src_sha256"] for r in runs]
     for r in lattice["runs"]:
         assert_summary(r["stages"], LATTICE_STAGES)
+    modular = json.loads((tmp_path / "modular.json").read_text())
+    assert (modular["seed"], modular["batch"], modular["orders"]) == (
+        7, 20, [3])
+    assert [r["src_sha256"] for r in modular["runs"]] == [
+        r["src_sha256"] for r in runs]
+    for r in modular["runs"]:
+        assert_summary(r["stages"], modular_stages((3,)))

@@ -146,6 +146,15 @@ class TestMirrorMap:
         assert 1 - 3125 * x_q == ExactSeries(
             [1, -3125], tag="x", order=order).compose(x_q)
 
+    @pytest.mark.parametrize("order", [1, 2, 8, 41, 60])
+    def test_u_is_log_derivative_of_x(self, order):
+        """u(q) = q d(log x)/dq = 1 + L(x/q), L(f) = q f'/f taken from its
+        definition on ExactSeries; x/q is known to q^(order - 1) only."""
+        x, u, _ = kernels.q_chart(order)
+        f = ExactSeries(x[1:], tag="q")
+        qf = ExactSeries([n * c for n, c in enumerate(x[1:])], tag="q")
+        assert ExactSeries(u, tag="q").truncate(order - 1) == 1 + qf / f
+
     def test_order_precondition(self):
         with pytest.raises(SeriesError):
             mirror_map(0)
@@ -194,7 +203,8 @@ class TestMirrorMap:
         operator = list(kernels.OPERATOR)
         operator[entry] += step
         monkeypatch.setattr(kernels, "OPERATOR", tuple(operator))
-        with pytest.raises(SeriesError, match="remainder"):
+        with pytest.raises(SeriesError, match="^the chart solve divides by 2 "
+                           "with a remainder$"):
             kernels.q_chart(12)
         with pytest.raises(SeriesError, match="^the period y0 fails its "
                            "Picard-Fuchs equation$"):
