@@ -1,38 +1,51 @@
 """Time the BCOV pipeline stage by stage over a fixed sweep of orders,
-and the lattice and modular layers on fixed inputs.
+and the lattice, modular and genus-one layers on fixed inputs.
 
     python3 scripts/order_sweep.py
 
-Each order in ORDERS runs in a freshly spawned process on the ``src/``
-next to this script, through the ``kernels`` calls that ``extract-gw``
-makes, one stage each: ``q_chart``, ``f1_log_derivative``
-(``log_derivatives``, the q-chart log-derivatives that both genus stages
-read, and ``f1_log_derivative``), ``genus0_pipeline`` (``genus_zero``
-and ``instanton_numbers``) and ``extract_gv`` (``extract_n1`` and
-``extract_gv``).  The child runs the pipeline once as a warm-up and then
-REPEATS times.  Per order it records each stage's median wall time under
-the stage's name and its lower and upper quartiles under
-``<stage>_quartiles``, the largest bit length of a coefficient of the
-integral x(q) (``max_coeff_bits``, as the benchmark's traced runs define
-it) and the process's peak RSS.
+The sweep is REPEATS passes over its jobs: each order in ORDERS, then
+each layer group.  Every job runs once per pass in a freshly spawned
+process on the ``src/`` next to this script, which warms up and then
+takes one sample, so a slow spell of the machine falls on one sample of
+each job rather than on every sample of one.  Each stage key holds the
+median over the passes and ``<stage>_quartiles`` the lower and upper
+quartiles.
 
-The lattice layer runs in one more spawned process, with the same
-warm-up and repeats, on LATTICE_BATCH inputs per stage drawn from
-LATTICE_SEED: ``_det`` on symmetric and on general int matrices at each
-rank in LATTICE_RANKS, ``covolume`` at rank 4 and ``fhsv_covolume``.
-Each sample is the mean time per call over the batch, in microseconds.
+Each order runs through the ``kernels`` calls that ``extract-gw`` makes,
+one stage each: ``q_chart``, ``f1_log_derivative`` (``log_derivatives``,
+the q-chart log-derivatives that both genus stages read, and
+``f1_log_derivative``), ``genus0_pipeline`` (``genus_zero`` and
+``instanton_numbers``) and ``extract_gv`` (``extract_n1`` and
+``extract_gv``), after one warm-up run of the pipeline.  Per order it
+also records the largest bit length of a coefficient of the integral
+x(q) (``max_coeff_bits``, as the benchmark's traced runs define it) and
+the largest peak RSS of its processes.
 
-The modular layer runs the same way in one more spawned process:
-``eta_series`` and ``delta_series`` LATTICE_BATCH times at each order in
-MODULAR_ORDERS, and ``petersson_delta`` once at each of LATTICE_BATCH
-points tau of the strip |Re tau| <= 1/2, 0.01 <= Im tau <= 2, drawn from
-LATTICE_SEED.
+The lattice layer runs on LATTICE_BATCH inputs per stage drawn from
+LATTICE_SEED: the two elimination kernels at each rank in LATTICE_RANKS,
+``_det_symmetric`` on the upper triangle of symmetric int matrices
+(``_triangle`` included, as ``bareiss_det`` calls it) and
+``_det_general`` on general ones, ``covolume`` at rank 4 and
+``fhsv_covolume``.  Each group takes one warm-up pass over its stages,
+then one sample: the mean time per call over the batch, in microseconds.
+
+The modular layer: ``eta_series`` and ``delta_series`` LATTICE_BATCH
+times at each order in MODULAR_ORDERS, and ``petersson_delta`` once at
+each of LATTICE_BATCH points tau of the strip |Re tau| <= 1/2,
+0.01 <= Im tau <= 2, drawn from LATTICE_SEED.
+
+The genus-one layer: ``lambert_series``, ``eta_product_log_derivative``
+and ``extract_n1`` LATTICE_BATCH times at each order in GENUS_ONE_ORDERS,
+on one table drawn from LATTICE_SEED as perfbench's ``eta-lambert`` draws
+it, cut to the order.  Each form runs on a fresh ``GWTable`` of the same
+columns, so that each call pays the table's scaling.
 
 The runs are appended to ``BENCH_order_sweep.json``,
-``BENCH_lattice.json`` and ``BENCH_modular.json`` at the repository root
-with their UTC start time and the SHA-256 of ``src/mirrorcalc``.  Every
-run is kept, oldest first, so repeated runs of one source tree show the
-machine's run-to-run spread.
+``BENCH_lattice.json``, ``BENCH_modular.json`` and
+``BENCH_genus_one.json`` at the repository root with their UTC start
+time and the SHA-256 of ``src/mirrorcalc``.  Every run is kept, oldest
+first, so repeated runs of one source tree show the machine's run-to-run
+spread.
 """
 
 import hashlib
@@ -46,6 +59,7 @@ import statistics
 import sys
 import time
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,12 +68,14 @@ sys.path.insert(0, str(SRC))  # inherited by the spawned children
 OUT = ROOT / "BENCH_order_sweep.json"
 LATTICE_OUT = ROOT / "BENCH_lattice.json"
 MODULAR_OUT = ROOT / "BENCH_modular.json"
+GENUS_ONE_OUT = ROOT / "BENCH_genus_one.json"
 ORDERS = (10, 30, 50, 100, 200, 300, 500)
 REPEATS = 5
 LATTICE_RANKS = (4, 8, 12, 16)
 LATTICE_BATCH = 20
 LATTICE_SEED = 7
 MODULAR_ORDERS = (10, 30, 50, 100, 150)
+GENUS_ONE_ORDERS = (10, 30, 50, 100)
 
 
 def summarize(samples: list, digits: int) -> dict:
@@ -97,14 +113,22 @@ def _pipeline(order: int) -> tuple:
 
 
 def measure(order: int) -> dict:
-    """Stage medians and quartiles in seconds over REPEATS runs after a
-    warm-up, max_coeff_bits and peak RSS in MiB, at ``order`` in this
-    process."""
+    """One sample at ``order`` in this process, after a warm-up run: each
+    stage's wall time in seconds, max_coeff_bits and peak RSS in MiB."""
     _pipeline(order)
-    runs = [_pipeline(order) for _ in range(REPEATS)]
+    times, bits = _pipeline(order)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {**summarize([t for t, _ in runs], 6),
-            "max_coeff_bits": runs[-1][1], "peak_rss_mib": round(rss, 2)}
+    return {**times, "max_coeff_bits": bits, "peak_rss_mib": round(rss, 2)}
+
+
+def summarize_pipeline(samples: list) -> dict:
+    """``summarize`` on the stage times of ``measure`` samples, with the
+    last sample's max_coeff_bits and the largest peak RSS."""
+    extra = ("max_coeff_bits", "peak_rss_mib")
+    return {**summarize([{k: v for k, v in s.items() if k not in extra}
+                         for s in samples], 6),
+            "max_coeff_bits": samples[-1]["max_coeff_bits"],
+            "peak_rss_mib": max(s["peak_rss_mib"] for s in samples)}
 
 
 def lattice_stages() -> dict:
@@ -143,8 +167,9 @@ def lattice_stages() -> dict:
     stages = {}
     for n in LATTICE_RANKS:
         stages[f"det_symmetric_r{n}_us"] = (
-            lattice._det, [(symmetric(n),) for _ in batch])
-        stages[f"det_general_r{n}_us"] = (lattice._det, [(
+            lambda m: lattice._det_symmetric(lattice._triangle(m)),
+            [(symmetric(n),) for _ in batch])
+        stages[f"det_general_r{n}_us"] = (lattice._det_general, [(
             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)],)
             for _ in batch])
     stages["covolume_r4_us"] = (
@@ -173,9 +198,38 @@ def modular_stages(orders) -> dict:
     return stages
 
 
+def genus_one_stages(orders) -> dict:
+    """{stage: (function, its LATTICE_BATCH argument tuples)}: both
+    genus-one forms and ``extract_n1`` at each order, on N0 and N1 = p/q,
+    p in [-400, 400], q in [1, 12], at degrees 1..max(orders), drawn from
+    LATTICE_SEED and cut to the order.  Each form is called on a fresh
+    ``GWTable`` of the same columns; ``extract_n1`` reads the Lambert
+    series of the table."""
+    from mirrorcalc import gw
+
+    rng = random.Random(LATTICE_SEED)
+    top = max(orders)
+    n0, n1 = ({d: Fraction(rng.randint(-400, 400), rng.randint(1, 12))
+               for d in range(1, top + 1)} for _ in range(2))
+
+    def on_fresh_table(form):
+        return lambda n0, n1, n: form(gw.GWTable(n, n0, n1), n)
+
+    stages = {}
+    for n in orders:
+        cut = [{d: col[d] for d in range(1, n + 1)} for col in (n0, n1)]
+        for form in (gw.lambert_series, gw.eta_product_log_derivative):
+            stages[f"{form.__name__}_o{n}_us"] = (
+                on_fresh_table(form), [(*cut, n)] * LATTICE_BATCH)
+        G = gw.lambert_series(gw.GWTable(n, *cut), n)
+        stages[f"extract_n1_o{n}_us"] = (
+            gw.extract_n1, [(G, cut[0])] * LATTICE_BATCH)
+    return stages
+
+
 def measure_stages(stages: dict) -> dict:
-    """Per-call medians and quartiles in microseconds over REPEATS
-    passes through each stage's batch, after a warm-up pass."""
+    """One sample in this process after a warm-up pass: the mean time
+    per call over each stage's batch, in microseconds."""
 
     def sample():
         times = {}
@@ -187,7 +241,7 @@ def measure_stages(stages: dict) -> dict:
         return times
 
     sample()
-    return summarize([sample() for _ in range(REPEATS)], 2)
+    return sample()
 
 
 def measure_lattice() -> dict:
@@ -200,9 +254,24 @@ def measure_modular(orders) -> dict:
     return measure_stages(modular_stages(orders))
 
 
+def measure_genus_one(orders) -> dict:
+    """``measure_stages`` on the genus-one stages at ``orders``."""
+    return measure_stages(genus_one_stages(orders))
+
+
 def _in_child(fn, *args):
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         return pool.apply(fn, args)
+
+
+def _passes(jobs: dict) -> dict:
+    """{job: its REPEATS samples} for jobs {job: (function, *args)}: one
+    pass over all the jobs after another, each job in a fresh child."""
+    samples = {job: [] for job in jobs}
+    for _ in range(REPEATS):
+        for job, (fn, *args) in jobs.items():
+            samples[job].append(_in_child(fn, *args))
+    return samples
 
 
 def _src_sha256() -> str:
@@ -228,20 +297,27 @@ def main() -> None:
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
     }
-    orders = {}
-    for order in ORDERS:
-        orders[str(order)] = _in_child(measure, order)
-        print(order, orders[str(order)], flush=True)
-    stages = _in_child(measure_lattice)
-    print("lattice", stages, flush=True)
-    modular = _in_child(measure_modular, MODULAR_ORDERS)
-    print("modular", modular, flush=True)
+    samples = _passes({
+        **{order: (measure, order) for order in ORDERS},
+        "lattice": (measure_lattice,),
+        "modular": (measure_modular, MODULAR_ORDERS),
+        "genus_one": (measure_genus_one, GENUS_ONE_ORDERS)})
+    orders = {str(order): summarize_pipeline(samples[order])
+              for order in ORDERS}
+    stages, modular, genus_one = (summarize(samples[group], 2) for group in
+                                  ("lattice", "modular", "genus_one"))
+    for name, row in [*orders.items(), ("lattice", stages),
+                      ("modular", modular), ("genus_one", genus_one)]:
+        print(name, row, flush=True)
     _append(OUT, {"orders": list(ORDERS)}, {**run, "orders": orders})
     _append(LATTICE_OUT, {"batch": LATTICE_BATCH, "seed": LATTICE_SEED},
             {**run, "stages": stages})
     _append(MODULAR_OUT, {"batch": LATTICE_BATCH, "seed": LATTICE_SEED,
                           "orders": list(MODULAR_ORDERS)},
             {**run, "stages": modular})
+    _append(GENUS_ONE_OUT, {"batch": LATTICE_BATCH, "seed": LATTICE_SEED,
+                            "orders": list(GENUS_ONE_ORDERS)},
+            {**run, "stages": genus_one})
 
 
 if __name__ == "__main__":

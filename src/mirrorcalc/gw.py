@@ -4,10 +4,10 @@ extraction of the degree-d exponents N1(d), and the standard
 genus-zero pipeline producing N0(d).  Each genus-one stage is one
 two-pair Dirichlet convolution, h = f * g + f2 * g2, on int columns
 over one denominator: the table's columns, scaled once per table,
-against order columns memoised per order, or, to extract N1, G and N0
-against the inverses sigma_1^-1 and mu id.  The kernels live in
-``kernels``, and the functions here check and wrap them; the CLI runs
-the kernels itself and loads no part of this module.
+against the form's column, memoised per order, and U = -sum q^m, or,
+to extract N1, G and N0 against the inverses sigma_1^-1 and mu id.  The
+kernels live in ``kernels``, and the functions here check and wrap them;
+the CLI runs the kernels itself and loads no part of this module.
 
 The genus-zero formulas (Yukawa coupling, multicover rule) are standard
 literature imports, isolated in genus0_pipeline and anchored by the
@@ -25,7 +25,7 @@ from typing import Mapping
 
 from . import kernels
 from .inputs import scaled
-from .kernels import SeriesError, _dirichlet, _sigma
+from .kernels import SeriesError, _dirichlet
 from .series import ExactSeries, _exact
 
 
@@ -80,12 +80,13 @@ class GWTable:
                         for col in (n0, n1)))
 
 
-def _genus_one(table: GWTable, order: int, E, U) -> ExactSeries:
-    """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for int
-    columns E, U, in one sweep over the table's columns (degrees past
-    order are not read; from_nums reduces away the lcd of the unread)."""
+def _genus_one(table: GWTable, order: int, E) -> ExactSeries:
+    """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for the form's
+    int column E and U = q (1-q)'/(1-q) = -sum_{m>=1} q^m, which both forms
+    share, in one sweep over the table's columns (degrees past order are
+    not read; from_nums reduces away the lcd of the unread)."""
     A, B, lcd = table._columns
-    out = _dirichlet(order, A, E, B, U)
+    out = _dirichlet(order, A, E, B, [0] + [-1] * order)
     p, q = kernels.LOG_X_MULTIPLE
     out[0] = 6 * p // q * lcd                   # 6 * 50/12 = 25
     return ExactSeries.from_nums(out, 6 * lcd, "q")
@@ -98,22 +99,19 @@ def _check_order(order) -> None:
 
 
 @cache
-def _eta_columns(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _eta_column(order: int) -> tuple[int, ...]:
     """E = q eta'/eta from the pentagonal ``modular.eta_series`` by the
-    O(n^2) solver, and U = q (1-q)'/(1-q) = -sum_{m>=1} q^m, which is
-    ``_lambert_columns``' second column: integral, to q^order, once per
-    order, as tuples that no caller can alter."""
+    O(n^2) solver: integral, to q^order, once per order, as a tuple that
+    no caller can alter."""
     from .modular import eta_series
 
-    E, _ = kernels.log_derivative(eta_series(order).nums)
-    return tuple(E), _lambert_columns(order)[1]
+    return tuple(kernels.log_derivative(eta_series(order).nums)[0])
 
 
 @cache
-def _lambert_columns(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """-sigma_1 and the constant -1, to q^order, once per order, as tuples
-    read as ``_eta_columns`` is read."""
-    return tuple(-v for v in _sigma(order)), (0, *[-1] * order)
+def _lambert_column(order: int) -> tuple[int, ...]:
+    """-sigma_1 = (-1) * id, to q^order, once per order, as a tuple."""
+    return tuple(_dirichlet(order, [0] + [-1] * order, range(order + 1)))
 
 
 def lambert_series(table: GWTable, order: int) -> ExactSeries:
@@ -124,7 +122,7 @@ def lambert_series(table: GWTable, order: int) -> ExactSeries:
     -sum_{d|m} (2d sigma_1(m/d) N1(d) + d N0(d)/6).
     """
     _check_order(order)
-    return _genus_one(table, order, *_lambert_columns(order))
+    return _genus_one(table, order, _lambert_column(order))
 
 
 def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
@@ -133,12 +131,12 @@ def eta_product_log_derivative(table: GWTable, order: int) -> ExactSeries:
 
     The fractional power q^{25/12} contributes the constant 2*(25/12).
     Each factor f(q^d) contributes d (q f'/f)(q^d), read from the
-    logarithmic derivatives E of eta and U of 1 - q, ``_eta_columns``.
+    logarithmic derivatives E of eta, ``_eta_column``, and U of 1 - q.
     E comes from the pentagonal eta series, never from sigma_1, so that
     agreement with lambert_series checks q eta'/eta = -sum sigma_1 q^m.
     """
     _check_order(order)
-    return _genus_one(table, order, *_eta_columns(order))
+    return _genus_one(table, order, _eta_column(order))
 
 
 def extract_n1(G: ExactSeries, n0: Mapping[int, Fraction]) -> GWTable:

@@ -138,12 +138,6 @@ def _dirichlet(n: int, f, g, f2=(), g2=()) -> list[int]:
 
 
 @cache
-def _sigma(n: int) -> tuple[int, ...]:
-    """sigma_1(m), m = 1..n, as 1 * id: once per n, as a tuple."""
-    return tuple(_dirichlet(n, [0] + [1] * n, range(n + 1)))
-
-
-@cache
 def _inverses(n: int) -> tuple[tuple[int, ...], ...]:
     """mu, mu id, sigma_1^-1: the inverses of 1, id, sigma_1, once per n.
     mu by its sieve sum_{d|m} mu(d) = [m = 1]: mu(d) is final once its

@@ -101,13 +101,6 @@ def _square(u: Sequence[Sequence]) -> Tuple[tuple, ...]:
     return tuple(tuple(u[min(i, j)][~abs(i - j)] for j in r) for i in r)
 
 
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square int matrix; m is left unchanged and the
-    0x0 determinant is 1.  A symmetric m (list rows) is eliminated on
-    its upper triangle, any other on the full square."""
-    return _det_symmetric(_triangle(m)) if _symmetric(m) else _det_general(m)
-
-
 def _det_general(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square int matrix by two-step fraction-free
     Bareiss elimination.  Each pass takes pivot rows (a, b, y1..), a != 0,
@@ -163,13 +156,14 @@ def _det_symmetric(u: Sequence[Sequence[int]]) -> int:
 
 
 def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant _det(D*M) / D^n, D the least common
-    denominator of the entries of M.  The 0x0 determinant is 1."""
+    """Exact determinant det(D*M) / D^n, D the lcd of M's entries; D*M is
+    eliminated on its upper triangle when symmetric.  0x0 gives 1."""
     m, d = _integral(matrix)
     n = len(m)
     if any(len(row) != n for row in m):
         raise LatticeError("matrix must be square")
-    return Fraction(_det(m), d ** n)
+    det = _det_symmetric(_triangle(m)) if _symmetric(m) else _det_general(m)
+    return Fraction(det, d ** n)
 
 
 def _integral_lattice(L: "CubicLattice") -> Tuple[list, int, List[int], int]:
@@ -254,14 +248,14 @@ class CubicLattice:
         u, du = _integral(U)
         if len(u) != r or any(len(row) != r for row in u):
             raise LatticeError(f"U must be square, {r}x{r}: the rank is {r}")
-        det_u = _det(u)
+        det_u = _det_general(u)
         if not det_u:
             raise LatticeError("singular basis-change matrix")
         t, d, k, dk = _integral_lattice(self)
         # kappa'_j = det(U with column j replaced by kappa) / det U, which
         # on U = u/du and kappa = k/dk is det(u, column j := k) du / (det u dk)
-        kappa_new = [Fraction(_det([[*row[:j], kj, *row[j + 1:]]
-                                    for row, kj in zip(u, k)]) * du,
+        kappa_new = [Fraction(_det_general([[*row[:j], kj, *row[j + 1:]]
+                                            for row, kj in zip(u, k)]) * du,
                               det_u * dk) for j in range(r)]
         cols = list(zip(*u))
         # Each pass contracts the last index with U and moves it to the
@@ -271,7 +265,8 @@ class CubicLattice:
                  for col in cols]
         # t is totally symmetric: one Fraction per distinct value
         den = d * du ** 3
-        f = {x: Fraction(x, den) for p in t for row in p for x in row}
+        f = {x: Fraction(x, den)
+             for x in {x for p in t for row in p for x in row}}
         return CubicLattice(rank=r,
                             cubic=tuple(tuple(tuple(map(f.get, row))
                                               for row in p) for p in t),

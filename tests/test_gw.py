@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from mirrorcalc import kernels, modular
 from mirrorcalc.gw import (GWTable, lambert_series, eta_product_log_derivative,
-                           extract_n1, genus0_pipeline, _eta_columns)
+                           extract_n1, genus0_pipeline, _eta_column,
+                           _lambert_column)
 from mirrorcalc.inputs import n0_map_from_json_dict, scaled
-from mirrorcalc.kernels import (ExtractionError, _dirichlet, _inverses,
-                               _sigma)
+from mirrorcalc.kernels import ExtractionError, _dirichlet, _inverses
 from mirrorcalc.quintic import mirror_map, f1_log_derivative
 from mirrorcalc.schubert import count_lines
 from mirrorcalc.series import ExactSeries, SeriesError
@@ -357,7 +357,7 @@ class TestIntegerKernels:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 12, 60, 300])
     def test_sigma_sieve(self, n):
-        sigma = _sigma(n)
+        sigma = [-v for v in _lambert_column(n)]
         assert list(sigma[1:]) == [sigma1(m) for m in range(1, n + 1)]
         delta = [int(m == 1) for m in range(n + 1)]
         assert _dirichlet(n, sigma, _inverses(n)[2]) == delta
@@ -395,11 +395,11 @@ def test_eta_product_reads_the_eta_series(monkeypatch):
         return ExactSeries(coeffs, tag="q", order=order)
 
     monkeypatch.setattr(modular, "eta_series", wrong_eta_series)
-    _eta_columns.cache_clear()          # the columns are built once per order
+    _eta_column.cache_clear()           # the column is built once per order
     try:
         wrong = eta_product_log_derivative(t, 10)
     finally:
-        _eta_columns.cache_clear()
+        _eta_column.cache_clear()
     assert wrong != right
     assert wrong != lambert_series(t, 10)
 
@@ -442,7 +442,7 @@ def test_dirichlet_matches_double_sum(case):
     """The hyperbola split against the naive double sum, n = 0..80
     (perfect squares and n <= 3 among them), for one pair (None) or two:
     f and f2 shorter than n and either shorter than the other, g and g2
-    longer than n or a range, as ``_sigma`` passes it."""
+    longer than n or a range, as ``_lambert_column`` passes it."""
     n, f, g, pair = case
     want = naive_dirichlet(f, g, n)
     if pair is None:
@@ -460,11 +460,18 @@ def fresh_eta_columns(order):
     return E.nums, U.nums
 
 
+def order_columns(order):
+    """sigma_1, E and U as the genus-one forms read them: -sigma_1 and E
+    from their memos, U as ``gw._genus_one`` passes it."""
+    sigma = tuple(-v for v in _lambert_column(order))
+    return sigma, (_eta_column(order), (0, *[-1] * order))
+
+
 class TestOrderColumns:
     @pytest.mark.parametrize("order", [0, 1, 24, 300])
     def test_columns_are_tuples_equal_to_a_fresh_build(self, order):
-        sigma, (E, U) = _sigma(order), _eta_columns(order)
-        assert (type(sigma), type(E), type(U)) == (tuple, tuple, tuple)
+        sigma, (E, U) = order_columns(order)
+        assert (type(_lambert_column(order)), type(E)) == (tuple, tuple)
         assert sigma == tuple([0] + [sigma1(m) for m in range(1, order + 1)])
         assert (E, U[:order + 1]) == fresh_eta_columns(order)
         # mu, mu id, sigma_1^-1 invert 1, id, sigma_1: f * inverse = unit
@@ -477,9 +484,8 @@ class TestOrderColumns:
 
     def test_orders_interleave(self):
         for order in (24, 10, 24):
-            assert _sigma(order)[1:] == tuple(sigma1(m)
-                                             for m in range(1, order + 1))
-            E, U = _eta_columns(order)
+            sigma, (E, U) = order_columns(order)
+            assert sigma[1:] == tuple(sigma1(m) for m in range(1, order + 1))
             assert (E, U[:order + 1]) == fresh_eta_columns(order)
 
     def test_second_call_rebuilds_nothing(self, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mirrorcalc import lattice
 from mirrorcalc.inputs import exact
-from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det, _det,
+from mirrorcalc.lattice import (CubicLattice, PiScaled, bareiss_det,
                                 l2_pairing, covolume, fhsv_covolume,
                                 fhsv_volume, fhsv_constant,
                                 fhsv_constant_check, rank1_update_det_check,
@@ -245,7 +245,7 @@ class TestDet:
     @settings(max_examples=150, deadline=None)
     @given(int_matrices())
     def test_matches_leibniz(self, m):
-        det = _det(m)
+        det = lattice._det_general(m)
         assert type(det) is int
         assert det == leibniz_det(m)
 
@@ -253,13 +253,14 @@ class TestDet:
     @given(int_matrices(max_n=13))
     def test_matches_fraction_gauss(self, m):
         """Sizes up to 13, where Leibniz is too slow."""
-        assert _det(m) == gauss_det(m)
+        assert lattice._det_general(m) == gauss_det(m)
 
     @settings(max_examples=50, deadline=None)
     @given(int_matrices())
     def test_argument_unchanged(self, m):
         before = [row[:] for row in m]
-        _det(m)
+        lattice._det_general(m)
+        bareiss_det(m)
         assert m == before
 
     @pytest.mark.parametrize("m, det", [
@@ -276,7 +277,7 @@ class TestDet:
             "second-pivot-above", "proportional-columns",
             "proportional-in-second-pass", "odd-size"])
     def test_permutations_and_pivots(self, m, det):
-        assert _det(m) == det == gauss_det(m)
+        assert lattice._det_general(m) == bareiss_det(m) == det == gauss_det(m)
 
     @pytest.mark.parametrize("caller, args, sizes", [
         (rank1_update_det_check,
@@ -315,7 +316,7 @@ class TestSymmetricDet:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_int_matrices())
     def test_matches_leibniz(self, m):
-        det = _det(m)
+        det = lattice._det_symmetric(lattice._triangle(m))
         assert type(det) is int
         assert det == leibniz_det(m)
 
@@ -324,7 +325,8 @@ class TestSymmetricDet:
     def test_matches_fraction_gauss(self, m):
         """Sizes up to 13, where Leibniz is too slow."""
         before = [row[:] for row in m]
-        assert _det(m) == gauss_det(m)
+        assert lattice._det_symmetric(lattice._triangle(m)) == gauss_det(m)
+        assert bareiss_det(m) == gauss_det(m)
         assert m == before
 
     @pytest.mark.parametrize("m, det, paths", [
@@ -342,17 +344,18 @@ class TestSymmetricDet:
         ([], 1, [("symmetric", 0)]),
         ([[-7]], -7, [("symmetric", 1)]),
         (enriques_invariant_gram(), -(2 ** 10), [("symmetric", 10)]),
-        (((1, 2), (2, 5)), 1, [("general", 2)]),
+        (((1, 2), (2, 5)), 1, [("symmetric", 2)]),
         ([[1, 2], [3, 5]], -1, [("general", 2)]),
     ], ids=["no-nonzero-2x2-minor", "zero-minor-in-second-pass",
             "singular", "singular-at-first-pass", "0x0", "1x1", "enriques",
             "tuple-rows", "not-symmetric"])
     def test_paths(self, monkeypatch, m, det, paths):
-        """A symmetric list-row matrix takes the upper-triangle kernel
-        and hands the block left at a vanishing leading 2x2 minor to the
-        general one; every other matrix takes the general one."""
+        """bareiss_det sends a symmetric matrix, tuple rows included (it
+        reads rows as lists), to the upper-triangle kernel, which hands the
+        block left at a vanishing leading 2x2 minor to the general one;
+        every other matrix takes the general one."""
         seen = spy_kernels(monkeypatch)
-        assert _det(m) == det == gauss_det(m)
+        assert bareiss_det(m) == det == gauss_det(m)
         assert [(path, len(m)) for path, m, _ in seen] == paths
 
     @pytest.mark.parametrize("caller, args, paths", [
@@ -374,6 +377,34 @@ class TestSymmetricDet:
         seen = spy_kernels(monkeypatch)
         caller(*args)
         assert [(path, len(m)) for path, m, _ in seen] == paths
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(int_matrices(), symmetric_int_matrices()))
+    def test_bareiss_det_takes_the_symmetric_kernel_iff_symmetric(self, m):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_kernels(mp)
+            assert bareiss_det(m) == gauss_det(m)
+        if m == [list(col) for col in zip(*m)] or not m:
+            assert seen[0][0] == "symmetric"
+        else:
+            assert [path for path, _, _ in seen] == ["general"]
+
+    @pytest.mark.parametrize("U", [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+        random_unimodular(random.Random(4), 3),
+    ], ids=["identity", "symmetric", "general"])
+    def test_basis_change_never_tests_symmetry(self, monkeypatch, U):
+        """U and its Cramer matrices are general by construction: even a
+        symmetric U goes straight to the general kernel."""
+        tested, real = [], lattice._symmetric
+        monkeypatch.setattr(lattice, "_symmetric",
+                            lambda m: tested.append(m) or real(m))
+        seen = spy_kernels(monkeypatch)
+        random_lattice(random.Random(9)).basis_change(U)
+        assert tested == []
+        assert [path for path, _, _ in seen] == ["general"] * 4
 
 
 class TestL2Pairing:
@@ -515,6 +546,31 @@ class TestCovolume:
                             lambda *args: calls.append(1) or c(*args))
         L.basis_change(random_unimodular(random.Random(8), 4))
         assert calls == []
+
+
+    @pytest.mark.parametrize("rank, seed", [(3, 1), (3, 2), (4, 3), (4, 4)])
+    def test_basis_change_builds_one_fraction_per_value(self, monkeypatch,
+                                                        rank, seed):
+        """At most one Fraction per distinct value of the new tensor and
+        one per entry of kappa', and the lattice of the definitions:
+        c'(a, b, g) = c(U e_a, U e_b, U e_g), kappa' by Cramer's rule."""
+        rng = random.Random(seed)
+        L, U = random_lattice(rng, rank), random_unimodular(rng, rank)
+        built, new = [], F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: (
+            built.append(args) or new(cls, *args, **kwargs)))
+        L2 = L.basis_change(U)
+        monkeypatch.undo()
+        values = {x for p in L2.cubic for row in p for x in row}
+        assert len(built) <= len(values) + rank
+        r = range(rank)
+        cols = [[U[i][j] for i in r] for j in r]
+        assert L2.cubic == tuple(tuple(tuple(
+            L.c(cols[a], cols[b], cols[g]) for g in r) for b in r) for a in r)
+        det_u = leibniz_det(U)
+        assert L2.kappa == tuple(leibniz_det([[*row[:j], k, *row[j + 1:]]
+                                              for row, k in zip(U, L.kappa)])
+                                 / det_u for j in r)
 
 
 class TestKernelsAgainstDefinitions:

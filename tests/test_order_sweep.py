@@ -1,13 +1,15 @@
 """``scripts/order_sweep.py`` measures the pipeline stages and the
-lattice and modular layers it names; small inputs in process keep it in
-step with the package."""
+lattice, modular and genus-one layers it names; small inputs in process
+keep it in step with the package."""
 
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "order_sweep.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "order_sweep.py"
 STAGES = ["extract_gv_s", "f1_log_derivative_s", "genus0_pipeline_s",
           "q_chart_s"]
 LATTICE_STAGES = (
@@ -18,6 +20,16 @@ LATTICE_STAGES = (
 def modular_stages(orders):
     return [f"{name}_o{n}_us" for name in ("eta_series", "delta_series")
             for n in orders] + ["petersson_delta_us"]
+
+
+def genus_one_stages(orders):
+    return [f"{name}_o{n}_us" for n in orders for name in (
+        "lambert_series", "eta_product_log_derivative", "extract_n1")]
+
+
+def arguments(stages):
+    """Each stage's argument tuples, without its function."""
+    return repr({name: args for name, (_, args) in stages.items()})
 
 
 def load():
@@ -37,11 +49,17 @@ def assert_summary(row, stages):
 
 
 def test_measure_small_order():
-    row = load().measure(5)
+    module = load()
+    samples = [module.measure(5) for _ in range(3)]
+    for sample in samples:
+        assert sorted(sample) == sorted(
+            STAGES + ["max_coeff_bits", "peak_rss_mib"])
+    row = module.summarize_pipeline(samples)
     assert sorted(k for k in row if not k.endswith("_quartiles")) == sorted(
         STAGES + ["max_coeff_bits", "peak_rss_mib"])
     assert_summary(row, STAGES)
     assert row["max_coeff_bits"] > 0
+    assert row["peak_rss_mib"] == max(s["peak_rss_mib"] for s in samples)
 
 
 def test_summarize_takes_median_and_quartiles():
@@ -52,7 +70,7 @@ def test_summarize_takes_median_and_quartiles():
 def test_measure_lattice(monkeypatch):
     module = load()
     monkeypatch.setattr(module, "LATTICE_BATCH", 2)
-    row = module.measure_lattice()
+    row = module.summarize([module.measure_lattice() for _ in range(2)], 2)
     assert sorted(k for k in row if not k.endswith("_quartiles")) == sorted(
         LATTICE_STAGES)
     assert_summary(row, LATTICE_STAGES)
@@ -66,19 +84,24 @@ def test_lattice_inputs_are_fixed_and_take_both_paths(monkeypatch):
     monkeypatch.setattr(module, "LATTICE_BATCH", 3)
     stages = module.lattice_stages()
     assert sorted(stages) == sorted(LATTICE_STAGES)
-    assert repr(stages) == repr(module.lattice_stages())
+    assert arguments(stages) == arguments(module.lattice_stages())
     from mirrorcalc import lattice
     for n in (4, 8, 12, 16):
-        for (m,) in stages[f"det_symmetric_r{n}_us"][1]:
+        fn, batch = stages[f"det_symmetric_r{n}_us"]
+        for (m,) in batch:
             assert len(m) == n and lattice._symmetric(m)
-        for (m,) in stages[f"det_general_r{n}_us"][1]:
+            assert fn(m) == lattice.bareiss_det(m)
+        fn, batch = stages[f"det_general_r{n}_us"]
+        assert fn is lattice._det_general
+        for (m,) in batch:
             assert len(m) == n and not lattice._symmetric(m)
 
 
 def test_measure_modular(monkeypatch):
     module = load()
     monkeypatch.setattr(module, "LATTICE_BATCH", 2)
-    row = module.measure_modular((4, 9))
+    row = module.summarize([module.measure_modular((4, 9))
+                            for _ in range(2)], 2)
     assert sorted(k for k in row if not k.endswith("_quartiles")) == sorted(
         modular_stages((4, 9)))
     assert_summary(row, modular_stages((4, 9)))
@@ -98,6 +121,70 @@ def test_modular_inputs_are_fixed_and_in_the_strip():
     assert all(abs(t.real) <= 0.5 and 0.01 <= t.imag <= 2 for t in taus)
 
 
+def test_measure_genus_one(monkeypatch):
+    module = load()
+    monkeypatch.setattr(module, "LATTICE_BATCH", 2)
+    row = module.summarize([module.measure_genus_one((4, 9))
+                            for _ in range(2)], 2)
+    assert sorted(k for k in row if not k.endswith("_quartiles")) == sorted(
+        genus_one_stages((4, 9)))
+    assert_summary(row, genus_one_stages((4, 9)))
+
+
+def test_genus_one_inputs_are_fixed_and_each_call_scales(monkeypatch):
+    """Every order of the sweep is timed on both forms and extract_n1;
+    the seeded table is the same on every call, cut to each order, with
+    N0, N1 = p/q, p in [-400, 400], q in [1, 12]; each form call builds
+    and scales a table of its own, and returns the value of the table."""
+    module = load()
+    assert module.GENUS_ONE_ORDERS == (10, 30, 50, 100)
+    stages = module.genus_one_stages(module.GENUS_ONE_ORDERS)
+    assert sorted(stages) == sorted(genus_one_stages((10, 30, 50, 100)))
+    assert arguments(stages) == arguments(
+        module.genus_one_stages(module.GENUS_ONE_ORDERS))
+    from mirrorcalc import gw
+    fn, batch = stages["lambert_series_o100_us"]
+    n0, n1, n = batch[0]
+    assert len(batch) == 20 and all(a == batch[0] for a in batch)
+    assert n == 100 and list(n0) == list(n1) == list(range(1, 101))
+    for v in [*n0.values(), *n1.values()]:
+        assert type(v) is Fraction and abs(v) <= 400
+        assert v.denominator <= 12
+    (a0, a1, _), *_ = stages["eta_product_log_derivative_o30_us"][1]
+    assert (a0, a1) == ({d: n0[d] for d in range(1, 31)},
+                        {d: n1[d] for d in range(1, 31)})
+    scalings = []
+    real = gw.scaled
+    monkeypatch.setattr(gw, "scaled",
+                        lambda v: scalings.append(1) or real(v))
+    table = gw.GWTable(100, n0, n1)
+    for name, form in (("lambert_series", gw.lambert_series),
+                       ("eta_product_log_derivative",
+                        gw.eta_product_log_derivative)):
+        fn, batch = stages[f"{name}_o100_us"]
+        assert fn(*batch[0]) == fn(*batch[0]) == form(table, 100)
+    assert len(scalings) == 5
+    fn, [(G, m0), *_] = stages["extract_n1_o100_us"]
+    assert G == gw.lambert_series(table, 100) and m0 == n0
+    assert fn(G, m0).n1 == n1
+
+
+def test_committed_genus_one_file():
+    """BENCH_genus_one.json holds at least two runs of the whole group at
+    the sweep's orders, each with its source hash and repeats."""
+    data = json.loads((ROOT / "BENCH_genus_one.json").read_text())
+    assert (data["seed"], data["batch"], data["orders"]) == (
+        7, 20, [10, 30, 50, 100])
+    assert len(data["runs"]) >= 2
+    for run in data["runs"]:
+        assert run["utc"] and len(run["src_sha256"]) == 64
+        assert run["repeats"] == 5
+        assert sorted(k for k in run["stages"]
+                      if not k.endswith("_quartiles")) == sorted(
+            genus_one_stages((10, 30, 50, 100)))
+        assert_summary(run["stages"], genus_one_stages((10, 30, 50, 100)))
+
+
 def test_every_run_is_kept(tmp_path, monkeypatch):
     """Two runs of one source tree are two records in each file, each
     timestamped."""
@@ -108,7 +195,9 @@ def test_every_run_is_kept(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "OUT", tmp_path / "sweep.json")
     monkeypatch.setattr(module, "LATTICE_OUT", tmp_path / "lattice.json")
     monkeypatch.setattr(module, "MODULAR_OUT", tmp_path / "modular.json")
+    monkeypatch.setattr(module, "GENUS_ONE_OUT", tmp_path / "genus_one.json")
     monkeypatch.setattr(module, "MODULAR_ORDERS", (3,))
+    monkeypatch.setattr(module, "GENUS_ONE_ORDERS", (3,))
     monkeypatch.setattr(module, "ORDERS", (2,))
     module.main()
     module.main()
@@ -130,3 +219,10 @@ def test_every_run_is_kept(tmp_path, monkeypatch):
         r["src_sha256"] for r in runs]
     for r in modular["runs"]:
         assert_summary(r["stages"], modular_stages((3,)))
+    genus_one = json.loads((tmp_path / "genus_one.json").read_text())
+    assert (genus_one["seed"], genus_one["batch"], genus_one["orders"]) == (
+        7, 20, [3])
+    assert [r["src_sha256"] for r in genus_one["runs"]] == [
+        r["src_sha256"] for r in runs]
+    for r in genus_one["runs"]:
+        assert_summary(r["stages"], genus_one_stages((3,)))
