@@ -25,9 +25,13 @@ The lattice layer runs on LATTICE_BATCH inputs per stage drawn from
 LATTICE_SEED: the two elimination kernels at each rank in LATTICE_RANKS,
 ``_det_symmetric`` on the upper triangle of symmetric int matrices
 (``_triangle`` included, as ``bareiss_det`` calls it) and
-``_det_general`` on general ones, ``covolume`` at rank 4 and
-``fhsv_covolume``.  Each group takes one warm-up pass over its stages,
-then one sample: the mean time per call over the batch, in microseconds.
+``_det_general`` on general ones, ``covolume`` at rank 4,
+``fhsv_covolume`` and ``CubicLattice.basis_change`` at rank 4 by a
+unimodular U (3n row additions, each by c in [-2, 2]); the basis changes
+are drawn after every other stage's inputs.  Each lattice is built by
+``from_entries`` outside the timed calls.  Each group takes one warm-up
+pass over its stages, then one sample: the mean time per call over the
+batch, in microseconds.
 
 The modular layer: ``eta_series`` and ``delta_series`` LATTICE_BATCH
 times at each order in MODULAR_ORDERS, and ``petersson_delta`` once at
@@ -156,6 +160,14 @@ def lattice_stages() -> dict:
             except lattice.LatticeError:
                 pass
 
+    def unimodular(n):
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        return U
+
     def kahler(A):
         while True:
             h = [rng.randint(1, 3), rng.randint(1, 3)] + [
@@ -177,6 +189,8 @@ def lattice_stages() -> dict:
     A = lattice.enriques_invariant_gram()
     stages["fhsv_covolume_us"] = (
         lattice.fhsv_covolume, [(A, kahler(A)) for _ in batch])
+    stages["basis_change_r4_us"] = (lattice.CubicLattice.basis_change, [
+        (cubic_lattice(4), unimodular(4)) for _ in batch])
     return stages
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, List, Mapping, Sequence, Tuple
@@ -166,13 +166,10 @@ def bareiss_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(det, d ** n)
 
 
-def _integral_lattice(L: "CubicLattice") -> Tuple[list, int, List[int], int]:
-    """(t, d, k, dk): the cubic tensor of L as t/d, t[i][j] a list of
-    ints, and kappa as k/dk."""
-    r = L.rank
-    t, d = _integral([row for plane in L.cubic for row in plane])
-    (k,), dk = _integral([L.kappa])
-    return [t[i * r:(i + 1) * r] for i in range(r)], d, k, dk
+def _content(den: int, ints: Iterable[int]) -> int:
+    """gcd(den, *ints) with the sign of den != 0: dividing den and each of
+    ints by it leaves them in lowest terms over a positive denominator."""
+    return gcd(den, *ints) * (-1 if den < 0 else 1)
 
 
 @dataclass(frozen=True)
@@ -180,14 +177,26 @@ class CubicLattice:
     """Integral lattice of rank b2 with a symmetric cubic form and a
     distinguished Kahler-type class kappa (coordinates in the basis).
 
-    The cubic tensor is stored densely and must be totally symmetric.
-    Build a lattice with from_entries; the constructor trusts its
-    arguments.
+    The dense, totally symmetric cubic tensor is held as int tuples t
+    over d and kappa as k over dk, each pair in lowest terms; ``cubic``
+    and ``kappa`` build their Fractions on each read.  Build a lattice
+    with from_entries; the constructor trusts its arguments.
     """
 
     rank: int
-    cubic: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-    kappa: Tuple[Fraction, ...]
+    t: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    d: int
+    k: Tuple[int, ...]
+    dk: int
+
+    @property
+    def cubic(self) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
+        return tuple(tuple(tuple(Fraction(x, self.d) for x in row)
+                           for row in p) for p in self.t)
+
+    @property
+    def kappa(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.dk) for x in self.k)
 
     @classmethod
     def from_entries(cls, rank: int,
@@ -206,38 +215,34 @@ class CubicLattice:
             raise LatticeError(f"rank {reprlib.repr(rank)} is not an integer")
         if not isinstance(kappa, (list, tuple)):
             raise LatticeError(f"kappa {reprlib.repr(kappa)} is not a list")
-        kappa = tuple(_entry(v) for v in kappa)
-        if len(kappa) != rank:  # before the rank^3 tensor is allocated
+        k, dk = scaled([_entry(v) for v in kappa])
+        if len(k) != rank:  # before the rank^3 tensor is allocated
             raise LatticeError("dimension mismatch")
-        t = [[[Fraction(0)] * rank for _ in range(rank)] for _ in range(rank)]
-        seen, ckkk = set(), 0
-        if isinstance(entries, Mapping):
-            entries = entries.items()
-        for (i, j, k), v in entries:
-            if not all(type(x) is int and 0 <= x < rank for x in (i, j, k)):
-                raise LatticeError(f"index {reprlib.repr((i, j, k))} is not "
+        seen = {}
+        items = entries.items() if isinstance(entries, Mapping) else entries
+        for (i, j, l), v in items:
+            if not all(type(x) is int and 0 <= x < rank for x in (i, j, l)):
+                raise LatticeError(f"index {reprlib.repr((i, j, l))} is not "
                                    f"an integer triple in range for rank {rank}")
-            triple = tuple(sorted((i, j, k)))
+            triple = tuple(sorted((i, j, l)))
             if triple in seen:
                 raise LatticeError(f"index triple {triple} given twice")
-            seen.add(triple)
-            v = _entry(v)
-            perms = {(i, j, k), (i, k, j), (j, i, k),
-                     (j, k, i), (k, i, j), (k, j, i)}
-            for (a, b, c) in perms:
+            seen[triple] = _entry(v)
+        values, d = scaled(seen.values())
+        t = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+        for (i, j, l), v in zip(seen, values):
+            for a, b, c in permutations((i, j, l)):
                 t[a][b][c] = v
-            ckkk += len(perms) * v * kappa[i] * kappa[j] * kappa[k]
-        if ckkk <= 0:
+        L = cls(rank, tuple(tuple(map(tuple, p)) for p in t), d, tuple(k), dk)
+        if L.c(k, k, k) <= 0:  # dk^3 c(kappa,kappa,kappa)
             raise LatticeError("c(kappa,kappa,kappa) must be positive")
-        return cls(rank=rank,
-                   cubic=tuple(tuple(tuple(r) for r in p) for p in t),
-                   kappa=kappa)
+        return L
 
     def c(self, a: Vector, b: Vector, g: Vector) -> Fraction:
         """Trilinear evaluation of the cubic form."""
         r = range(self.rank)
-        return sum((a[i] * b[j] * sum(map(mul, self.cubic[i][j], g))
-                    for i in r if a[i] for j in r if b[j]), Fraction(0))
+        return Fraction(sum(a[i] * b[j] * sum(map(mul, self.t[i][j], g))
+                            for i in r if a[i] for j in r if b[j]), self.d)
 
     def basis_change(self, U: Sequence[Sequence[int]]) -> "CubicLattice":
         """Lattice in the new basis e'_j = sum_i U[i][j] e_i; kappa is
@@ -251,26 +256,22 @@ class CubicLattice:
         det_u = _det_general(u)
         if not det_u:
             raise LatticeError("singular basis-change matrix")
-        t, d, k, dk = _integral_lattice(self)
         # kappa'_j = det(U with column j replaced by kappa) / det U, which
         # on U = u/du and kappa = k/dk is det(u, column j := k) du / (det u dk)
-        kappa_new = [Fraction(_det_general([[*row[:j], kj, *row[j + 1:]]
-                                            for row, kj in zip(u, k)]) * du,
-                              det_u * dk) for j in range(r)]
-        cols = list(zip(*u))
+        k = [_det_general([[*row[:j], kj, *row[j + 1:]]
+                           for row, kj in zip(u, self.k)]) * du
+             for j in range(r)]
+        t, cols = self.t, list(zip(*u))
         # Each pass contracts the last index with U and moves it to the
         # front; after three passes t[a][b][g] = c(U e_a, U e_b, U e_g).
         for _ in range(3):
             t = [[[sum(map(mul, tij, col)) for tij in ti] for ti in t]
                  for col in cols]
-        # t is totally symmetric: one Fraction per distinct value
-        den = d * du ** 3
-        f = {x: Fraction(x, den)
-             for x in {x for p in t for row in p for x in row}}
-        return CubicLattice(rank=r,
-                            cubic=tuple(tuple(tuple(map(f.get, row))
-                                              for row in p) for p in t),
-                            kappa=tuple(kappa_new))
+        d, dk = self.d * du ** 3, det_u * self.dk
+        g, gk = _content(d, chain(*chain(*t))), _content(dk, k)
+        return CubicLattice(r, tuple(tuple(tuple(x // g for x in row)
+                                           for row in p) for p in t), d // g,
+                            tuple(x // gk for x in k), dk // gk)
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ class GramResult:
 def _gram_result(u: List[List[int]], dens: List[int]) -> GramResult:
     """The symmetric Gram matrix whose _triangle row i is u[i] over
     dens[i] > 0, and its covolume det * (2 pi)^(-3r), r = len(u)."""
-    r, g = len(u), [gcd(e, *row) for row, e in zip(u, dens)]
+    r, g = len(u), [_content(e, row) for row, e in zip(u, dens)]
     rows = tuple(tuple(x // k for x in row) for row, k in zip(u, g))
     return GramResult(rows, tuple(e // k for e, k in zip(dens, g)), PiScaled(
         Fraction(_det_symmetric(u), prod(dens) * 8 ** r), -3 * r))
@@ -322,14 +323,12 @@ def covolume(L: CubicLattice) -> GramResult:
     then gram = 3/2 v v^T / c(k,k,k) - M.  On the tensor t/d and kappa
     k/dk that is N / (2 c d dk), N = 3 v v^T - 2 c M, all on int.
     """
-    r = L.rank
-    t, d, k, dk = _integral_lattice(L)
-    M = [[sum(map(mul, row, k)) for row in p] for p in t]
-    v = [sum(map(mul, row, k)) for row in M]
-    c = sum(map(mul, v, k))
+    M = [[sum(map(mul, row, L.k)) for row in p] for p in L.t]
+    v = [sum(map(mul, row, L.k)) for row in M]
+    c = sum(map(mul, v, L.k))
     N = [[3 * vi * vj - 2 * c * mij for vj, mij in zip(v[::-1], row)]
          for vi, row in zip(v, _triangle(M))]
-    return _gram_result(N, [2 * c * d * dk] * r)
+    return _gram_result(N, [2 * c * L.d * L.dk] * L.rank)
 
 
 def _int_pairing(A: Sequence[Sequence], h: Sequence):

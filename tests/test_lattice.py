@@ -551,8 +551,8 @@ class TestCovolume:
     @pytest.mark.parametrize("rank, seed", [(3, 1), (3, 2), (4, 3), (4, 4)])
     def test_basis_change_builds_one_fraction_per_value(self, monkeypatch,
                                                         rank, seed):
-        """At most one Fraction per distinct value of the new tensor and
-        one per entry of kappa', and the lattice of the definitions:
+        """No Fraction at all: the new tensor and kappa' stay on int.
+        The result is the lattice of the definitions:
         c'(a, b, g) = c(U e_a, U e_b, U e_g), kappa' by Cramer's rule."""
         rng = random.Random(seed)
         L, U = random_lattice(rng, rank), random_unimodular(rng, rank)
@@ -561,8 +561,7 @@ class TestCovolume:
             built.append(args) or new(cls, *args, **kwargs)))
         L2 = L.basis_change(U)
         monkeypatch.undo()
-        values = {x for p in L2.cubic for row in p for x in row}
-        assert len(built) <= len(values) + rank
+        assert built == []
         r = range(rank)
         cols = [[U[i][j] for i in r] for j in r]
         assert L2.cubic == tuple(tuple(tuple(
@@ -571,6 +570,96 @@ class TestCovolume:
         assert L2.kappa == tuple(leibniz_det([[*row[:j], k, *row[j + 1:]]
                                               for row, k in zip(U, L.kappa)])
                                  / det_u for j in r)
+
+
+def in_lowest_terms(L):
+    """L holds ints: t over d and k over dk, each pair in lowest terms."""
+    ints = [x for p in L.t for row in p for x in row]
+    assert all(type(x) is int for x in [*ints, L.d, *L.k, L.dk])
+    assert L.d > 0 and math.gcd(L.d, *ints) == 1
+    assert L.dk > 0 and math.gcd(L.dk, *L.k) == 1
+    return L
+
+
+def inverse(U):
+    """U^-1 by cofactors over Fractions; int rows when det U = +-1."""
+    r = range(len(U))
+    det = leibniz_det(U)
+    inv = [[(-1) ** (i + j) * leibniz_det(
+        [row[:i] + row[i + 1:] for k, row in enumerate(U) if k != j]) / det
+        for j in r] for i in r]
+    return [[int(x) if x.denominator == 1 else x for x in row]
+            for row in inv]
+
+
+class TestRepresentation:
+    """CubicLattice stores the cubic tensor as int t over d and kappa as
+    int k over dk in lowest terms; cubic and kappa are built on read."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_basis_change_round_trip(self, rank, seed):
+        """L.basis_change(U).basis_change(U^-1) == L, for unimodular U
+        and for U scaled by 2/3, which moves the denominators."""
+        rng = random.Random(seed)
+        L = in_lowest_terms(random_lattice(rng, rank))
+        U = (random_unimodular(rng, rank) if rank > 1
+             else [[rng.choice((1, -1))]])
+        assert leibniz_det(U) in (1, -1)
+        for V in (U, [[F(2, 3) * x for x in row] for row in U]):
+            there = in_lowest_terms(L.basis_change(V))
+            back = in_lowest_terms(there.basis_change(inverse(V)))
+            assert back == L
+            assert (back.cubic, back.kappa) == (L.cubic, L.kappa)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattices(max_rank=4), st.data())
+    def test_equal_exactly_when_cubic_and_kappa_are(self, L, data):
+        """A basis change by a rational U gives lowest terms again, and
+        two lattices are equal just when cubic and kappa are."""
+        r = L.rank
+        U = [[data.draw(rationals) for _ in range(r)] for _ in range(r)]
+        assume(leibniz_det(U))
+        L2 = in_lowest_terms(L.basis_change(U))
+        for M in (L, L2, in_lowest_terms(L.basis_change(
+                [[F(2) * (i == j) for j in range(r)] for i in range(r)]))):
+            assert (M == L) == ((M.cubic, M.kappa) == (L.cubic, L.kappa))
+            assert (M == L2) == ((M.cubic, M.kappa) == (L2.cubic, L2.kappa))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_fraction_and_string_build_equal_lattices(self, seed):
+        rng = random.Random(seed)
+        rank = rng.randint(1, 4)
+        entries = {(i, j, k): rng.randint(-6, 6) for i in range(rank)
+                   for j in range(i, rank) for k in range(j, rank)}
+        entries[(0, 0, 0)] = 40 * rank ** 3  # so that c(k,k,k) > 0
+        kappa = [1] + [rng.randint(-1, 1) for _ in range(rank - 1)]
+        L, *others = [CubicLattice.from_entries(
+            rank, {t: kind(v) for t, v in entries.items()},
+            [kind(v) for v in kappa]) for kind in (int, F, str)]
+        assert others == [L, L] and in_lowest_terms(L).d == L.dk == 1
+        r = range(rank)
+        assert L.cubic == tuple(tuple(tuple(
+            entries[tuple(sorted((a, b, g)))] for g in r) for b in r)
+            for a in r)
+        assert L.kappa == tuple(kappa)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([((0, 0, 0), "x"), ((0, 0, 5), 1)],
+         "entry 'x' is not an int, a Fraction or a rational string"),
+        ([((0, 0, 5), 1), ((0, 0, 0), "x")],
+         "index (0, 0, 5) is not an integer triple in range for rank 2"),
+        ([((0, 0, 1), "x"), ((1, 0, 0), 1)],
+         "entry 'x' is not an int, a Fraction or a rational string"),
+        ([((0, 0, 1), 1), ((1, 0, 0), "x")],
+         "index triple (0, 0, 1) given twice"),
+    ], ids=["value-then-index", "index-then-value", "value-then-repeat",
+            "repeat-then-value"])
+    def test_first_bad_entry_is_refused(self, pairs, message):
+        """Entries are read in order, each checked for its index, then
+        for a repeat, then for its value."""
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            CubicLattice.from_entries(2, pairs, [1, 0])
 
 
 class TestKernelsAgainstDefinitions:

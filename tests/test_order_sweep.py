@@ -2,6 +2,7 @@
 lattice, modular and genus-one layers it names; small inputs in process
 keep it in step with the package."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -14,7 +15,8 @@ STAGES = ["extract_gv_s", "f1_log_derivative_s", "genus0_pipeline_s",
           "q_chart_s"]
 LATTICE_STAGES = (
     [f"det_{path}_r{n}_us" for path in ("symmetric", "general")
-     for n in (4, 8, 12, 16)] + ["covolume_r4_us", "fhsv_covolume_us"])
+     for n in (4, 8, 12, 16)]
+    + ["covolume_r4_us", "fhsv_covolume_us", "basis_change_r4_us"])
 
 
 def modular_stages(orders):
@@ -95,6 +97,48 @@ def test_lattice_inputs_are_fixed_and_take_both_paths(monkeypatch):
         assert fn is lattice._det_general
         for (m,) in batch:
             assert len(m) == n and not lattice._symmetric(m)
+
+
+def test_basis_changes_are_drawn_last(monkeypatch):
+    """The rank-4 basis changes are by unimodular U, and drawing them
+    after the other stages leaves those stages' inputs as they were
+    before the stage existed (the digest of their arguments, lattices
+    as rank, cubic and kappa)."""
+    module = load()
+    monkeypatch.setattr(module, "LATTICE_BATCH", 3)
+    stages = module.lattice_stages()
+    from mirrorcalc import lattice
+    fn, batch = stages.pop("basis_change_r4_us")
+    assert fn is lattice.CubicLattice.basis_change
+    for L, U in batch:
+        assert L.rank == 4 and lattice.bareiss_det(U) in (1, -1)
+
+    def plain(a):
+        if isinstance(a, lattice.CubicLattice):
+            return a.rank, a.cubic, a.kappa
+        return a
+
+    text = repr([(name, [tuple(map(plain, a)) for a in args])
+                 for name, (_, args) in stages.items()])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e56c059e4b2ef7640c5b255ce3512e0d08635b82208368e2b82a482e323f26f8")
+
+
+def test_committed_lattice_file():
+    """BENCH_lattice.json ends in at least three runs with every lattice
+    stage, basis_change_r4_us included; earlier runs predate that stage."""
+    data = json.loads((ROOT / "BENCH_lattice.json").read_text())
+    assert (data["seed"], data["batch"]) == (7, 20)
+    full = [run for run in data["runs"]
+            if "basis_change_r4_us" in run["stages"]]
+    assert len(full) >= 3 and full == data["runs"][-len(full):]
+    for run in full:
+        assert run["utc"] and len(run["src_sha256"]) == 64
+        assert run["repeats"] == 5
+        assert sorted(k for k in run["stages"]
+                      if not k.endswith("_quartiles")) == sorted(
+            LATTICE_STAGES)
+        assert_summary(run["stages"], LATTICE_STAGES)
 
 
 def test_measure_modular(monkeypatch):

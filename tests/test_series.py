@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mirrorcalc import modular, quintic
 from mirrorcalc.kernels import _convolve, series_json
 from mirrorcalc.series import (ExactSeries, TagMismatchError, NonUnitError,
                                CompositionError, SeriesError)
@@ -236,6 +237,22 @@ def test_no_floats_anywhere():
     for op in (a + a, a * a, (a + 1).log_derivative(), a.exp(),
                (a + 1).log()):
         assert all(isinstance(c, F) for c in op.coeffs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExactSeries([1, 2, 3]),
+    lambda: modular.delta_series(10),
+    lambda: quintic.mirror_map(5).x_of_q,
+], ids=["ints", "delta", "x_of_q"])
+def test_integral_series_hands_out_fractions(make):
+    """An integral series (den 1) still reads as Fractions, so that
+    coeffs[n] / k stays exact; an int here would make it a float."""
+    s = make()
+    assert s.den == 1
+    assert all(type(c) is F for c in s.coeffs)
+    assert all(type(s[n]) is F for n in range(s.order + 1))
+    half = s.coeffs[2] / 2
+    assert type(half) is F and half == F(s.nums[2], 2)
 
 
 def reduced(s):
