@@ -26,17 +26,22 @@ LATTICE_SEED: the two elimination kernels at each rank in LATTICE_RANKS,
 ``_det_symmetric`` on the upper triangle of symmetric int matrices
 (``_triangle`` included, as ``bareiss_det`` calls it) and
 ``_det_general`` on general ones, ``covolume`` at rank 4,
-``fhsv_covolume`` and ``CubicLattice.basis_change`` at rank 4 by a
-unimodular U (3n row additions, each by c in [-2, 2]); the basis changes
-are drawn after every other stage's inputs.  Each lattice is built by
+``fhsv_covolume``, ``CubicLattice.basis_change`` at rank 4 by a
+unimodular U (3n row additions, each by c in [-2, 2]), and
+``rank1_update_det_check`` on 12x12 inputs drawn as perfbench's
+``lattice-modular`` draws them (``draw_rank1``).  The basis changes, then
+the rank-one inputs, are drawn after every other stage's inputs, so that
+adding a stage moved none of them.  Each lattice is built by
 ``from_entries`` outside the timed calls.  Each group takes one warm-up
 pass over its stages, then one sample: the mean time per call over the
 batch, in microseconds.
 
-The modular layer: ``eta_series`` and ``delta_series`` LATTICE_BATCH
-times at each order in MODULAR_ORDERS, and ``petersson_delta`` once at
-each of LATTICE_BATCH points tau of the strip |Re tau| <= 1/2,
-0.01 <= Im tau <= 2, drawn from LATTICE_SEED.
+The modular layer: ``eta_series`` and the Delta build
+``delta_series.__wrapped__`` (past its per-order memo, which would turn
+every timed call into a cache hit) LATTICE_BATCH times at each order in
+MODULAR_ORDERS, and ``petersson_delta`` once at each of LATTICE_BATCH
+points tau of the strip |Re tau| <= 1/2, 0.01 <= Im tau <= 2, drawn from
+LATTICE_SEED.
 
 The genus-one layer: ``lambert_series``, ``eta_product_log_derivative``
 and ``extract_n1`` LATTICE_BATCH times at each order in GENUS_ONE_ORDERS,
@@ -135,6 +140,24 @@ def summarize_pipeline(samples: list) -> dict:
             "peak_rss_mib": max(s["peak_rss_mib"] for s in samples)}
 
 
+def draw_rank1(rng: random.Random, n: int) -> tuple:
+    """(A, h) as perfbench's ``lattice-modular`` draws them: a symmetric
+    n x n A of entries p/q, p in [-5, 5], q in [1, 3], and h in [-4, 4]^n,
+    redrawn until h^T A h != 0 and det A != 0."""
+    from mirrorcalc import lattice
+
+    while True:
+        A = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = Fraction(rng.randint(-5, 5),
+                                             rng.randint(1, 3))
+        h = [rng.randint(-4, 4) for _ in range(n)]
+        if (sum(h[i] * A[i][j] * h[j] for i in range(n) for j in range(n))
+                and lattice.bareiss_det(A)):
+            return A, h
+
+
 def lattice_stages() -> dict:
     """{stage: (function, its LATTICE_BATCH argument tuples)} on inputs
     drawn from LATTICE_SEED."""
@@ -191,21 +214,23 @@ def lattice_stages() -> dict:
         lattice.fhsv_covolume, [(A, kahler(A)) for _ in batch])
     stages["basis_change_r4_us"] = (lattice.CubicLattice.basis_change, [
         (cubic_lattice(4), unimodular(4)) for _ in batch])
+    stages["rank1_update_r12_us"] = (lattice.rank1_update_det_check, [
+        draw_rank1(rng, 12) for _ in batch])
     return stages
 
 
 def modular_stages(orders) -> dict:
-    """{stage: (function, its LATTICE_BATCH argument tuples)}: the eta and
-    Delta series at each order, and the Petersson norm at points drawn
-    from LATTICE_SEED."""
+    """{stage: (function, its LATTICE_BATCH argument tuples)}: the eta
+    series and the Delta build at each order, and the Petersson norm at
+    points drawn from LATTICE_SEED."""
     from mirrorcalc import modular
 
     rng = random.Random(LATTICE_SEED)
     stages = {}
-    for name in ("eta_series", "delta_series"):
+    for name, fn in (("eta_series", modular.eta_series),
+                     ("delta_series", modular.delta_series.__wrapped__)):
         for n in orders:
-            stages[f"{name}_o{n}_us"] = (
-                getattr(modular, name), [(n,)] * LATTICE_BATCH)
+            stages[f"{name}_o{n}_us"] = (fn, [(n,)] * LATTICE_BATCH)
     stages["petersson_delta_us"] = (modular.petersson_delta, [
         (complex(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 2.0)),)
         for _ in range(LATTICE_BATCH)])

@@ -301,6 +301,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # e.g. a q-chart list of --order 10**15 entries
+        print("error: out of memory", file=sys.stderr)
+        return 1
     sys.stdout.write(_emit(payload, fmt))
     return 0
 

@@ -132,24 +132,31 @@ def _det_general(m: Sequence[Sequence[int]]) -> int:
     return sign * (m[0][0] if m else prev)
 
 
-def _det_symmetric(u: Sequence[Sequence[int]]) -> int:
-    """Determinant of the symmetric int m whose _triangle is u by the
-    passes of _det_general, pivot rows (a, b, p..) and (b, d, q..) first:
-    row i becomes (x c0 + p_j e1_i + q_j e2_i) / prev, symmetric again;
-    ending on its diagonal, it zips with the tails of p and q it needs.
-    At a leading minor a d - b^2 = 0 the block T left (bordered minors of
-    m) goes to _det_general: det m = det T / prev^(len T - 1) (Sylvester)."""
-    prev = 1
+def _det_symmetric(u: Sequence[Sequence[int]], d: int = 1) -> int:
+    """det m / d^(n-1) for the n x n symmetric int m whose _triangle is
+    u, by the passes of _det_general from prev = d, pivot rows (a, b, p..)
+    and (b, e, q..) first: row i becomes (x c0 + p_j e1_i + q_j e2_i) /
+    prev, symmetric again; ending on its diagonal, it zips with the tails
+    of p and q it needs.  At a leading minor a e - b^2 = 0 the block T
+    left (bordered minors of m) goes to _det_general, and the result is
+    det T / prev^(len T - 1) (Sylvester).  0x0 gives d.
+
+    Precondition: d != 0 and every (k+1)-minor of m is divisible by d^k.
+    After k one-step passes the entries are those minors over d^k, so
+    every division is exact.  d = 1 always qualifies, and so does d = s
+    for m = s X - 2 a a^T on int X and a: each (k+1)-square block has
+    det(s Y - 2 v w^T) = s^(k+1) det Y - 2 s^k w^T adj(Y) v."""
+    prev = d
     while len(u) > 1:
-        (*p, b, a), (*q, d) = u[0], u[1]
-        c0 = a * d - b * b
+        (*p, b, a), (*q, e) = u[0], u[1]
+        c0 = a * e - b * b
         if not c0:
             return _det_general(_square(u)) // prev ** (len(u) - 1)
         c0 //= prev
         u = [[(x * c0 + pj * e1 + qj * e2) // prev
               for x, pj, qj in zip(row, p, q)]
              for row, pk, qk in zip(u[2:], reversed(p), reversed(q))
-             for e1, e2 in [((b * qk - d * pk) // prev,
+             for e1, e2 in [((b * qk - e * pk) // prev,
                              (b * pk - a * qk) // prev)]]
         prev = c0
     return u[0][0] if u else prev
@@ -357,8 +364,12 @@ def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
 
     On A_i = D A, a = A_i h_i and s = h_i^T A_i h_i (see _int_pairing;
     the update does not change when h is scaled), the updated matrix
-    times D s is the integer matrix s A_i - 2 a a^T, so the identity
-    reads det(s A_i - 2 a a^T) = -s^n det(A_i).
+    times D s is the integer matrix B = s A_i - 2 a a^T, so the identity
+    reads det B = -s^n det(A_i).  B is eliminated in full, not taken from
+    the determinant lemma, but with divisor s (see _det_symmetric: every
+    (k+1)-minor of B is divisible by s^k), which keeps its entries near
+    the size of A_i's and returns det B / s^(n-1): the test is that this
+    equals -s det(A_i).
     """
     Ai, _, _, a, s = _int_pairing(A, h)
     if not _symmetric(Ai):
@@ -371,7 +382,7 @@ def rank1_update_det_check(A: Sequence[Sequence[Fraction]],
         raise LatticeError("h^T A h must be nonzero")
     B = [[s * x - 2 * ai * aj for x, aj in zip(row, a[::-1])]
          for row, ai in zip(u, a)]
-    return _det_symmetric(B) == -s ** len(u) * det_a
+    return _det_symmetric(B, s) == -s * det_a
 
 
 def fhsv_covolume(A: Sequence[Sequence[int]],

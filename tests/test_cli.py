@@ -67,6 +67,13 @@ class TestMirrorMap:
         assert out == ""
         assert err == f"error: order must be >= 1, not {order}\n"
 
+    @pytest.mark.parametrize("command", ["f1", "extract-gw"])
+    def test_order_out_of_memory_exits_1(self, capsys, command):
+        """The q-chart's first list at order 10^15 would take 8 PB: the
+        allocation fails at once, and the CLI says so in one line."""
+        code, out, err = invoke(capsys, command, "--order", str(10 ** 15))
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_deterministic_output(self, capsys):
         _, first, _ = invoke(capsys, "mirror-map", "--order", "4")
         _, second, _ = invoke(capsys, "mirror-map", "--order", "4")
@@ -427,8 +434,8 @@ class TestLatticeCommands:
         code, _, _ = invoke(capsys, "fhsv", "--gram", str(gram),
                             "--h", json.dumps([1, 1] + [0] * 8))
         assert code == 0
-        assert [len(m) for _, m, _ in seen] == [10, 11]
-        for _, m, det in seen:
+        assert [len(m) for _, m, _, _ in seen] == [10, 11]
+        for _, m, det, _ in seen:
             assert det == gauss_det(m)
 
     @pytest.mark.parametrize("h", ['"abc"', "null", "1"])

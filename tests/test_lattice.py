@@ -134,17 +134,21 @@ def symmetric_int_matrices(draw, max_n=6):
 
 
 def spy_kernels(monkeypatch):
-    """[path, m, det] for every call of the two elimination kernels from
-    now on, in call order: m the matrix as a full square (the symmetric
-    kernel's _triangle squared up) and det what the kernel returned."""
+    """[path, m, det, d] for every call of the two elimination kernels
+    from now on, in call order: m the matrix as a full square (the
+    symmetric kernel's _triangle squared up), d the divisor the kernel
+    was given (1 for the general one) and det the determinant of m, what
+    the kernel returned times d^(n-1)."""
     seen = []
     for path, square in (("symmetric", lattice._square), ("general", list)):
         kernel = getattr(lattice, f"_det_{path}")
 
-        def spy(m, path=path, kernel=kernel, square=square):
+        def spy(m, *d, path=path, kernel=kernel, square=square):
             seen.append(call := [path, [list(row) for row in square(m)]])
-            call.append(kernel(m))
-            return call[2]
+            out = kernel(m, *d)
+            d = d[0] if d else 1
+            call += [out * F(d) ** (len(m) - 1), d]
+            return out
         monkeypatch.setattr(lattice, f"_det_{path}", spy)
     return seen
 
@@ -296,8 +300,8 @@ class TestDet:
         args = args()
         seen = spy_kernels(monkeypatch)
         caller(*args)
-        assert [len(m) for _, m, _ in seen] == sizes
-        for _, m, det in seen:
+        assert [len(m) for _, m, _, _ in seen] == sizes
+        for _, m, det, _ in seen:
             assert det == gauss_det(m)
 
 
@@ -356,7 +360,7 @@ class TestSymmetricDet:
         every other matrix takes the general one."""
         seen = spy_kernels(monkeypatch)
         assert bareiss_det(m) == det == gauss_det(m)
-        assert [(path, len(m)) for path, m, _ in seen] == paths
+        assert [(path, len(m)) for path, m, _, _ in seen] == paths
 
     @pytest.mark.parametrize("caller, args, paths", [
         (rank1_update_det_check,
@@ -376,7 +380,7 @@ class TestSymmetricDet:
         args = args()
         seen = spy_kernels(monkeypatch)
         caller(*args)
-        assert [(path, len(m)) for path, m, _ in seen] == paths
+        assert [(path, len(m)) for path, m, _, _ in seen] == paths
 
 
     @settings(max_examples=80, deadline=None)
@@ -388,7 +392,7 @@ class TestSymmetricDet:
         if m == [list(col) for col in zip(*m)] or not m:
             assert seen[0][0] == "symmetric"
         else:
-            assert [path for path, _, _ in seen] == ["general"]
+            assert [path for path, *_ in seen] == ["general"]
 
     @pytest.mark.parametrize("U", [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -404,7 +408,66 @@ class TestSymmetricDet:
         seen = spy_kernels(monkeypatch)
         random_lattice(random.Random(9)).basis_change(U)
         assert tested == []
-        assert [path for path, _, _ in seen] == ["general"] * 4
+        assert [path for path, *_ in seen] == ["general"] * 4
+
+
+def rank_one_update(X, a, s):
+    """s X - 2 a a^T on int X, a and s."""
+    return [[s * x - 2 * ai * aj for x, aj in zip(row, a)]
+            for row, ai in zip(X, a)]
+
+
+class TestDivisor:
+    """_det_symmetric(u, d) = det m / d^(n-1) when every (k+1)-minor of m
+    is divisible by d^k, as on rank-one updates s X - 2 a a^T with d = s."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_int_matrices(max_n=8), st.data())
+    def test_rank_one_updates(self, X, data):
+        """Any int X and a and s of either sign; a zero head of a keeps a
+        zero leading block of X, so some leading 2x2 minors vanish."""
+        n = len(X)
+        zeros = data.draw(st.integers(0, n))
+        a = [0] * zeros + data.draw(st.lists(
+            st.integers(-6, 6), min_size=n - zeros, max_size=n - zeros))
+        s = data.draw(st.integers(-30, 30).filter(bool))
+        B = rank_one_update(X, a, s)
+        det = lattice._det_symmetric(lattice._triangle(B), s)
+        assert type(det) is int
+        assert det * F(s) ** (n - 1) == gauss_det(B)
+
+    @pytest.mark.parametrize("seed, sign", [(1, -1), (3, 1)])
+    def test_rank1_inputs_of_either_sign(self, monkeypatch, seed, sign):
+        """The check's own B, with s = h_i^T A_i h_i < 0 and > 0."""
+        A, h = symmetric_rank1_input(random.Random(seed), 12)
+        s = lattice._int_pairing(A, h)[4]
+        assert s * sign > 0
+        seen = spy_kernels(monkeypatch)
+        assert rank1_update_det_check(A, h)
+        (_, _, det_a, _), (_, B, det_b, d) = seen
+        assert d == s and det_b == gauss_det(B) == -s ** 12 * det_a
+
+    @pytest.mark.parametrize("s", [-3, 5])
+    def test_zero_leading_minor(self, monkeypatch, s):
+        """A zero leading 2x2 minor sends B from prev = s to the general
+        kernel, and det T / s^(n-1) is exact there too (Sylvester)."""
+        X = [[0, 0, 1, 2], [0, 0, 3, -1], [1, 3, 2, 0], [2, -1, 0, 1]]
+        B = rank_one_update(X, [0, 0, 1, -2], s)
+        seen = spy_kernels(monkeypatch)
+        det = lattice._det_symmetric(lattice._triangle(B), s)
+        assert [(path, d) for path, _, _, d in seen] == [
+            ("symmetric", s), ("general", 1)]
+        assert det * s ** 3 == gauss_det(B) == 49 * s ** 4
+
+    @pytest.mark.parametrize("m, d, det", [
+        ([], 7, 7),
+        ([[-6]], -3, -6),
+        ([[4, 2], [2, -2]], -2, 6),
+    ], ids=["0x0", "1x1", "2x2"])
+    def test_small(self, m, d, det):
+        """det m / d^(n-1): d at n = 0, m[0][0] at n = 1."""
+        assert lattice._det_symmetric(lattice._triangle(m), d) == det
+        assert det * F(d) ** (len(m) - 1) == gauss_det(m)
 
 
 class TestL2Pairing:
@@ -874,10 +937,12 @@ class TestRank1Update:
         """det(s A_i - 2 a a^T) is eliminated, not taken from the
         determinant lemma that the check is there to confirm."""
         A, h = symmetric_rank1_input(random.Random(n), n)
+        s = lattice._int_pairing(A, h)[4]
         seen = spy_kernels(monkeypatch)
         assert rank1_update_det_check(A, h)
-        assert [len(m) for _, m, _ in seen] == [n, n]
-        for _, m, det in seen:
+        assert [len(m) for _, m, _, _ in seen] == [n, n]
+        assert [d for *_, d in seen] == [1, s]  # A_i, then B with divisor s
+        for _, m, det, _ in seen:
             assert det == gauss_det(m)
 
     def test_preconditions(self):

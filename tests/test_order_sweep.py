@@ -5,6 +5,7 @@ keep it in step with the package."""
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,8 @@ STAGES = ["extract_gv_s", "f1_log_derivative_s", "genus0_pipeline_s",
 LATTICE_STAGES = (
     [f"det_{path}_r{n}_us" for path in ("symmetric", "general")
      for n in (4, 8, 12, 16)]
-    + ["covolume_r4_us", "fhsv_covolume_us", "basis_change_r4_us"])
+    + ["covolume_r4_us", "fhsv_covolume_us", "basis_change_r4_us",
+       "rank1_update_r12_us"])
 
 
 def modular_stages(orders):
@@ -99,19 +101,9 @@ def test_lattice_inputs_are_fixed_and_take_both_paths(monkeypatch):
             assert len(m) == n and not lattice._symmetric(m)
 
 
-def test_basis_changes_are_drawn_last(monkeypatch):
-    """The rank-4 basis changes are by unimodular U, and drawing them
-    after the other stages leaves those stages' inputs as they were
-    before the stage existed (the digest of their arguments, lattices
-    as rank, cubic and kappa)."""
-    module = load()
-    monkeypatch.setattr(module, "LATTICE_BATCH", 3)
-    stages = module.lattice_stages()
+def plain_digest(stages):
+    """SHA-256 of the stages' arguments, lattices as rank, cubic, kappa."""
     from mirrorcalc import lattice
-    fn, batch = stages.pop("basis_change_r4_us")
-    assert fn is lattice.CubicLattice.basis_change
-    for L, U in batch:
-        assert L.rank == 4 and lattice.bareiss_det(U) in (1, -1)
 
     def plain(a):
         if isinstance(a, lattice.CubicLattice):
@@ -120,19 +112,64 @@ def test_basis_changes_are_drawn_last(monkeypatch):
 
     text = repr([(name, [tuple(map(plain, a)) for a in args])
                  for name, (_, args) in stages.items()])
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_basis_changes_are_drawn_last(monkeypatch):
+    """The rank-4 basis changes are by unimodular U, and drawing them
+    after the other stages (and before the rank-one inputs) leaves those
+    stages' inputs as they were before the stage existed (the digest of
+    their arguments)."""
+    module = load()
+    monkeypatch.setattr(module, "LATTICE_BATCH", 3)
+    stages = module.lattice_stages()
+    stages.pop("rank1_update_r12_us")
+    from mirrorcalc import lattice
+    fn, batch = stages.pop("basis_change_r4_us")
+    assert fn is lattice.CubicLattice.basis_change
+    for L, U in batch:
+        assert L.rank == 4 and lattice.bareiss_det(U) in (1, -1)
+    assert plain_digest(stages) == (
         "e56c059e4b2ef7640c5b255ce3512e0d08635b82208368e2b82a482e323f26f8")
 
 
+def test_rank1_inputs_are_drawn_last_as_perfbench_draws_them(monkeypatch):
+    """The rank-one stage times rank1_update_det_check on 12x12 inputs
+    that pass it, drawn by perfbench's rule after every other stage: the
+    other stages' digest is the one they had before the stage existed."""
+    module = load()
+    monkeypatch.setattr(module, "LATTICE_BATCH", 3)
+    stages = module.lattice_stages()
+    from mirrorcalc import lattice
+    fn, batch = stages.pop("rank1_update_r12_us")
+    assert fn is lattice.rank1_update_det_check and len(batch) == 3
+    for A, h in batch:
+        assert len(A) == len(h) == 12 and lattice._symmetric(A)
+        assert all(type(x) is Fraction and abs(x.numerator) <= 5
+                   and x.denominator <= 3 for row in A for x in row)
+        assert all(type(x) is int and abs(x) <= 4 for x in h)
+        assert fn(A, h)
+    assert plain_digest(stages) == (
+        "f49f6de2b04d8b8c1bc93664e9e0041ea26a77e3598123079125a051194fa4eb")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.MATRIX_SIZE == 12
+    for seed in range(3):
+        assert module.draw_rank1(random.Random(seed), 12) == (
+            workloads.draw_rank1(random.Random(seed)))
+
+
 def test_committed_lattice_file():
-    """BENCH_lattice.json ends in at least three runs with every lattice
-    stage, basis_change_r4_us included; earlier runs predate that stage."""
+    """BENCH_lattice.json ends in at least two runs with every lattice
+    stage, rank1_update_r12_us included, and before them runs that
+    predate that stage; basis_change_r4_us is in the last five or more."""
     data = json.loads((ROOT / "BENCH_lattice.json").read_text())
     assert (data["seed"], data["batch"]) == (7, 20)
-    full = [run for run in data["runs"]
-            if "basis_change_r4_us" in run["stages"]]
-    assert len(full) >= 3 and full == data["runs"][-len(full):]
-    for run in full:
+    for stage, least in (("basis_change_r4_us", 5),
+                         ("rank1_update_r12_us", 2)):
+        runs = [run for run in data["runs"] if stage in run["stages"]]
+        assert len(runs) >= least and runs == data["runs"][-len(runs):]
+    for run in runs:
         assert run["utc"] and len(run["src_sha256"]) == 64
         assert run["repeats"] == 5
         assert sorted(k for k in run["stages"]
@@ -152,14 +189,19 @@ def test_measure_modular(monkeypatch):
 
 
 def test_modular_inputs_are_fixed_and_in_the_strip():
-    """Every order of the sweep is timed on both series, and the seeded
-    points tau are the same on every call, distinct, and in the strip."""
+    """Every order of the sweep is timed on both series, Delta by its
+    build, and the seeded points tau are the same on every call,
+    distinct, and in the strip."""
     module = load()
     assert module.MODULAR_ORDERS == (10, 30, 50, 100, 150)
     stages = module.modular_stages(module.MODULAR_ORDERS)
     assert sorted(stages) == sorted(modular_stages(module.MODULAR_ORDERS))
     assert repr(stages) == repr(module.modular_stages(module.MODULAR_ORDERS))
     assert stages["delta_series_o150_us"][1] == [(150,)] * 20
+    from mirrorcalc import modular
+    # the build, not a hit in delta_series's per-order memo
+    assert stages["delta_series_o150_us"][0] is modular.delta_series.__wrapped__
+    assert stages["eta_series_o150_us"][0] is modular.eta_series
     taus = [tau for (tau,) in stages["petersson_delta_us"][1]]
     assert len(set(taus)) == 20
     assert all(abs(t.real) <= 0.5 and 0.01 <= t.imag <= 2 for t in taus)
