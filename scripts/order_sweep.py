@@ -28,20 +28,18 @@ LATTICE_SEED: the two elimination kernels at each rank in LATTICE_RANKS,
 ``_det_general`` on general ones, ``covolume`` at rank 4,
 ``fhsv_covolume``, ``CubicLattice.basis_change`` at rank 4 by a
 unimodular U (3n row additions, each by c in [-2, 2]), and
-``rank1_update_det_check`` on 12x12 inputs drawn as perfbench's
-``lattice-modular`` draws them (``draw_rank1``).  The basis changes, then
-the rank-one inputs, are drawn after every other stage's inputs, so that
-adding a stage moved none of them.  Each lattice is built by
-``from_entries`` outside the timed calls.  Each group takes one warm-up
+``rank1_update_det_check`` on 12x12 inputs drawn by perfbench's own
+``workloads.draw_rank1``, the ``lattice-modular`` draws.  The basis
+changes, then the rank-one inputs, are drawn after every other stage's
+inputs, so that adding a stage moved none of them.  Each lattice is
+built by ``from_entries`` outside the timed calls.  Each group takes one warm-up
 pass over its stages, then one sample: the mean time per call over the
 batch, in microseconds.
 
-The modular layer: ``eta_series`` and the Delta build
-``delta_series.__wrapped__`` (past its per-order memo, which would turn
-every timed call into a cache hit) LATTICE_BATCH times at each order in
-MODULAR_ORDERS, and ``petersson_delta`` once at each of LATTICE_BATCH
-points tau of the strip |Re tau| <= 1/2, 0.01 <= Im tau <= 2, drawn from
-LATTICE_SEED.
+The modular layer: ``eta_series`` and ``delta_series`` LATTICE_BATCH
+times at each order in MODULAR_ORDERS, and ``petersson_delta`` once at
+each of LATTICE_BATCH points tau of the strip |Re tau| <= 1/2,
+0.01 <= Im tau <= 2, drawn from LATTICE_SEED.
 
 The genus-one layer: ``lambert_series``, ``eta_product_log_derivative``
 and ``extract_n1`` LATTICE_BATCH times at each order in GENUS_ONE_ORDERS,
@@ -58,6 +56,7 @@ spread.
 """
 
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -140,22 +139,15 @@ def summarize_pipeline(samples: list) -> dict:
             "peak_rss_mib": max(s["peak_rss_mib"] for s in samples)}
 
 
-def draw_rank1(rng: random.Random, n: int) -> tuple:
-    """(A, h) as perfbench's ``lattice-modular`` draws them: a symmetric
-    n x n A of entries p/q, p in [-5, 5], q in [1, 3], and h in [-4, 4]^n,
-    redrawn until h^T A h != 0 and det A != 0."""
-    from mirrorcalc import lattice
-
-    while True:
-        A = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                A[i][j] = A[j][i] = Fraction(rng.randint(-5, 5),
-                                             rng.randint(1, 3))
-        h = [rng.randint(-4, 4) for _ in range(n)]
-        if (sum(h[i] * A[i][j] * h[j] for i in range(n) for j in range(n))
-                and lattice.bareiss_det(A)):
-            return A, h
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path as ``perfbench_workloads``."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def lattice_stages() -> dict:
@@ -214,23 +206,25 @@ def lattice_stages() -> dict:
         lattice.fhsv_covolume, [(A, kahler(A)) for _ in batch])
     stages["basis_change_r4_us"] = (lattice.CubicLattice.basis_change, [
         (cubic_lattice(4), unimodular(4)) for _ in batch])
-    stages["rank1_update_r12_us"] = (lattice.rank1_update_det_check, [
-        draw_rank1(rng, 12) for _ in batch])
+    workloads = perfbench_workloads()
+    stages[f"rank1_update_r{workloads.MATRIX_SIZE}_us"] = (
+        lattice.rank1_update_det_check,
+        [workloads.draw_rank1(rng) for _ in batch])
     return stages
 
 
 def modular_stages(orders) -> dict:
-    """{stage: (function, its LATTICE_BATCH argument tuples)}: the eta
-    series and the Delta build at each order, and the Petersson norm at
-    points drawn from LATTICE_SEED."""
+    """{stage: (function, its LATTICE_BATCH argument tuples)}: the eta and
+    Delta series at each order, and the Petersson norm at points drawn
+    from LATTICE_SEED."""
     from mirrorcalc import modular
 
     rng = random.Random(LATTICE_SEED)
     stages = {}
-    for name, fn in (("eta_series", modular.eta_series),
-                     ("delta_series", modular.delta_series.__wrapped__)):
+    for name in ("eta_series", "delta_series"):
         for n in orders:
-            stages[f"{name}_o{n}_us"] = (fn, [(n,)] * LATTICE_BATCH)
+            stages[f"{name}_o{n}_us"] = (
+                getattr(modular, name), [(n,)] * LATTICE_BATCH)
     stages["petersson_delta_us"] = (modular.petersson_delta, [
         (complex(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 2.0)),)
         for _ in range(LATTICE_BATCH)])

@@ -194,10 +194,15 @@ def _output_format(text: str) -> str:
 
 REQUIRED = object()     # the default of a flag that must be given
 
+# The largest --order: at 1233 the period's coefficient (5N)!/(N!)^5,
+# which mirror-map writes, has more than the 4300 digits CPython writes.
+# One bound for the three pipeline subcommands, checked when parsed.
+MAX_ORDER = 1232
+
 # Flag -> (type, help, default or REQUIRED).  ``--order`` is the one
 # series-order knob, shared by the three pipeline subcommands.
 OUTPUT = {"--output": (_output_format, "json or csv", "json")}
-ORDER = {"--order": (int, "series order N >= 1", 30)}
+ORDER = {"--order": (int, f"series order N, 1 <= N <= {MAX_ORDER}", 30)}
 
 # Subcommand -> (handler, help, flags); the handler takes each flag as a
 # keyword (``--n0-file`` as ``n0_file``).
@@ -270,7 +275,8 @@ def _read_flags(argv: list, flags: dict, values: dict, command=None):
 def parse(argv: list[str]):
     """(handler, output format, keyword arguments) for ``argv``, which is
     ``[--output FORMAT] COMMAND [FLAGS]``.  Raises ``UsageError`` for any
-    other argv, and ``HelpRequest`` for ``--help``/``-h``."""
+    other argv, ``HelpRequest`` for ``--help``/``-h``, and ``ValueError``
+    (exit 1, as for an order below 1) for an order above MAX_ORDER."""
     argv, top = list(argv), {"--output": "json"}
     _read_flags(argv, OUTPUT, top)
     command = argv.pop(0) if argv else None
@@ -284,6 +290,9 @@ def parse(argv: list[str]):
     missing = " and ".join(n for n, v in values.items() if v is REQUIRED)
     if missing:
         raise UsageError(f"{command} needs {missing}")
+    if values.get("--order", 0) > MAX_ORDER:
+        raise ValueError(f"order must be <= {MAX_ORDER}, "
+                         f"not {reprlib.repr(values['--order'])}")
     return fn, top["--output"], {
         name[2:].replace("-", "_"): value for name, value in values.items()}
 
@@ -300,9 +309,6 @@ def run(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:  # e.g. a q-chart list of --order 10**15 entries
-        print("error: out of memory", file=sys.stderr)
         return 1
     sys.stdout.write(_emit(payload, fmt))
     return 0

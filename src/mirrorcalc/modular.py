@@ -11,7 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 # ``series`` is imported where it is used: ``modular --tau`` runs
 # petersson_delta alone, which loads ``kernels`` only to raise.
@@ -34,13 +33,8 @@ def eta_series(order: int) -> ExactSeries:
     return ExactSeries.from_nums(coeffs, 1, "q")
 
 
-@lru_cache(maxsize=None, typed=True)
 def delta_series(order: int) -> ExactSeries:
-    """Truncated q * prod (1-q^n)^24, built once per order: a later call
-    at the same order returns the same immutable series, whose ``coeffs``
-    still builds fresh Fractions on each read.  The memo is typed, so a
-    float or bool order never reads an int order's entry (12.0 is still
-    refused), and a refused order caches nothing.
+    """Truncated q * prod (1-q^n)^24.
 
     b = eta^24 comes from the power recurrence
     m b_m = sum_{k=1}^{m} (25k - m) a_k b_{m-k} over the sparse

@@ -67,12 +67,31 @@ class TestMirrorMap:
         assert out == ""
         assert err == f"error: order must be >= 1, not {order}\n"
 
-    @pytest.mark.parametrize("command", ["f1", "extract-gw"])
-    def test_order_out_of_memory_exits_1(self, capsys, command):
-        """The q-chart's first list at order 10^15 would take 8 PB: the
-        allocation fails at once, and the CLI says so in one line."""
-        code, out, err = invoke(capsys, command, "--order", str(10 ** 15))
-        assert (code, out, err) == (1, "", "error: out of memory\n")
+    @pytest.mark.parametrize("command", ["mirror-map", "f1", "extract-gw"])
+    @pytest.mark.parametrize("order, shown", [
+        (1233, "1233"), (10 ** 15, "1000000000000000"),
+        (10 ** 60, "100000000000000000...0000000000000000000")])
+    def test_order_above_the_bound_exits_1(self, capsys, monkeypatch,
+                                           command, order, shown):
+        """An order past MAX_ORDER is refused when the flag is parsed,
+        the same way by all three commands, before any series is built."""
+        from mirrorcalc import kernels
+
+        for name in ("period", "q_chart"):
+            monkeypatch.setattr(kernels, name, None)
+        code, out, err = invoke(capsys, command, "--order", str(order))
+        assert (code, out) == (1, "")
+        assert err == f"error: order must be <= 1232, not {shown}\n"
+
+    def test_order_bound_is_the_last_writable_period_coefficient(self):
+        """MAX_ORDER is the largest N whose (5N)!/(N!)^5 has at most 4300
+        digits, so mirror-map can write y0 at every order it takes."""
+        from mirrorcalc.cli import MAX_ORDER
+
+        def digits(n):
+            return len(str(math.factorial(5 * n) // math.factorial(n) ** 5
+                           // 10 ** 4000)) + 4000
+        assert digits(MAX_ORDER) <= 4300 < digits(MAX_ORDER + 1)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = invoke(capsys, "mirror-map", "--order", "4")

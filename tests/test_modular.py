@@ -60,30 +60,6 @@ class TestDelta:
         with pytest.raises(SeriesError):
             delta_series(0)
 
-    @pytest.mark.parametrize("order", [1, 12, 150])
-    def test_built_once_per_order(self, order):
-        d = delta_series(order)
-        assert delta_series(order) is d
-        assert d == delta_series.__wrapped__(order)
-        assert delta_series(order + 1) is not d
-
-    @pytest.mark.parametrize("order", [0, -1])
-    def test_refused_order_caches_nothing(self, order):
-        delta_series(5)
-        before = delta_series.cache_info()
-        for _ in range(2):
-            with pytest.raises(SeriesError, match="needs order >= 1"):
-                delta_series(order)
-        after = delta_series.cache_info()
-        assert after.currsize == before.currsize
-        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
-
-    def test_float_order_misses_the_int_entry(self):
-        """The memo is typed: 12.0 is refused even with order 12 built."""
-        delta_series(12)
-        with pytest.raises(TypeError):
-            delta_series(12.0)
-
 
 def reference_log_norm_sq(tau):
     """log((Im tau)^12 |Delta(tau)|^2), and its exp, by mpmath at 800

