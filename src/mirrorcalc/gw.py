@@ -81,14 +81,13 @@ class GWTable:
 
 
 def _genus_one(table: GWTable, order: int, E) -> ExactSeries:
-    """50/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for the form's
+    """c2.H/12 + sum_{m>=1} ((2d N1) * E + (d N0/6) * U)(m) q^m for the form's
     int column E and U = q (1-q)'/(1-q) = -sum_{m>=1} q^m, which both forms
     share, in one sweep over the table's columns (degrees past order are
     not read; from_nums reduces away the lcd of the unread)."""
     A, B, lcd = table._columns
     out = _dirichlet(order, A, E, B, [0] + [-1] * order)
-    p, q = kernels.LOG_X_MULTIPLE
-    out[0] = 6 * p // q * lcd                   # 6 * 50/12 = 25
+    out[0] = kernels.C2H // 2 * lcd             # 6 G(0) = c2.H/2
     return ExactSeries.from_nums(out, 6 * lcd, "q")
 
 

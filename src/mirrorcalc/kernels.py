@@ -166,15 +166,11 @@ def integral(pairs, what: str) -> dict[int, int]:
     return out
 
 
-# Rational multiple of log x in the log of the genus-one amplitude:
-#   (62/3)*log psi  -> -62/15 * log x   (log psi = -(1/5) log x + const)
-#   -(1/6)*log(psi^5 - 1) -> +1/6 * log x  (psi^5 - 1 = (1 - mu x)/(mu x))
-#   log(q dpsi/dq) = log psi + log u + const -> -1/5 * log x
-# totalling -25/6, the constant term of q d/dq F1.  G = -q d/dq F1
-# negates all of it, so the log x multiple of G is +25/6 = 50/12.  It
-# is also the constant term of G, since u(0) = 1 and every q f'/f
-# vanishes at q = 0.
-LOG_X_MULTIPLE = (50, 12)
+# The quintic's kappa = H^3, c2.H and Euler number chi; c2.H and chi are
+# even (c2.H = 12 chi(O(H)) - 2 H^3, chi = 2 (h11 - h21)).  BCOV's genus-one
+# formula (hep-th/9302103) at h11 = 1: 6 G = (c2.H/2) u + (24 - chi/2) L(y)
+# + L(w) - 6 L(u), so G(0) = c2.H/12; the Yukawa coupling has K(0) = kappa.
+KAPPA, C2H, CHI = 5, 50, -200
 # The quintic's Picard-Fuchs operator theta^4 - x P(theta), theta = x d/dx,
 # as (mu, p3, p2, p1, p0), P = mu theta^4 + p3 theta^3 + ... + p0 =
 # 5 (5 theta + 1)(5 theta + 2)(5 theta + 3)(5 theta + 4).
@@ -282,14 +278,15 @@ def log_derivatives(x, u, y) -> tuple:
 
 
 def f1_log_derivative(u, logs) -> tuple[list[int], int]:
-    """G = (25 u + 124 L(y) + L(w) - 6 L(u)) / 6 from u(q) and the
-    ``log_derivatives`` logs; G(0) != 50/12 raises."""
+    """G = (c2.H/2 u + (24 - chi/2) L(y) + L(w) - 6 L(u)) / 6 from u(q)
+    and the ``log_derivatives`` logs; G(0) != c2.H/12 raises."""
     ly, lw, lu, den = logs
-    G, dG = reduced([25 * den * a + 124 * b + c - 6 * e
-                     for a, b, c, e in zip(u, ly, lw, lu)], 6 * den)
-    if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
+    a, b = C2H // 2 * den, 24 - CHI // 2
+    G, dG = reduced([a * v + b * y + w - 6 * e
+                     for v, y, w, e in zip(u, ly, lw, lu)], 6 * den)
+    if 12 * G[0] != C2H * dG:
         raise SeriesError(
-            f"G must have constant term 50/12, not {ratio(G[0], dG)}")
+            f"G must have constant term {C2H}/12, not {ratio(G[0], dG)}")
     return G, dG
 
 
@@ -302,15 +299,17 @@ def instanton_numbers(c, den: int) -> dict[int, int]:
 
 
 def genus_zero(u, y, logs) -> tuple[list[int], int]:
-    """The Yukawa coupling K = 5 u^3 / (w y^2) = 5 + sum_d d^3 N0(d) q^d by
-    exp's recurrence m K_m = sum_{k=1}^m L(K)_k K_{m-k}, L(K) = 3 L(u) -
-    L(w) - 2 L(y), from K(0) = 5 u(0)^3/y(0)^2, w(0) = 1; K(0) != 5 raises."""
+    """The Yukawa coupling K = kappa u^3 / (w y^2) = kappa + sum_d d^3
+    N0(d) q^d by exp's recurrence m K_m = sum_{k=1}^m L(K)_k K_{m-k},
+    L(K) = 3 L(u) - L(w) - 2 L(y), from K(0) = kappa u(0)^3/y(0)^2,
+    w(0) = 1; K(0) != kappa raises."""
     ly, lw, lu, den = logs
     LK = [3 * e - c - 2 * b for b, c, e in zip(ly, lw, lu)]
-    K, dK = _solve([5 * u[0] ** 3] + [0] * (len(LK) - 1), 1, LK,
+    K, dK = _solve([KAPPA * u[0] ** 3] + [0] * (len(LK) - 1), 1, LK,
                    [y[0] ** 2] + [m * den for m in range(1, len(LK))])
-    if K[0] != 5 * dK:
-        raise SeriesError(f"K must have constant term 5, not {ratio(K[0], dK)}")
+    if K[0] != KAPPA * dK:
+        raise SeriesError(
+            f"K must have constant term {KAPPA}, not {ratio(K[0], dK)}")
     return K, dK
 
 
@@ -319,9 +318,9 @@ def extract_n1(G, dG: int, n0, d0: int) -> list[tuple[int, int]]:
     n0[d]/d0.  The Lambert form reads -2 (d N1) * sigma_1 = G + (d N0/6) * 1,
     so, as 1 * sigma_1^-1 = mu id, one sweep gives -12 den d N1 =
     (6 den G) * sigma_1^-1 + (den d N0) * mu id, den = lcm(d0, dG)."""
-    if G[0] * LOG_X_MULTIPLE[1] != LOG_X_MULTIPLE[0] * dG:
+    if 12 * G[0] != C2H * dG:
         raise ExtractionError(
-            f"constant term of G must be 50/12, got {ratio(G[0], dG)}")
+            f"constant term of G must be {C2H}/12, got {ratio(G[0], dG)}")
     order, den = len(G) - 1, lcm(d0, dG)
     k0, k = den // d0, 6 * (den // dG)
     _, mu_id, sigma_inv = _inverses(order)

@@ -179,6 +179,13 @@ def _content(den: int, ints: Iterable[int]) -> int:
     return gcd(den, *ints) * (-1 if den < 0 else 1)
 
 
+# The largest rank from_entries takes: the dense r^3 tensor costs about
+# 17 bytes an entry, so a cold covolume of rank 128 peaks at 50 MiB in
+# 0.2 s (x86-64), rank 256 at 282 MiB, and rank 700 would need 5.4 GiB.
+# The paper's lattices have rank 10 and 11.
+MAX_RANK = 128
+
+
 @dataclass(frozen=True)
 class CubicLattice:
     """Integral lattice of rank b2 with a symmetric cubic form and a
@@ -216,10 +223,13 @@ class CubicLattice:
         The rank and the indices must be ints (not bools); kappa a list
         or tuple; the values and kappa's entries ints, Fractions or
         rational strings.  A triple given twice, in the same or another
-        index order, or c(kappa,kappa,kappa) <= 0 raises LatticeError.
+        index order, a rank above MAX_RANK, or c(kappa,kappa,kappa) <= 0
+        raises LatticeError.
         """
         if type(rank) is not int:
             raise LatticeError(f"rank {reprlib.repr(rank)} is not an integer")
+        if rank > MAX_RANK:
+            raise LatticeError(f"rank must be <= {MAX_RANK}, not {rank}")
         if not isinstance(kappa, (list, tuple)):
             raise LatticeError(f"kappa {reprlib.repr(kappa)} is not a list")
         k, dk = scaled([_entry(v) for v in kappa])

@@ -59,10 +59,11 @@ def f1_log_derivative(chart: MirrorChart) -> ExactSeries:
     q-chart, to the chart's order.
 
     Split as (50/12) u(q) minus L(f) = q f'/f of the unit series
-    y0(x(q))^(-62/3), (1 - 3125 x(q))^(-1/6) and u(q): the q-chart
-    log-derivatives of ``kernels.log_derivatives``, combined by
-    ``kernels.f1_log_derivative``; G(0) != 50/12 or a non-integral chart
-    series (``MirrorChart.q_nums``) raises.
+    y0(x(q))^(-62/3), (1 - mu x(q))^(-1/6), mu = OPERATOR[0], and u(q):
+    the q-chart log-derivatives of ``kernels.log_derivatives``, combined
+    by ``kernels.f1_log_derivative`` from the quintic's c2.H and chi;
+    G(0) != 50/12 or a non-integral chart series (``MirrorChart.q_nums``)
+    raises.
     """
     x, u, y = chart.q_nums()
     return ExactSeries.from_nums(*kernels.f1_log_derivative(

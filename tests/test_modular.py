@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorcalc.modular import (eta_series, delta_series, petersson_delta,
                                 fhsv_assemble)
@@ -61,13 +62,12 @@ class TestDelta:
             delta_series(0)
 
 
-def reference_log_norm_sq(tau):
-    """log((Im tau)^12 |Delta(tau)|^2), and its exp, by mpmath at 800
-    digits: the float parts (exact as mpf), reduced to the fundamental
-    domain, and the product continued until q^n is below the working
-    precision."""
+def reference_log_norm_sq(tau, digits):
+    """log((Im tau)^12 |Delta(tau)|^2) as an mpf, by mpmath at digits:
+    the float parts (exact as mpf), reduced to the fundamental domain,
+    and the product continued until q^n is below the working precision."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(800):
+    with mpmath.workdps(digits):
         x, y = mpmath.mpf(tau.real), mpmath.mpf(tau.imag)
         while True:
             x -= mpmath.nint(x)
@@ -77,15 +77,36 @@ def reference_log_norm_sq(tau):
             x, y = -x / n, y / n
         q = mpmath.exp(2 * mpmath.pi * mpmath.mpc(-y, x))
         log_prod, qn = 0, q
-        while abs(qn) > mpmath.mpf(10) ** -820:
+        while abs(qn) > mpmath.mpf(10) ** -(digits + 20):
             log_prod += mpmath.log(abs(1 - qn))
             qn *= q
-        log_norm_sq = 12 * mpmath.log(y) - 4 * mpmath.pi * y + 48 * log_prod
-        return float(log_norm_sq), float(mpmath.exp(log_norm_sq))
+        return 12 * mpmath.log(y) - 4 * mpmath.pi * y + 48 * log_prod
 
 
+def assert_within_error_bound(tau, digits=800):
+    """log_norm_sq within error_bound of the reference, and norm_sq, where
+    it is a normal float, within error_bound relative; both differences
+    taken in mpmath, so that no float rounding of the test enters.  The
+    default 800 digits reduce Im tau = 1e-300 exactly; 60 serve from 0.01
+    up, where the reduction takes few inversions."""
+    mpmath = pytest.importorskip("mpmath")
+    got = petersson_delta(tau)
+    ref = reference_log_norm_sq(tau, digits)
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(got.log_norm_sq) - ref) <= got.error_bound
+        if got.norm_sq >= sys.float_info.min:
+            exact = mpmath.exp(ref)
+            assert (abs(mpmath.mpf(got.norm_sq) - exact)
+                    <= got.error_bound * exact)
+    return got, ref
+
+
+# 0.27 + 202.9i and 0.5 + 3000i: rounding errors of 2.3e-13 and 9.8e-13
+# relative, which a truncation-only bound (0.0 there) missed
 ORACLE_POINTS = [1j, 0.5 + 2j, 0.3 + 0.02j, 0.5 + 0.01j, 1 / 3 + 1e-12j,
-                 0.61803398875 + 1e-300j, 0.0001j, 1e30j]
+                 0.61803398875 + 1e-300j, 0.0001j, 1e30j, 0.27 + 202.9j,
+                 0.5 + 3000j]
+HALF_STRIP = st.floats(-0.5, 0.5)
 
 
 class TestPetersson:
@@ -102,14 +123,22 @@ class TestPetersson:
 
     @pytest.mark.parametrize("tau", ORACLE_POINTS)
     def test_against_mpmath(self, tau):
-        """log_norm_sq to 1e-13 relative, and norm_sq, where it is a
-        normal float, within its own error_bound plus 1e-13."""
-        ref, norm_ref = reference_log_norm_sq(tau)
-        got = petersson_delta(tau)
-        assert abs(got.log_norm_sq - ref) <= 1e-13 * abs(ref)
-        if got.norm_sq >= sys.float_info.min:
-            assert (abs(got.norm_sq - norm_ref)
-                    <= (got.error_bound + 1e-13) * norm_ref)
+        """log_norm_sq to 1e-13 relative, and within its error_bound."""
+        got, ref = assert_within_error_bound(tau)
+        assert abs(got.log_norm_sq - float(ref)) <= 1e-13 * abs(float(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(HALF_STRIP, st.floats(0.01, 2))
+    def test_error_bound_holds_on_the_strip(self, x, y):
+        """|Re tau| <= 1/2, 0.01 <= Im tau <= 2: points below the unit
+        circle reduce by inversions, and norm_sq is a normal float."""
+        assert_within_error_bound(complex(x, y), 60)
+
+    @settings(max_examples=60, deadline=None)
+    @given(HALF_STRIP, st.floats(2, 1e12))
+    def test_error_bound_holds_toward_the_cusp(self, x, y):
+        """Im tau up to 1e12, where rounding 4 pi Im tau dominates."""
+        assert_within_error_bound(complex(x, y), 60)
 
     def test_closed_form_at_i(self):
         # Delta(i) = Gamma(1/4)^24 / (2^24 pi^18)

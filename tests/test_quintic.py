@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mirrorcalc import kernels
 from mirrorcalc.divisor import FamilyData, Point, assemble_factor
 from mirrorcalc.series import ExactSeries, NonUnitError, SeriesError
-from mirrorcalc.kernels import LOG_X_MULTIPLE, period, picard_fuchs_check
+from mirrorcalc.kernels import period, picard_fuchs_check
 from mirrorcalc.quintic import (MirrorChart, period_y0, mirror_map,
                                 f1_log_derivative)
 
@@ -36,6 +36,19 @@ def divisor_side():
             *(abs(e) * half for e in (at(Point.of(0)),
                                       at(Point.root_of_unity(5, 0)),
                                       factor.vector_field_power))]
+
+
+def kernel_side():
+    """G's coefficients of u, L(y0(x(q))), L(1 - 3125 x(q)) and -L(u), read
+    off ``kernels.f1_log_derivative`` at q, q^2, q^3 and q^4 from the
+    unit inputs u = 1 + q and a q^k per log-derivative, so that they are
+    the kernels' own, built from the quintic's invariants."""
+    def unit(k):
+        return [int(m == k) for m in range(5)]
+
+    G, dG = kernels.f1_log_derivative([1, 1, 0, 0, 0],
+                                      (unit(2), unit(3), unit(4), 1))
+    return [F(G[1], dG), F(G[2], dG), F(G[3], dG), -F(G[4], dG)]
 
 
 def f1_reference(chart):
@@ -245,14 +258,32 @@ class TestF1:
         # one formula from both sides: the kernels' G and the paper's
         # divisor factor for the quintic mirror
         assert divisor_side() == [F(25, 6), F(62, 3), F(1, 6), 1]
-        assert F(*LOG_X_MULTIPLE) == divisor_side()[0]
+        assert kernel_side() == divisor_side()
 
     def test_degenerate_limit_is_constant(self):
-        # all instanton corrections off: u = 1, y0 = 1, x(q) = q with
-        # the 1-3125x factor suppressed leaves only the log-x multiple
-        u = ExactSeries.constant(1, 6, "q")
-        G = u * F(*LOG_X_MULTIPLE) - u.log_derivative()
-        assert G == ExactSeries.constant(F(50, 12), 6, "q")
+        # all instanton corrections off: u = 1 and every log-derivative 0
+        # leave only the log-x multiple
+        zero = [0] * 7
+        G, dG = kernels.f1_log_derivative([1, *zero[1:]],
+                                          (zero, zero, zero, 1))
+        assert [F(v, dG) for v in G] == [F(50, 12), *zero[1:]]
+
+    @pytest.mark.parametrize("name, value", [("CHI", -198), ("C2H", 48)])
+    def test_mutated_invariant_breaks_the_match(self, monkeypatch, name,
+                                                value):
+        """chi or c2.H of the kernels' record, off by 2, no longer gives
+        the divisor factor's coefficients."""
+        monkeypatch.setattr(kernels, name, value)
+        with pytest.raises(AssertionError):
+            self.test_coefficients_match_the_divisor_factor()
+
+    def test_mutated_kappa_breaks_the_line_count(self, monkeypatch):
+        """kappa = H^3 of the kernels' record, off by 1, no longer gives
+        the 2875 lines on the quintic."""
+        from test_gw import TestGenus0
+        monkeypatch.setattr(kernels, "KAPPA", 4)
+        with pytest.raises(AssertionError):
+            TestGenus0().test_line_count_anchor()
 
     def test_q_coefficient_consistent_with_extraction(self):
         # self-consistency against the gw module round trip at degree 1
