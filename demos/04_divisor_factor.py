@@ -24,10 +24,11 @@ print("overall root:", factor.overall_root)
 print("\nmatches normal form:",
       divisor.divisor_equal(factor, divisor.quintic_normal_form()))
 
-got = divisor.green_potential(data, 2.0)
+got, bound = divisor.green_potential(data, 2.0)
 want = 2 * math.log(31) - 248 * math.log(2)
 print(f"\nGreen potential at psi = 2: {got}")
 print(f"log(31^2 / 2^248)         : {want}")
+print(f"error bound               : {bound:.2e}")
 
 print("\ndelta coefficients in dimension 3:",
       [str(v) for v in delta_row(3)])

@@ -31,8 +31,12 @@ unimodular U (3n row additions, each by c in [-2, 2]), and
 ``rank1_update_det_check`` on 12x12 inputs drawn by perfbench's own
 ``workloads.draw_rank1``, the ``lattice-modular`` draws.  The basis
 changes, then the rank-one inputs, are drawn after every other stage's
-inputs, so that adding a stage moved none of them.  Each lattice is
-built by ``from_entries`` outside the timed calls.  Each group takes one warm-up
+inputs, so that adding a stage moved none of them.  ``covolume`` also
+runs on LATTICE_BATCH copies of the rank-60 diagonal cubic (c(e_i, e_i,
+e_i) = 1, kappa all ones), whose Gram (3J - 120 I)/120 has a zero leading
+40x40 minor, so the symmetric kernel hands its last 22x22 block to the
+general one; the stage draws no random numbers.  Each lattice is built
+by ``from_entries`` outside the timed calls.  Each group takes one warm-up
 pass over its stages, then one sample: the mean time per call over the
 batch, in microseconds.
 
@@ -201,6 +205,9 @@ def lattice_stages() -> dict:
             for _ in batch])
     stages["covolume_r4_us"] = (
         lattice.covolume, [(cubic_lattice(4),) for _ in batch])
+    stages["covolume_diag_r60_us"] = (lattice.covolume, [(
+        lattice.CubicLattice.from_entries(
+            60, {(i, i, i): 1 for i in range(60)}, [1] * 60),) for _ in batch])
     A = lattice.enriques_invariant_gram()
     stages["fhsv_covolume_us"] = (
         lattice.fhsv_covolume, [(A, kahler(A)) for _ in batch])

@@ -182,7 +182,8 @@ def _cmd_bcov_factor(family, eval_at) -> dict:
     out = {"factor": factor.to_json_dict()}
     if eval_at:
         psi = parse_complex(eval_at)
-        out["green_potential"] = divisor.green_potential(data, psi)
+        out["green_potential"], out["error_bound"] = (
+            divisor.green_potential(data, psi))
     return out
 
 

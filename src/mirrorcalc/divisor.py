@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -267,24 +268,47 @@ def quintic_normal_form() -> WeightedDivisor:
                            overall_root=Fraction(2, 3))
 
 
-def green_potential(data: FamilyData, psi: complex) -> float:
-    """log | prod (psi - D_k)^{2 r_k} / ((psi - P_i)^{(48+chi) m_i}
-    (psi - R_j)^{12 (r_j - 1)}) | at a finite point psi away from the
-    divisor support.
-    """
+def green_potential(data: FamilyData, psi: complex) -> Tuple[float, float]:
+    """(value, bound): the value log | prod (psi - D_k)^{2 r_k} /
+    ((psi - P_i)^{(48+chi) m_i} (psi - R_j)^{12 (r_j - 1)}) | at a finite
+    point psi away from the divisor support, and a bound on its absolute
+    error, psi taken as exact.
+
+    The value is the running sum of the terms t_i = e_i log d_i, d_i the
+    float |psi - z_i|, and the bound is eps (c1 sum' |e_i| / d_i + c2 sum
+    (|e_i| + |t_i| + |s_i|)), eps = 2u = 2^-52, sum' over the roots of
+    unity and s_i the partial sums.  A root of unity exp(2 pi i k/n) is
+    rounded: k/n, pi and their product cost 3u relative on an angle under
+    2 pi, cos and sin 1 ulp each (glibc), so the float point is within
+    (6 pi + 2) u < 10.5 eps of the exact one.  That moves log d_i by up
+    to 10.5 eps / (d_i - 10.5 eps), and _coincide keeps d_i above
+    1e-12 |z_i| = 1e-12, so by under 11 eps / d_i: c1 = 11.  This
+    cancellation of psi - z_i, not a relative error of t_i, dominates
+    near those points; a point given as a float is exact and has no such
+    term.  For each term the subtraction (u) and abs (1 ulp) leave d_i
+    within 3.01u relative, which moves log d_i by 3.01u; log (1 ulp),
+    float(e_i) (u) and the product (u) add 4u relative: under 3.01u |e_i|
+    + 4.01u |t_i|.  Each addition costs u |s_i|, a running error bound
+    that holds for any number of points: under 2.01 eps (|e_i| + |t_i|)
+    + eps/2 |s_i| in all, within c2 = 3, whose slack covers the bound's
+    own rounding."""
     factor = assemble_factor(data)
-    total = 0.0
+    total = cancel = spread = 0.0
     for pt, exp in factor.entries:
         if _coincide(complex(psi), z := pt.to_complex()):
             raise FamilyError(
                 f"psi hits a divisor point with local exponent {exp}")
         try:
-            total += float(exp) * math.log(_distance(complex(psi), z))
+            e = float(exp)
         except OverflowError:       # an exponent past float range
-            total = math.inf
+            e = math.inf
+        total += (term := e * math.log(d := _distance(complex(psi), z)))
+        spread += abs(e) + abs(term) + abs(total)
+        if pt.kind == "zeta":
+            cancel += abs(e) / d
     if not math.isfinite(total):
         raise FamilyError(f"the Green potential at psi = {psi} is not finite")
-    return total
+    return total, sys.float_info.epsilon * (11 * cancel + 3 * spread)
 
 
 def residue_balance_check(data: FamilyData,

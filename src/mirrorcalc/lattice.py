@@ -101,15 +101,23 @@ def _square(u: Sequence[Sequence]) -> Tuple[tuple, ...]:
     return tuple(tuple(u[min(i, j)][~abs(i - j)] for j in r) for i in r)
 
 
-def _det_general(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square int matrix by two-step fraction-free
-    Bareiss elimination.  Each pass takes pivot rows (a, b, y1..), a != 0,
-    and (c, d, y2..), c0 = (a d - b c) / prev != 0, and replaces each other
-    row (p, q, x..) by (x c0 + y1 e1 + y2 e2) / prev, e1 = (c q - d p) / prev,
-    e2 = (b p - a q) / prev: one exact division per entry per two pivots,
-    prev the last c0.  With no such (c, d) the first two columns are
-    proportional, so the determinant is 0 and no one-step pass is needed."""
-    sign = prev = 1
+def _det_general(m: Sequence[Sequence[int]], d: int = 1) -> int:
+    """det m / d^(n-1) for an n x n int m, by two-step fraction-free
+    Bareiss elimination from prev = d.  Each pass takes pivot rows
+    (a, b, y1..), a != 0, and (c, e, y2..), c0 = (a e - b c) / prev != 0,
+    and replaces each other row (p, q, x..) by (x c0 + y1 e1 + y2 e2) /
+    prev, e1 = (c q - e p) / prev, e2 = (b p - a q) / prev: one exact
+    division per entry per two pivots, prev the last c0.  With no such
+    (c, e) the first two columns are proportional, so the determinant is
+    0 and no one-step pass is needed.  0x0 gives d.
+
+    Precondition: d != 0 and every (k+1)-minor of m is divisible by d^k.
+    After k one-step passes the entries are those minors over d^k, so
+    every division is exact; row swaps keep this, as it holds for every
+    minor.  d = 1 always qualifies, and so does d = s for m = s X - 2 a
+    b^T on int X, a and b: each (k+1)-square block has det(s Y - 2 u v^T)
+    = s^(k+1) det Y - 2 s^k v^T adj(Y) u."""
+    sign, prev = 1, d
     while len(m) > 1:
         for i, (a, b, *y1) in enumerate(m):
             if a:
@@ -117,8 +125,8 @@ def _det_general(m: Sequence[Sequence[int]]) -> int:
         else:
             return 0
         rest = m[:i] + m[i + 1:]
-        for j, (c, d, *y2) in enumerate(rest):
-            if c0 := a * d - b * c:
+        for j, (c, e, *y2) in enumerate(rest):
+            if c0 := a * e - b * c:
                 break
         else:
             return 0
@@ -127,31 +135,26 @@ def _det_general(m: Sequence[Sequence[int]]) -> int:
         m = [[(x * c0 + u * e1 + w * e2) // prev
               for x, u, w in zip(row, y1, y2)]
              for p, q, *row in rest[:j] + rest[j + 1:]
-             for e1, e2 in [((c * q - d * p) // prev, (b * p - a * q) // prev)]]
+             for e1, e2 in [((c * q - e * p) // prev, (b * p - a * q) // prev)]]
         prev = c0
     return sign * (m[0][0] if m else prev)
 
 
 def _det_symmetric(u: Sequence[Sequence[int]], d: int = 1) -> int:
-    """det m / d^(n-1) for the n x n symmetric int m whose _triangle is
-    u, by the passes of _det_general from prev = d, pivot rows (a, b, p..)
-    and (b, e, q..) first: row i becomes (x c0 + p_j e1_i + q_j e2_i) /
-    prev, symmetric again; ending on its diagonal, it zips with the tails
-    of p and q it needs.  At a leading minor a e - b^2 = 0 the block T
-    left (bordered minors of m) goes to _det_general, and the result is
-    det T / prev^(len T - 1) (Sylvester).  0x0 gives d.
-
-    Precondition: d != 0 and every (k+1)-minor of m is divisible by d^k.
-    After k one-step passes the entries are those minors over d^k, so
-    every division is exact.  d = 1 always qualifies, and so does d = s
-    for m = s X - 2 a a^T on int X and a: each (k+1)-square block has
-    det(s Y - 2 v w^T) = s^(k+1) det Y - 2 s^k w^T adj(Y) v."""
+    """_det_general(m, d), under its precondition, for the symmetric m
+    whose _triangle is u, by its passes on pivot rows (a, b, p..) and
+    (b, e, q..) first: row i becomes (x c0 + p_j e1_i + q_j e2_i) / prev,
+    symmetric again; ending on its diagonal, it zips with the tails of p
+    and q it needs.  At a leading minor a e - b^2 = 0 the block T left
+    goes to _det_general(T, prev): after t pivots each k-minor of T is
+    prev^(k-1) times a (t+k)-minor of m over d^(t+k-1) (Sylvester), so T
+    meets the precondition with divisor prev."""
     prev = d
     while len(u) > 1:
         (*p, b, a), (*q, e) = u[0], u[1]
         c0 = a * e - b * b
         if not c0:
-            return _det_general(_square(u)) // prev ** (len(u) - 1)
+            return _det_general(_square(u), prev)
         c0 //= prev
         u = [[(x * c0 + pj * e1 + qj * e2) // prev
               for x, pj, qj in zip(row, p, q)]
@@ -181,8 +184,8 @@ def _content(den: int, ints: Iterable[int]) -> int:
 
 # The largest rank from_entries takes: the dense r^3 tensor costs about
 # 17 bytes an entry, so a cold covolume of rank 128 peaks at 50 MiB in
-# 0.2 s (x86-64), rank 256 at 282 MiB, and rank 700 would need 5.4 GiB.
-# The paper's lattices have rank 10 and 11.
+# under 0.5 s (x86-64) on small entries, a zero leading minor or not;
+# rank 256 needs 282 MiB and rank 700 5.4 GiB.  The paper's: rank 10, 11.
 MAX_RANK = 128
 
 

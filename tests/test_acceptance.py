@@ -178,6 +178,19 @@ def test_ac8_lattice():
         assert const.pi_exponent == 42
 
 
+def test_ac14_covolume_through_a_vanishing_minor():
+    # t_iii = 1, kappa all ones: the Gram (3J - 2r I)/(2r) has a zero
+    # leading minor at k = 2r/3, which the symmetric kernel hands on
+    lattices = {r: lattice.CubicLattice.from_entries(
+        r, {(i, i, i): 1 for i in range(r)}, [1] * r) for r in (120, 126)}
+    with criterion("lattice: covolumes of the diagonal cubic at ranks 120 "
+                   "and 126, each through a vanishing leading minor",
+                   budget_seconds=2):
+        for r, L in lattices.items():
+            assert lattice.covolume(L).covolume == lattice.PiScaled(
+                F((-1) ** (r - 1), 2 * 8 ** r), -3 * r)
+
+
 def test_ac9_rank1_determinant():
     with criterion("rank-1 update determinant flip on 100 random instances",
                    budget_seconds=5):
@@ -218,6 +231,7 @@ def test_ac11_divisor():
         data = divisor.FamilyData.quintic_mirror()
         built = divisor.assemble_factor(data)
         assert divisor.divisor_equal(built, divisor.quintic_normal_form())
-        got = divisor.green_potential(data, 2.0)
+        got, bound = divisor.green_potential(data, 2.0)
         want = 2 * math.log(31) - 248 * math.log(2)
         assert abs(got - want) <= 1e-12 * abs(want)
+        assert 0 < bound <= 1e-12 * abs(want)

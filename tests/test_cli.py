@@ -659,7 +659,9 @@ class TestBcovFactor:
                               "--eval-at", "2")
         assert code == 0
         payload = json.loads(out)
+        assert sorted(payload) == ["error_bound", "factor", "green_potential"]
         assert isinstance(payload["green_potential"], float)
+        assert 0 < payload["error_bound"] < 1e-12
 
     def test_eval_at_singular_point(self, capsys, tmp_path):
         path = self._family_file(tmp_path)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mirrorcalc.divisor import (Point, FamilyData, WeightedDivisor,
                                 assemble_factor, divisor_equal,
@@ -139,18 +140,18 @@ class TestEquality:
 
 class TestGreenPotential:
     def test_quintic_at_two(self):
-        got = green_potential(FamilyData.quintic_mirror(), 2.0)
+        got, _ = green_potential(FamilyData.quintic_mirror(), 2.0)
         want = 2 * math.log(31) - 248 * math.log(2)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_empty_data_vanishes(self):
-        assert green_potential(FamilyData(chi=0), 1.7 + 0.3j) == 0.0
+        assert green_potential(FamilyData(chi=0), 1.7 + 0.3j) == (0.0, 0.0)
 
     def test_conjugation_symmetry(self):
         data = FamilyData.quintic_mirror()
         psi = 1.3 + 0.8j
-        a = green_potential(data, psi)
-        b = green_potential(data, psi.conjugate())
+        a, _ = green_potential(data, psi)
+        b, _ = green_potential(data, psi.conjugate())
         assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_pole_reported(self):
@@ -165,7 +166,7 @@ class TestGreenPotential:
     def test_near_zero_and_far_points_evaluate(self, psi):
         # -248 log|psi| + 2 log|psi^5 - 1|, the quintic's product form
         want = -248 * math.log(abs(psi)) + 2 * math.log(abs(psi ** 5 - 1))
-        got = green_potential(FamilyData.quintic_mirror(), psi)
+        got, _ = green_potential(FamilyData.quintic_mirror(), psi)
         assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -188,8 +189,86 @@ class TestGreenPotential:
         log_prod = 0.0
         for pt, e in wd.entries:
             log_prod += float(e) * math.log(abs(psi - pt.to_complex()))
-        direct = green_potential(data, psi)
+        direct, _ = green_potential(data, psi)
         assert math.isclose(direct, log_prod, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def reference_green_potential(data, psi):
+    """The Green potential at the float psi, taken as exact, by mpmath at
+    60 digits on the exact divisor points: exp(2 pi i k/n) for a root of
+    unity, the float itself for a value."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        w, total = mpmath.mpc(psi.real, psi.imag), mpmath.mpf(0)
+        for pt, e in assemble_factor(data).entries:
+            z = (mpmath.expjpi(mpmath.mpf(2 * pt.k) / pt.n)
+                 if pt.kind == "zeta" else mpmath.mpc(pt.value.real,
+                                                      pt.value.imag))
+            total += mpmath.mpf(e.numerator) / e.denominator * mpmath.log(
+                abs(w - z))
+        return total
+
+
+def assert_within_error_bound(data, psi):
+    """|value - reference| <= bound, compared in mpmath arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    value, bound = green_potential(data, psi)
+    ref = reference_green_potential(data, psi)
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(value) - ref) <= bound
+
+
+ANGLES = st.floats(0, 2 * math.pi)
+
+
+class TestGreenPotentialErrorBound:
+    """The bound against mpmath on the quintic mirror: 0 and the five
+    fifth roots of unity, the latter rounded when evaluated."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(-8, 8), ANGLES)
+    def test_holds_over_the_plane(self, log_r, angle):
+        psi = 10 ** log_r * cmath.exp(1j * angle)
+        data = FamilyData.quintic_mirror()
+        assume(not any(pt.same_as(Point.of(psi)) for pt, _ in
+                       assemble_factor(data).entries))
+        assert_within_error_bound(data, psi)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 5), st.floats(-11, -1), ANGLES)
+    def test_holds_near_each_point(self, k, log_r, angle):
+        """At 1e-11 to 1e-1 from 0 (k = 5) or from exp(2 pi i k/5), where
+        psi - z cancels and the rounding of z dominates."""
+        centre = 0 if k == 5 else cmath.exp(2j * math.pi * k / 5)
+        psi = centre + 10 ** log_r * cmath.exp(1j * angle)
+        assert_within_error_bound(FamilyData.quintic_mirror(), psi)
+
+    @pytest.mark.parametrize("psi", [
+        cmath.exp(2j * math.pi / 5) + 1e-11,
+        cmath.exp(2j * math.pi / 5) * (1 + 1e-9),
+        1e-8, 1e8, 2.0])
+    def test_holds_at_fixed_points(self, psi):
+        """The first two are where eps sum |e_i log d_i| falls short: the
+        error there is 5.4e-6 and 6.1e-8."""
+        assert_within_error_bound(FamilyData.quintic_mirror(), psi)
+
+    def test_not_vacuous(self):
+        _, bound = green_potential(FamilyData.quintic_mirror(), 0.3 + 0.2j)
+        assert 0 < bound <= 1e-11
+
+    def test_float_points_have_no_cancellation_term(self):
+        """The same points given as floats are exact: next to the fifth
+        root, the bound is the relative one alone."""
+        zeta = FamilyData.quintic_mirror()
+        value = FamilyData(chi=200, xi_divisor=zeta.xi_divisor,
+                           odp_points=tuple((Point.of(pt.to_complex()), r)
+                                            for pt, r in zeta.odp_points))
+        psi = cmath.exp(2j * math.pi / 5) + 1e-11
+        (a, bound_zeta), (b, bound_value) = (
+            green_potential(data, psi) for data in (zeta, value))
+        assert a == b
+        assert bound_value < 1e-11 < bound_zeta
+        assert_within_error_bound(value, psi)
 
 
 class TestResidueBalance:

@@ -137,8 +137,8 @@ def spy_kernels(monkeypatch):
     """[path, m, det, d] for every call of the two elimination kernels
     from now on, in call order: m the matrix as a full square (the
     symmetric kernel's _triangle squared up), d the divisor the kernel
-    was given (1 for the general one) and det the determinant of m, what
-    the kernel returned times d^(n-1)."""
+    was given and det the determinant of m, what the kernel returned
+    times d^(n-1)."""
     seen = []
     for path, square in (("symmetric", lattice._square), ("general", list)):
         kernel = getattr(lattice, f"_det_{path}")
@@ -418,8 +418,9 @@ def rank_one_update(X, a, s):
 
 
 class TestDivisor:
-    """_det_symmetric(u, d) = det m / d^(n-1) when every (k+1)-minor of m
-    is divisible by d^k, as on rank-one updates s X - 2 a a^T with d = s."""
+    """_det_general(m, d) = _det_symmetric(_triangle(m), d) = det m /
+    d^(n-1) when every (k+1)-minor of m is divisible by d^k, as on
+    rank-one updates s X - 2 a b^T with d = s."""
 
     @settings(max_examples=100, deadline=None)
     @given(symmetric_int_matrices(max_n=8), st.data())
@@ -436,6 +437,26 @@ class TestDivisor:
         assert type(det) is int
         assert det * F(s) ** (n - 1) == gauss_det(B)
 
+    @settings(max_examples=100, deadline=None)
+    @given(int_matrices(max_n=8), st.data())
+    def test_general_rank_one_updates(self, X, data):
+        """Any int X, a and b and s of either sign; zero heads of X's
+        first column and of a make a zero head of B's, so the row search
+        swaps rows."""
+        n = len(X)
+        zeros = data.draw(st.integers(0, n))
+        for row in X[:zeros]:
+            row[0] = 0
+        a = [0] * zeros + data.draw(st.lists(
+            st.integers(-6, 6), min_size=n - zeros, max_size=n - zeros))
+        b = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        s = data.draw(st.integers(-30, 30).filter(bool))
+        B = [[s * x - 2 * ai * bj for x, bj in zip(row, b)]
+             for row, ai in zip(X, a)]
+        det = lattice._det_general(B, s)
+        assert type(det) is int
+        assert det * F(s) ** (n - 1) == gauss_det(B)
+
     @pytest.mark.parametrize("seed, sign", [(1, -1), (3, 1)])
     def test_rank1_inputs_of_either_sign(self, monkeypatch, seed, sign):
         """The check's own B, with s = h_i^T A_i h_i < 0 and > 0."""
@@ -449,14 +470,14 @@ class TestDivisor:
 
     @pytest.mark.parametrize("s", [-3, 5])
     def test_zero_leading_minor(self, monkeypatch, s):
-        """A zero leading 2x2 minor sends B from prev = s to the general
-        kernel, and det T / s^(n-1) is exact there too (Sylvester)."""
+        """A zero leading 2x2 minor sends B to the general kernel with
+        the divisor prev = s it had reached (Sylvester)."""
         X = [[0, 0, 1, 2], [0, 0, 3, -1], [1, 3, 2, 0], [2, -1, 0, 1]]
         B = rank_one_update(X, [0, 0, 1, -2], s)
         seen = spy_kernels(monkeypatch)
         det = lattice._det_symmetric(lattice._triangle(B), s)
         assert [(path, d) for path, _, _, d in seen] == [
-            ("symmetric", s), ("general", 1)]
+            ("symmetric", s), ("general", s)]
         assert det * s ** 3 == gauss_det(B) == 49 * s ** 4
 
     @pytest.mark.parametrize("m, d, det", [
@@ -467,6 +488,7 @@ class TestDivisor:
     def test_small(self, m, d, det):
         """det m / d^(n-1): d at n = 0, m[0][0] at n = 1."""
         assert lattice._det_symmetric(lattice._triangle(m), d) == det
+        assert lattice._det_general(m, d) == det
         assert det * F(d) ** (len(m) - 1) == gauss_det(m)
 
 
@@ -577,6 +599,16 @@ class TestCovolume:
         res = covolume(L)
         assert res.gram == ((F(7, 2),),)
         assert res.covolume == PiScaled(F(7, 2) / 8, -3)
+
+    @pytest.mark.parametrize("rank", [3, 6, 60, 120, 126, 127, 128])
+    def test_diagonal_cubic_closed_form(self, rank):
+        """t_iii = 1 and kappa all ones give the Gram (3J - 2r I)/(2r),
+        of determinant (-1)^(r-1)/2.  Its leading k-minor vanishes at
+        k = 2r/3, so ranks divisible by 3 take the general kernel."""
+        L = CubicLattice.from_entries(
+            rank, {(i, i, i): 1 for i in range(rank)}, [1] * rank)
+        assert covolume(L).covolume == PiScaled(
+            F((-1) ** (rank - 1), 2 * 8 ** rank), -3 * rank)
 
     def test_rationality(self):
         rng = random.Random(11)

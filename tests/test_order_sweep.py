@@ -13,11 +13,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "order_sweep.py"
 STAGES = ["extract_gv_s", "f1_log_derivative_s", "genus0_pipeline_s",
           "q_chart_s"]
+# The stages added after the first runs, in the order they were added
+LATE_STAGES = ["basis_change_r4_us", "rank1_update_r12_us",
+               "covolume_diag_r60_us"]
 LATTICE_STAGES = (
     [f"det_{path}_r{n}_us" for path in ("symmetric", "general")
      for n in (4, 8, 12, 16)]
-    + ["covolume_r4_us", "fhsv_covolume_us", "basis_change_r4_us",
-       "rank1_update_r12_us"])
+    + ["covolume_r4_us", "fhsv_covolume_us", *LATE_STAGES])
 
 
 def modular_stages(orders):
@@ -123,6 +125,7 @@ def test_basis_changes_are_drawn_last(monkeypatch):
     monkeypatch.setattr(module, "LATTICE_BATCH", 3)
     stages = module.lattice_stages()
     stages.pop("rank1_update_r12_us")
+    stages.pop("covolume_diag_r60_us")
     from mirrorcalc import lattice
     fn, batch = stages.pop("basis_change_r4_us")
     assert fn is lattice.CubicLattice.basis_change
@@ -148,6 +151,7 @@ def test_rank1_inputs_are_drawn_last_by_perfbench(monkeypatch):
         return drawn[-1]
     monkeypatch.setattr(workloads, "draw_rank1", spy)
     stages = module.lattice_stages()
+    stages.pop("covolume_diag_r60_us")
     from mirrorcalc import lattice
     fn, batch = stages.pop("rank1_update_r12_us")
     assert fn is lattice.rank1_update_det_check and batch == drawn
@@ -161,21 +165,42 @@ def test_rank1_inputs_are_drawn_last_by_perfbench(monkeypatch):
         "f49f6de2b04d8b8c1bc93664e9e0041ea26a77e3598123079125a051194fa4eb")
 
 
+def test_covolume_diag_stage_takes_the_fallback(monkeypatch):
+    """The rank-60 diagonal cubic, one lattice per batch entry, drawn from
+    no random numbers; its symmetric elimination hands a 22x22 block to
+    the general kernel, from 38 pivots on, with the divisor it reached."""
+    module = load()
+    monkeypatch.setattr(module, "LATTICE_BATCH", 2)
+    from mirrorcalc import lattice
+    fn, batch = module.lattice_stages()["covolume_diag_r60_us"]
+    assert fn is lattice.covolume and len(batch) == 2
+    (L,), (L2,) = batch
+    assert L is not L2 and L == L2
+    assert L == lattice.CubicLattice.from_entries(
+        60, {(i, i, i): 1 for i in range(60)}, [1] * 60)
+    calls, real = [], lattice._det_general
+    monkeypatch.setattr(lattice, "_det_general",
+                        lambda m, d: calls.append((len(m), d)) or real(m, d))
+    assert fn(L).covolume == lattice.PiScaled(Fraction(-1, 2 * 8 ** 60), -180)
+    [(n, d)] = calls
+    assert n == 22 and d not in (0, 1)
+
+
 def test_committed_lattice_file():
     """BENCH_lattice.json ends in at least five runs with
     basis_change_r4_us, the last two or more of them also with
-    rank1_update_r12_us; each has every stage of its time."""
+    rank1_update_r12_us and the last two or more with
+    covolume_diag_r60_us; each has every stage of its time."""
     data = json.loads((ROOT / "BENCH_lattice.json").read_text())
     assert (data["seed"], data["batch"]) == (7, 20)
-    for stage, least in (("basis_change_r4_us", 5),
-                         ("rank1_update_r12_us", 2)):
+    for stage, least in zip(LATE_STAGES, (5, 2, 2)):
         runs = [run for run in data["runs"] if stage in run["stages"]]
         assert len(runs) >= least and runs == data["runs"][-len(runs):]
     for run in data["runs"]:
         if "basis_change_r4_us" not in run["stages"]:
             continue
-        stages = (LATTICE_STAGES if "rank1_update_r12_us" in run["stages"]
-                  else LATTICE_STAGES[:-1])
+        late = [stage for stage in LATE_STAGES if stage in run["stages"]]
+        stages = LATTICE_STAGES[:-len(LATE_STAGES)] + late
         assert run["utc"] and len(run["src_sha256"]) == 64
         assert run["repeats"] == 5
         assert sorted(k for k in run["stages"]
